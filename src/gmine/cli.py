@@ -10,6 +10,7 @@ import argparse
 import sys
 import time
 
+from .fingerprint import HashCollisionError
 from .graph import GraphFormatError, load_graph
 from .mining import (clique_discovery, fsm, motif_count, result_lines,
                      triangle_count, write_result)
@@ -109,8 +110,8 @@ def main(argv=None):
             items, metrics = fsm(g, args.k, args.support, **kw)
             lines = result_lines(items)
             summary = "# patterns=%d threshold=%d" % (len(items), args.support)
-    except (BudgetTooSmallError, CorruptPartError, InvariantError,
-            ValueError, OSError) as e:
+    except (BudgetTooSmallError, CorruptPartError, HashCollisionError,
+            InvariantError, ValueError, OSError) as e:
         print("gmine: %s" % e, file=sys.stderr)
         return 1
     _emit(lines, args.output, summary)

@@ -23,6 +23,17 @@ class SizeLimitError(ValueError):
     collision-free below 9 vertices."""
 
 
+class HashCollisionError(RuntimeError):
+    """Two different canonical patterns folded to the same 64-bit hash."""
+
+
+def check_same_pattern(h, have, got):
+    """Raise unless the pattern already keyed by hash h is got."""
+    if have != got:
+        raise HashCollisionError("hash %016x keys both %s and %s"
+                                 % (h, have.serialize(), got.serialize()))
+
+
 def _check_k(k):
     if k > MAX_K:
         raise SizeLimitError("embeddings of %d vertices exceed the %d-vertex "
@@ -279,6 +290,7 @@ class PatternHasher:
         self.weight_base = weight_base
         self._by_raw = {}
         self._poly = {}
+        self._by_hash = {}  # hash -> Pattern, checks the hash is exact
 
     def classify(self, labels, bits):
         """Map an embedding's raw labels/bitmap to its cached entry."""
@@ -309,6 +321,7 @@ class PatternHasher:
             self._poly[pkey] = poly
         h = triple_hash(ls, ds, poly)
         pat = Pattern(k, tuple(ls), tuple(ds), best)
+        check_same_pattern(h, self._by_hash.setdefault(h, pat), pat)
         return _Entry(h, pat, best_perm, (ls, ds, sbits))
 
 

@@ -31,6 +31,7 @@ class Graph:
         self.max_label = int(labels.max()) if len(labels) else 0
         self._adj = None
         self._adj_sets = None
+        self._edge_keys = None
         self._edge_u = None
         self._edge_v = None
         self._inc_off = None
@@ -126,6 +127,19 @@ class Graph:
         if self._adj_sets is None:
             self._adj_sets = [set(l) for l in self.adj]
         return self._adj_sets
+
+    @property
+    def edge_keys(self):
+        """Sorted int64 keys u * n + v, one per ordered adjacent pair.
+
+        CSR order is already key order, so the build is one pass; edge
+        {u, v} exists iff a binary search finds u * n + v here.
+        """
+        if self._edge_keys is None:
+            n = self.num_vertices
+            src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.offsets))
+            self._edge_keys = src * n + self.neighbor_ids
+        return self._edge_keys
 
     def _build_edge_table(self):
         # edge ids follow lexicographic (min endpoint, max endpoint) order

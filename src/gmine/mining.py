@@ -9,6 +9,7 @@ results are identical for any worker count, budget, or part layout.
 """
 
 import os
+import shutil
 import tempfile
 import time
 from bisect import bisect_right
@@ -18,39 +19,54 @@ import numpy as np
 from . import runtime
 from .explore import (edge_seed_preds, expand_edge_range, expand_vertex_range,
                       partition_by_weight, uniform_ranges, vertex_seed_preds)
-from .fingerprint import PAIR_BIT, PatternHasher
+from .fingerprint import PAIR_BIT, PatternHasher, check_same_pattern
 from .spill import (PartWriter, plan_spill, replay_top, spill_existing_level,
                     write_manifest)
-from .store import EmbeddingStore, LevelSlice, iter_embeddings
+from .store import EmbeddingStore, LevelSlice, iter_embeddings, level_columns
 
 
 # -- aggregation workers (module level so pools can address them) -------
 
+# Embeddings classified per chunk of the range: bounds the column and
+# bitmap arrays to a few hundred KiB whatever the range length.
+CHUNK = 1 << 14
+
+
 def count_patterns_range(task):
-    """Classify vertex embeddings in [lo, hi) and count per pattern."""
+    """Classify vertex embeddings in [lo, hi) and count per pattern.
+
+    Works on chunks of id columns: each position pair is tested for
+    adjacency in one binary search over the graph's sorted edge keys,
+    the hits form one adjacency bitmap per embedding, and the hasher
+    sees each distinct bitmap once.
+    """
     lo, hi = task
     ctx = runtime.get_context()
     slices = ctx["slices"]
-    sets = ctx["adj_sets"]
+    keys = ctx["edge_keys"]
+    n = ctx["num_vertices"]
     hasher = ctx["hasher"]
     k = len(slices)
     tab = PAIR_BIT[k]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    last = len(keys) - 1
     zeros = (0,) * k
     out = {}
-    for _, emb in iter_embeddings(slices, lo, hi):
-        bits = 0
-        for i in range(k):
-            row = sets[emb[i]]
-            ti = tab[i]
-            for j in range(i + 1, k):
-                if emb[j] in row:
-                    bits |= 1 << ti[j]
-        e = hasher.classify(zeros, bits)
-        rec = out.get(e.hash)
-        if rec is None:
-            out[e.hash] = [e.pattern, 1]
-        else:
-            rec[1] += 1
+    for a in range(lo, hi, CHUNK):
+        cols = level_columns(slices, a, min(a + CHUNK, hi))
+        bits = np.zeros(cols.shape[1], dtype=np.int64)
+        for i, j in pairs:
+            q = cols[i] * n + cols[j]
+            hit = keys[np.minimum(np.searchsorted(keys, q), last)] == q
+            bits |= hit.astype(np.int64) << tab[i][j]
+        uniq, cnt = np.unique(bits, return_counts=True)
+        for b, c in zip(uniq.tolist(), cnt.tolist()):
+            e = hasher.classify(zeros, b)
+            rec = out.get(e.hash)
+            if rec is None:
+                out[e.hash] = [e.pattern, c]
+            else:
+                rec[1] += c
     return out
 
 
@@ -126,6 +142,7 @@ def merge_counts(acc, part):
         if rec is None:
             acc[h] = [pat, c]
         else:
+            check_same_pattern(h, rec[0], pat)
             rec[1] += c
     return acc
 
@@ -136,6 +153,7 @@ def merge_mni(acc, part):
         if rec is None:
             acc[h] = [pat, doms]
         else:
+            check_same_pattern(h, rec[0], pat)
             for mine, theirs in zip(rec[1], doms):
                 mine |= theirs
     return acc
@@ -192,7 +210,7 @@ class Session:
     def _publish_base(self):
         g = self.g
         if self.mode == "vertex":
-            runtime.set_context(adj=g.adj, adj_sets=g.adj_sets)
+            runtime.set_context(adj=g.adj)
         else:
             runtime.set_context(
                 graph=g,
@@ -208,6 +226,18 @@ class Session:
             self.spill_dir = tempfile.mkdtemp(prefix="gmine_", dir=root)
         os.makedirs(self.spill_dir, exist_ok=True)
         return self.spill_dir
+
+    def close(self):
+        """Remove the spill dir if this session created it."""
+        if self._own_dir and self.spill_dir is not None:
+            shutil.rmtree(self.spill_dir)
+            self.spill_dir = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     # -- phases --------------------------------------------------------
 
@@ -335,12 +365,14 @@ def motif_count(g, k, workers=1, memory_budget=0, spill_dir=None,
     """
     if not 3 <= k <= 5:
         raise ValueError("motif size must be 3..5")
-    s = Session(g, "vertex", workers, memory_budget, spill_dir,
-                parts_per_level, labeled=False)
-    s.seed_vertices()
-    for size in range(2, k + 1):
-        s.explore(want_pred=size < k)
-    counts = s.aggregate(count_patterns_range, merge_counts, {})
+    with Session(g, "vertex", workers, memory_budget, spill_dir,
+                 parts_per_level, labeled=False) as s:
+        s.seed_vertices()
+        for size in range(2, k + 1):
+            s.explore(want_pred=size < k)
+        counts = s.aggregate(count_patterns_range, merge_counts, {},
+                             {"edge_keys": g.edge_keys,
+                              "num_vertices": g.num_vertices})
     return counts, s.metrics
 
 
@@ -349,30 +381,31 @@ def clique_discovery(g, k, workers=1, memory_budget=0, spill_dir=None,
     """Count k-cliques, 3 <= k <= 8, by filtered exploration."""
     if not 3 <= k <= 8:
         raise ValueError("clique size must be 3..8")
-    s = Session(g, "vertex", workers, memory_budget, spill_dir,
-                parts_per_level, labeled=False)
-    s.seed_vertices()
-    sets = g.adj_sets
+    with Session(g, "vertex", workers, memory_budget, spill_dir,
+                 parts_per_level, labeled=False) as s:
+        s.seed_vertices()
+        sets = g.adj_sets
 
-    def all_adjacent(emb, v):
-        for u in emb:
-            if v not in sets[u]:
-                return False
-        return True
+        def all_adjacent(emb, v):
+            for u in emb:
+                if v not in sets[u]:
+                    return False
+            return True
 
-    for size in range(2, k + 1):
-        s.explore(flt=all_adjacent if size > 2 else None, want_pred=size < k)
+        for size in range(2, k + 1):
+            s.explore(flt=all_adjacent if size > 2 else None, want_pred=size < k)
     return s.cse.top.count, s.metrics
 
 
 def triangle_count(g, workers=1, memory_budget=0, spill_dir=None,
                    parts_per_level=None):
     """Count triangles without materializing level 3."""
-    s = Session(g, "vertex", workers, memory_budget, spill_dir,
-                parts_per_level, labeled=False)
-    s.seed_vertices()
-    s.explore(want_pred=False)
-    total = s.aggregate(triangle_range, lambda a, b: a + b, 0)
+    with Session(g, "vertex", workers, memory_budget, spill_dir,
+                 parts_per_level, labeled=False) as s:
+        s.seed_vertices()
+        s.explore(want_pred=False)
+        total = s.aggregate(triangle_range, lambda a, b: a + b, 0,
+                            {"adj_sets": g.adj_sets})
     return total, s.metrics
 
 
@@ -390,43 +423,43 @@ def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
         raise ValueError("edge count must be 1..7")
     if support < 1:
         raise ValueError("support threshold must be positive")
-    s = Session(g, "edge", workers, memory_budget, spill_dir,
-                parts_per_level, labeled=True)
-    s.seed_edges()
-    cap_ctx = {"cap": support, "want_hashes": True}
-    agg = s.aggregate(mni_edge_range, _merge_mni_hashes, ({}, []), cap_ctx)
-    pats, hashes = _finish_mni(agg, s.cse.top.count)
-    frequent = {h: [p, mni_support(d, support)] for h, (p, d) in pats.items()
-                if mni_support(d, support) >= support}
-    result = dict(frequent)
-    if k_edges == 1 or not frequent:
-        return result, s.metrics
-    fh = np.fromiter(frequent.keys(), dtype=np.uint64, count=len(frequent))
-    edge_alive = np.isin(hashes, fh)
-    keep = np.flatnonzero(edge_alive).astype(np.int32)
-    s.cse = EmbeddingStore("edge", np.int32)
-    s.seed_edges(keep)
-    edge_ok = np.zeros(g.num_edges, dtype=bool)
-    edge_ok[keep] = True
-
-    def freq_edge(emb, eid):
-        return bool(edge_ok[eid])
-
-    alive = None
-    for size in range(2, k_edges + 1):
-        s.explore(flt=freq_edge, alive=alive, want_pred=size < k_edges)
-        cap_ctx = {"cap": support, "want_hashes": size < k_edges}
+    with Session(g, "edge", workers, memory_budget, spill_dir,
+                 parts_per_level, labeled=True) as s:
+        s.seed_edges()
+        cap_ctx = {"cap": support, "want_hashes": True}
         agg = s.aggregate(mni_edge_range, _merge_mni_hashes, ({}, []), cap_ctx)
         pats, hashes = _finish_mni(agg, s.cse.top.count)
         frequent = {h: [p, mni_support(d, support)] for h, (p, d) in pats.items()
                     if mni_support(d, support) >= support}
-        result.update(frequent)
-        if not frequent:
-            break
-        if size < k_edges:
-            fh = np.fromiter(frequent.keys(), dtype=np.uint64, count=len(frequent))
-            alive = np.isin(hashes, fh)
-    return result, s.metrics
+        result = dict(frequent)
+        if k_edges == 1 or not frequent:
+            return result, s.metrics
+        fh = np.fromiter(frequent.keys(), dtype=np.uint64, count=len(frequent))
+        edge_alive = np.isin(hashes, fh)
+        keep = np.flatnonzero(edge_alive).astype(np.int32)
+        s.cse = EmbeddingStore("edge", np.int32)
+        s.seed_edges(keep)
+        edge_ok = np.zeros(g.num_edges, dtype=bool)
+        edge_ok[keep] = True
+
+        def freq_edge(emb, eid):
+            return bool(edge_ok[eid])
+
+        alive = None
+        for size in range(2, k_edges + 1):
+            s.explore(flt=freq_edge, alive=alive, want_pred=size < k_edges)
+            cap_ctx = {"cap": support, "want_hashes": size < k_edges}
+            agg = s.aggregate(mni_edge_range, _merge_mni_hashes, ({}, []), cap_ctx)
+            pats, hashes = _finish_mni(agg, s.cse.top.count)
+            frequent = {h: [p, mni_support(d, support)] for h, (p, d) in pats.items()
+                        if mni_support(d, support) >= support}
+            result.update(frequent)
+            if not frequent:
+                break
+            if size < k_edges:
+                fh = np.fromiter(frequent.keys(), dtype=np.uint64, count=len(frequent))
+                alive = np.isin(hashes, fh)
+        return result, s.metrics
 
 
 def _merge_mni_hashes(acc, res):

@@ -14,6 +14,7 @@ import os
 import queue
 import struct
 import threading
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -35,21 +36,16 @@ class CorruptPartError(RuntimeError):
     """Part file failed its magic or checksum validation."""
 
 
-def _fold(data):
-    buf = np.frombuffer(data, dtype=np.uint8)
-    return int(buf.sum(dtype=np.uint64))
-
-
 def write_part(path, level_index, id_width, vert, off_seg):
     """Write one part file; returns bytes written.
 
-    Layout: header, raw vert ids, raw absolute off values, then a u64
-    additive fold of all preceding bytes.
+    Layout: header, raw vert ids, raw absolute off values, then the
+    CRC-32 of all preceding bytes as a u64.
     """
     head = _HEADER.pack(MAGIC, level_index, id_width, len(vert), len(off_seg))
     vb = vert.tobytes()
     ob = off_seg.astype(np.int64).tobytes()
-    total = (_fold(head) + _fold(vb) + _fold(ob)) & 0xFFFFFFFFFFFFFFFF
+    total = zlib.crc32(ob, zlib.crc32(vb, zlib.crc32(head)))
     with open(path, "wb") as fh:
         fh.write(head)
         fh.write(vb)
@@ -71,7 +67,7 @@ def read_part(path, id_dtype):
     if len(data) != body_end + 8:
         raise CorruptPartError("%s: size mismatch" % path)
     (want,) = struct.unpack_from("<Q", data, body_end)
-    if _fold(data[:body_end]) != want:
+    if zlib.crc32(memoryview(data)[:body_end]) != want:
         raise CorruptPartError("%s: checksum mismatch" % path)
     vert = np.frombuffer(data, dtype=id_dtype, count=nv, offset=_HEADER.size)
     off = np.frombuffer(data, dtype=np.int64, count=no,

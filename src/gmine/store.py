@@ -213,6 +213,25 @@ class LevelSlice:
         return int(self.off[parent - self.obase + 1])
 
 
+def level_columns(slices, lo, hi):
+    """The ids of top-level offsets [lo, hi) as a (depth, hi - lo) int64
+    array: row i holds position i of every embedding.
+
+    The array form of iter_embeddings. Each level's parents come from
+    one binary search of its off array, so spill windows (vbase/obase)
+    and childless parents need no special case.
+    """
+    depth = len(slices)
+    cols = np.empty((depth, hi - lo), dtype=np.int64)
+    o = np.arange(lo, hi, dtype=np.int64)
+    for li in range(depth - 1, -1, -1):
+        s = slices[li]
+        cols[li] = o if s.vert is None else s.vert[o - s.vbase]
+        if li:
+            o = np.searchsorted(s.off, o, side="right") - 1 + s.obase
+    return cols
+
+
 def iter_embeddings(slices, lo, hi):
     """Yield (offset, ids) for top-level offsets in [lo, hi).
 

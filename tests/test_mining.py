@@ -4,10 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from gmine.fingerprint import PAIR_BIT
+from gmine import fingerprint
+from gmine.fingerprint import PAIR_BIT, HashCollisionError, Pattern
 from gmine.graph import Graph
-from gmine.mining import (Session, clique_discovery, fsm, motif_count,
-                          result_lines, triangle_count, write_result)
+from gmine.mining import (Session, clique_discovery, fsm, merge_counts,
+                          merge_mni, motif_count, result_lines,
+                          triangle_count, write_result)
 from gmine.spill import BudgetTooSmallError
 
 from conftest import make_random_graph
@@ -243,6 +245,67 @@ def test_spilled_motif_matches_brute(tmp_path):
                                   spill_dir=str(tmp_path), parts_per_level=3)
     assert metrics.get("bytes_spilled", 0) > 0
     assert motif_forms(counts) == brute_motif_counts(g, 4)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_spilled_two_worker_motif_matches_brute(tmp_path, k):
+    g = make_random_graph(2900, 30, 40)
+    peak = motif_count(g, k)[1]["peak_resident_estimate"]
+    counts, metrics = motif_count(g, k, workers=2, memory_budget=peak // 2,
+                                  spill_dir=str(tmp_path), parts_per_level=3)
+    assert metrics["bytes_spilled"] > 0
+    assert motif_forms(counts) == brute_motif_counts(g, k)
+
+
+def test_motif_count_builds_no_adjacency_sets():
+    g = make_random_graph(2901, 30, 40)
+    motif_count(g, 4)
+    assert g._adj_sets is None
+
+
+# -- spill directory lifetime ----------------------------------------------------
+
+def test_session_removes_its_own_spill_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv("GMINE_SPILL_DIR", str(tmp_path))
+    g = make_random_graph(2900, 30, 40)
+    _, metrics = motif_count(g, 4, memory_budget=3500, parts_per_level=3)
+    assert metrics["bytes_spilled"] > 0
+    assert os.listdir(str(tmp_path)) == []
+
+
+def test_session_removes_its_own_spill_dir_on_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("GMINE_SPILL_DIR", str(tmp_path))
+    g = make_random_graph(2900, 30, 40)
+    # level 3 spills, then level 5 cannot fit
+    with pytest.raises(BudgetTooSmallError):
+        motif_count(g, 5, memory_budget=4000, parts_per_level=3)
+    assert os.listdir(str(tmp_path)) == []
+
+
+def test_session_keeps_caller_spill_dir(tmp_path):
+    g = make_random_graph(2900, 30, 40)
+    d = str(tmp_path / "mine")
+    motif_count(g, 4, memory_budget=3500, spill_dir=d, parts_per_level=3)
+    assert "plan.txt" in os.listdir(d)
+
+
+# -- pattern hash exactness ----------------------------------------------------------
+
+def test_motif_count_raises_on_hash_collision(monkeypatch):
+    monkeypatch.setattr(fingerprint, "triple_hash", lambda *a: 7)
+    g = make_random_graph(2902, 14, 12)
+    with pytest.raises(HashCollisionError):
+        motif_count(g, 4)
+
+
+def test_merges_raise_on_hash_collision():
+    path = Pattern(3, (0, 0, 0), (1, 1, 2), 0b110)
+    tri = Pattern(3, (0, 0, 0), (2, 2, 2), 0b111)
+    assert merge_counts({7: [path, 1]}, {7: [path, 2]}) == {7: [path, 3]}
+    with pytest.raises(HashCollisionError):
+        merge_counts({7: [path, 1]}, {7: [tri, 2]})
+    with pytest.raises(HashCollisionError):
+        merge_mni({7: [path, [set()]]}, {7: [tri, [set()]]})
 
 
 # -- output -------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from gmine.spill import (BudgetTooSmallError, CorruptPartError, PartWriter,
                          _Window, part_name, plan_spill, read_part,
                          replay_top, spill_existing_level, write_manifest,
                          write_part)
-from gmine.store import EmbeddingStore, InvariantError, iter_embeddings
+from gmine.store import (EmbeddingStore, InvariantError, iter_embeddings,
+                         level_columns)
 
 from conftest import make_random_graph
 from test_explore import vertex_store_to
@@ -19,6 +20,13 @@ def collect_range(task):
     lo, hi = task
     slices = runtime.get_context()["slices"]
     return [(o, tuple(emb)) for o, emb in iter_embeddings(slices, lo, hi)]
+
+
+def columns_range(task):
+    lo, hi = task
+    slices = runtime.get_context()["slices"]
+    cols = level_columns(slices, lo, hi)
+    return [(lo + i, tuple(r)) for i, r in enumerate(cols.T.tolist())]
 
 
 NEXT_EST = (4000, 800, 4000)
@@ -57,6 +65,21 @@ def test_part_corruption_detected(tmp_path):
         read_part(p, np.int32)
     open(p, "wb").write(b"")
     with pytest.raises(CorruptPartError, match="truncated"):
+        read_part(p, np.int32)
+
+
+def test_part_swapped_ids_detected(tmp_path):
+    # a byte sum cannot see two ids trading places; the checksum must
+    vert = np.array([5, 9, 2, 7], dtype=np.int32)
+    off = np.array([0, 2, 4], dtype=np.int64)
+    p = str(tmp_path / "x.cse")
+    write_part(p, 3, 4, vert, off)
+    write_part(str(tmp_path / "y.cse"), 3, 4, vert[[1, 0, 2, 3]], off)
+    swapped = bytearray(open(str(tmp_path / "y.cse"), "rb").read())
+    good = open(p, "rb").read()
+    swapped[-8:] = good[-8:]  # keep the original part's checksum
+    open(p, "wb").write(bytes(swapped))
+    with pytest.raises(CorruptPartError, match="checksum"):
         read_part(p, np.int32)
 
 
@@ -258,6 +281,20 @@ def test_replay_matches_memory(tmp_path, spill_from, parts, keep_off):
     assert got == want
     assert m["parts_loaded"] >= parts
     assert m["bytes_read"] > 0
+
+
+@pytest.mark.parametrize("keep_off", [True, False])
+def test_level_columns_match_replay_windows(tmp_path, keep_off):
+    g = make_random_graph(34, 16, 22)
+    s = vertex_store_to(g, 4)
+    assert (np.diff(s.level(4).off) == 0).any()  # childless parents
+    want = expected_embeddings(g, 4)
+    for li in (3, 4):
+        spill_existing_level(s.level(li), str(tmp_path), 9, {}, keep_off)
+    assert len(s.level(4).parts) > 4
+    got = []
+    replay_top(s, 1, columns_range, lambda lo, hi, res: got.extend(res), {})
+    assert got == want
 
 
 def test_replay_multiprocess_matches(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gmine.store import EmbeddingStore, InvariantError, LevelSlice, iter_embeddings
+from gmine.store import (EmbeddingStore, InvariantError, LevelSlice,
+                         iter_embeddings, level_columns)
 
 # Hand-derived canonical levels for the demo graph in dense ids
 # (vertices 1..5 densify to 0..4; 4 is the hub).
@@ -64,6 +65,34 @@ def test_iteration_matches_extraction():
     # ranges not starting at zero position correctly
     got2 = [(o, tuple(e)) for o, e in iter_embeddings(slices, 3, 6)]
     assert got2 == [(i, L3_EMBEDDINGS[i]) for i in range(3, 6)]
+
+
+def columns_as_rows(slices, lo, hi):
+    return [tuple(r) for r in level_columns(slices, lo, hi).T.tolist()]
+
+
+def test_level_columns_match_iteration():
+    s = demo_store()
+    assert (np.diff(s.level(3).off) == 0).any()  # childless parents
+    slices = [LevelSlice.of(l) for l in s.levels]
+    for lo in range(9):
+        for hi in range(lo, 9):
+            want = [tuple(e) for _, e in iter_embeddings(slices, lo, hi)]
+            assert columns_as_rows(slices, lo, hi) == want
+    assert level_columns(slices, 4, 4).shape == (3, 0)
+
+
+def test_level_columns_explicit_seeds_and_windows():
+    s = EmbeddingStore("edge")
+    s.seed_level1([1, 3, 4, 6, 9])
+    s.append_level([3, 6, 9, 4, 9], [0, 3, 3, 5, 5, 5])
+    slices = [LevelSlice.of(l) for l in s.levels]
+    want = [tuple(e) for _, e in iter_embeddings(slices, 0, 5)]
+    assert columns_as_rows(slices, 0, 5) == want
+    # the same top level seen through a window over parents 1..4
+    l2 = s.level(2)
+    win = slices[:1] + [LevelSlice(l2.vert[3:5], l2.off[1:5], vbase=3, obase=1)]
+    assert columns_as_rows(win, 3, 5) == want[3:5]
 
 
 def test_iteration_lexicographic_order():
