@@ -2,13 +2,14 @@
 
 One subcommand per mining application. Result lines go to stdout (and
 to --output when given); counters and timings go to stderr. Exit codes:
-0 success, 1 runtime failure (unreadable input, budget too small), 2
-usage errors.
+0 success, 1 runtime failure (unreadable input, budget too small, a dead
+worker process), 2 usage errors.
 """
 
 import argparse
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 from .fingerprint import HashCollisionError
 from .graph import GraphFormatError, load_graph
@@ -110,8 +111,8 @@ def main(argv=None):
             items, metrics = fsm(g, args.k, args.support, **kw)
             lines = result_lines(items)
             summary = "# patterns=%d threshold=%d" % (len(items), args.support)
-    except (BudgetTooSmallError, CorruptPartError, HashCollisionError,
-            InvariantError, ValueError, OSError) as e:
+    except (BrokenProcessPool, BudgetTooSmallError, CorruptPartError,
+            HashCollisionError, InvariantError, ValueError, OSError) as e:
         print("gmine: %s" % e, file=sys.stderr)
         return 1
     _emit(lines, args.output, summary)

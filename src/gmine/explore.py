@@ -14,7 +14,7 @@ table and applies the same head/attachment rules to edge ids.
 import numpy as np
 
 from . import runtime
-from .store import LevelSlice, iter_embeddings
+from .store import iter_embeddings
 
 
 # -- canonicality predicates ------------------------------------------
@@ -230,51 +230,3 @@ def expand_edge_range(task):
     vert = np.array(out_vert, dtype=ctx["id_dtype"])
     pred = np.array(out_pred, dtype=np.int32) if want_pred else None
     return vert, counts, pred
-
-
-def assemble(results, base_offset=0):
-    """Join per-range (vert, counts, pred) triples in range order into
-    (vert, off, pred) with off absolute from base_offset."""
-    verts = [r[0] for r in results]
-    cnts = [r[1] for r in results]
-    preds = [r[2] for r in results]
-    vert = np.concatenate(verts) if verts else np.array([], dtype=np.int32)
-    counts = np.concatenate(cnts) if cnts else np.array([], dtype=np.int32)
-    off = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=off[1:])
-    off += base_offset
-    pred = None
-    if preds and preds[0] is not None:
-        pred = np.concatenate(preds)
-    return vert, off, pred
-
-
-def explore_level(g, cse, flt=None, workers=1, alive=None, want_pred=True):
-    """Expand the store's top level and return (vert, off, pred) arrays
-    satisfying append_level's preconditions. Does not append.
-
-    Parents are range-partitioned by predicted candidate count so worker
-    shares carry near-equal work; outputs are joined in range order, so
-    the arrays do not depend on the worker count.
-    """
-    top = cse.top
-    slices = [LevelSlice.of(l) for l in cse.levels]
-    weights = top.pred if top.pred is not None else np.ones(top.count, dtype=np.int64)
-    t = max(1, workers)
-    cuts = partition_by_weight(weights, t)
-    tasks = [(int(cuts[i]), int(cuts[i + 1])) for i in range(t)
-             if cuts[i] < cuts[i + 1]]
-    if not tasks:
-        tasks = [(0, top.count)]
-    runtime.set_context(slices=slices, filter=flt, alive=alive,
-                        want_pred=want_pred, id_dtype=cse.id_dtype)
-    if cse.mode == "vertex":
-        runtime.set_context(adj=g.adj)
-        fn = expand_vertex_range
-    else:
-        runtime.set_context(graph=g, incident=[g.incident_edges(v).tolist()
-                                               for v in range(g.num_vertices)],
-                            edge_u=g.edge_u.tolist(), edge_v=g.edge_v.tolist())
-        fn = expand_edge_range
-    results = runtime.map_ranges(fn, tasks, workers)
-    return assemble(results)

@@ -66,21 +66,6 @@ def bits_from_pairs(k, pairs):
     return bits
 
 
-def induced_bits(g, verts):
-    """Adjacency bitmap of the subgraph induced on a vertex tuple."""
-    k = len(verts)
-    _check_k(k)
-    tab = PAIR_BIT[k]
-    sets = g.adj_sets
-    bits = 0
-    for i in range(k):
-        row = sets[verts[i]]
-        for j in range(i + 1, k):
-            if verts[j] in row:
-                bits |= 1 << tab[i][j]
-    return bits
-
-
 def degrees_from_bits(k, bits):
     d = [0] * k
     b = 0
@@ -233,50 +218,43 @@ def _block_perms(labels, degrees):
         yield flat
 
 
-class _Entry:
-    __slots__ = ("hash", "pattern", "canon_perm", "_pos_orbit", "_sorted")
+def _slot_orbits(pat):
+    """Orbit id of each canonical slot under the pattern's automorphisms."""
+    parent = list(range(pat.k))
 
-    def __init__(self, h, pattern, canon_perm, sorted_state):
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in _block_perms(pat.labels, pat.degrees):
+        if permute_bits(pat.bits, perm) == pat.bits:
+            for p, q in enumerate(perm):
+                ra, rb = find(p), find(q)
+                if ra != rb:
+                    parent[rb] = ra
+    roots = {}
+    return tuple(roots.setdefault(find(p), len(roots)) for p in range(pat.k))
+
+
+class _Entry:
+    __slots__ = ("hash", "pattern", "_pos_orbit")
+
+    def __init__(self, h, pattern, pos_orbit):
         self.hash = h
         self.pattern = pattern
-        self.canon_perm = canon_perm  # canonical slot -> input position
-        self._sorted = sorted_state
-        self._pos_orbit = None
+        self._pos_orbit = pos_orbit
 
     def position_orbits(self):
         """orbit id for each input position; orbits are those of the
         canonical form under its automorphisms, so every worker that sees
         any member of the class numbers them identically."""
-        if self._pos_orbit is None:
-            pat = self.pattern
-            parent = list(range(pat.k))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for perm in _block_perms(pat.labels, pat.degrees):
-                if permute_bits(pat.bits, perm) == pat.bits:
-                    for p, q in enumerate(perm):
-                        ra, rb = find(p), find(q)
-                        if ra != rb:
-                            parent[rb] = ra
-            roots = {}
-            orbit_of_slot = []
-            for p in range(pat.k):
-                r = find(p)
-                orbit_of_slot.append(roots.setdefault(r, len(roots)))
-            inv = [0] * pat.k
-            for slot, pos in enumerate(self.canon_perm):
-                inv[pos] = slot
-            self._pos_orbit = tuple(orbit_of_slot[inv[i]] for i in range(pat.k))
         return self._pos_orbit
 
     @property
     def orbit_count(self):
-        return max(self.position_orbits()) + 1
+        return max(self._pos_orbit) + 1
 
 
 class PatternHasher:
@@ -289,6 +267,8 @@ class PatternHasher:
     def __init__(self, weight_base):
         self.weight_base = weight_base
         self._by_raw = {}
+        # canonical (labels, bitmap) -> (hash, Pattern, slot orbits): one
+        # characteristic polynomial per pattern
         self._poly = {}
         self._by_hash = {}  # hash -> Pattern, checks the hash is exact
 
@@ -314,15 +294,19 @@ class PatternHasher:
                 best = cand
                 best_perm = [sperm[p] for p in bp]
         pkey = (tuple(ls), best)
-        poly = self._poly.get(pkey)
-        if poly is None:
+        known = self._poly.get(pkey)
+        if known is None:
             poly = char_polynomial(weighted_matrix(ls, best, self.weight_base))
             assert poly[0] == 0  # zero diagonal, so the trace term vanishes
-            self._poly[pkey] = poly
-        h = triple_hash(ls, ds, poly)
-        pat = Pattern(k, tuple(ls), tuple(ds), best)
-        check_same_pattern(h, self._by_hash.setdefault(h, pat), pat)
-        return _Entry(h, pat, best_perm, (ls, ds, sbits))
+            h = triple_hash(ls, ds, poly)
+            pat = Pattern(k, pkey[0], tuple(ds), best)
+            check_same_pattern(h, self._by_hash.setdefault(h, pat), pat)
+            known = self._poly[pkey] = (h, pat, _slot_orbits(pat))
+        h, pat, orbits = known
+        pos_orbit = [0] * k
+        for slot, pos in enumerate(best_perm):  # canonical slot -> input position
+            pos_orbit[pos] = orbits[slot]
+        return _Entry(h, pat, tuple(pos_orbit))
 
 
 def classify_triple(labels, degrees, bits, weight_base):

@@ -70,50 +70,138 @@ def count_patterns_range(task):
     return out
 
 
+# Edge embeddings per chunk of mni_edge_range. Its temporaries (columns,
+# key rows, domain codes) grow the peak RSS with the chunk: on the
+# fsm3-labeled benchmark input 2^12 stays below the peak of a
+# per-embedding loop, and 2^14 adds about 6.5 MiB.
+MNI_CHUNK = 1 << 12
+
+
+def _edge_rows(cols, eu, ev, labels):
+    """Vertex and key rows of edge embeddings given as (k, m) id columns.
+
+    Returns verts, (k+1, m): each embedding's distinct endpoints in
+    ascending order, padded with -1; and rows, (k+2, m): the label of
+    each verts entry (-1 for padding) and then the adjacency bitmap over
+    those positions, as PAIR_BIT numbers the pairs.
+    """
+    k, m = cols.shape
+    ends = np.concatenate((eu[cols], ev[cols]))
+    order = np.argsort(ends, axis=0)
+    srt = np.take_along_axis(ends, order, axis=0)
+    first = np.ones(srt.shape, dtype=bool)
+    np.not_equal(srt[1:], srt[:-1], out=first[1:])
+    rank = np.cumsum(first, axis=0, dtype=np.int8) - 1  # positions stay below 9
+    nv = rank[-1] + 1
+    pos = np.empty_like(rank)
+    np.put_along_axis(pos, order, rank, axis=0)
+    i = np.minimum(pos[:k], pos[k:])
+    j = np.maximum(pos[:k], pos[k:])
+    bit = i * nv - i * (i + 1) // 2 + (j - i - 1)  # PAIR_BIT[nv][i][j]
+    verts = np.full((k + 1, m), -1, dtype=ends.dtype)
+    verts[rank[first], np.nonzero(first)[1]] = srt[first]
+    rows = np.empty((k + 2, m), dtype=labels.dtype)  # a bitmap has at most 28 bits
+    rows[:-1] = np.where(verts >= 0, labels[verts], -1)
+    rows[-1] = np.bitwise_or.reduce(np.int32(1) << bit, axis=0)
+    return verts, rows
+
+
+class _RawKeyTable:
+    """Per-range map from (labels, bitmap) key rows to the pattern hash
+    and one MNI domain group per position, classifying each key once.
+
+    A row's bytes are its exact key whatever the label values, so
+    looking up a chunk costs one dict probe per embedding and only keys
+    new to the range reach the hasher.
+    """
+
+    def __init__(self, hasher, width):
+        self.hasher = hasher
+        self.width = width                     # positions: edges + 1
+        self.index = {}                        # row bytes -> entry
+        self.hash = np.zeros(0, dtype=np.uint64)
+        self.group = np.zeros((0, width), dtype=np.int64)
+        self.patterns = {}                     # hash -> (Pattern, first group, orbit count)
+        self.domains = []                      # one vertex set per group
+
+    def lookup(self, rows):
+        """Hash per column of rows, and its groups as a (width, m) array."""
+        keys = np.ascontiguousarray(rows.T).view(
+            np.dtype((np.void, rows.itemsize * len(rows)))).ravel().tolist()
+        new = sorted(set(keys).difference(self.index))
+        if new:
+            self._add(new, rows.dtype)
+        e = np.fromiter(map(self.index.__getitem__, keys), dtype=np.int64,
+                        count=len(keys))
+        return self.hash[e], self.group[e].T
+
+    def _add(self, keys, dtype):
+        hs = []
+        gs = []
+        for key in keys:
+            self.index[key] = len(self.index)
+            row = np.frombuffer(key, dtype=dtype).tolist()
+            nv = row.index(-1) if row[-2] < 0 else self.width
+            e = self.hasher.classify(tuple(row[:nv]), row[-1])
+            rec = self.patterns.get(e.hash)
+            if rec is None:
+                rec = self.patterns[e.hash] = (e.pattern, len(self.domains), e.orbit_count)
+                self.domains.extend(set() for _ in range(e.orbit_count))
+            hs.append(e.hash)
+            gs.append([rec[1] + o for o in e.position_orbits()] + [-1] * (self.width - nv))
+        self.hash = np.concatenate((self.hash, np.array(hs, dtype=np.uint64)))
+        self.group = np.concatenate((self.group, np.array(gs, dtype=np.int64)))
+
+    def results(self):
+        return {h: [pat, self.domains[g:g + c]]
+                for h, (pat, g, c) in self.patterns.items()}
+
+
 def mni_edge_range(task):
     """Classify edge embeddings and accumulate per-orbit vertex domains.
 
-    Domains are capped at the support threshold; the reported support
-    min(|domain|, cap) is then independent of visit order and worker
-    count. Optionally records each embedding's pattern hash so the
-    caller can keep only embeddings of frequent patterns alive.
+    Works on chunks of id columns: the endpoints give each embedding's
+    sorted vertex list, label row and adjacency bitmap as arrays, a
+    per-range table classifies each distinct (labels, bitmap) key once,
+    and each chunk's deduplicated (domain group, vertex) codes feed the
+    domains. Domains stop growing at the support threshold; the
+    reported support min(|domain|, cap) is then independent of visit
+    order and worker count. Optionally records each embedding's pattern
+    hash so the caller can keep only embeddings of frequent patterns
+    alive.
     """
     lo, hi = task
     ctx = runtime.get_context()
     slices = ctx["slices"]
-    eu = ctx["edge_u"]
-    ev = ctx["edge_v"]
-    labels = ctx["labels"]
-    hasher = ctx["hasher"]
+    g = ctx["graph"]
+    vid = ctx["vertex_ids"]  # shared int objects for the domain sets
     cap = ctx["cap"]
+    n = g.num_vertices
+    table = _RawKeyTable(ctx["hasher"], len(slices) + 1)
+    doms = table.domains
     hashes = np.zeros(hi - lo, dtype=np.uint64) if ctx.get("want_hashes") else None
-    out = {}
-    for off, emb in iter_embeddings(slices, lo, hi):
-        vs = set()
-        for f in emb:
-            vs.add(eu[f])
-            vs.add(ev[f])
-        vs = sorted(vs)
-        pos = {v: i for i, v in enumerate(vs)}
-        tab = PAIR_BIT[len(vs)]
-        bits = 0
-        for f in emb:
-            bits |= 1 << tab[pos[eu[f]]][pos[ev[f]]]
-        lt = tuple(labels[v] for v in vs)
-        e = hasher.classify(lt, bits)
-        orb = e.position_orbits()
-        rec = out.get(e.hash)
-        if rec is None:
-            rec = [e.pattern, [set() for _ in range(e.orbit_count)]]
-            out[e.hash] = rec
-        doms = rec[1]
-        for i, v in enumerate(vs):
-            d = doms[orb[i]]
-            if len(d) < cap:
-                d.add(v)
+    for a in range(lo, hi, MNI_CHUNK):
+        b = min(a + MNI_CHUNK, hi)
+        verts, rows = _edge_rows(level_columns(slices, a, b), g.edge_u, g.edge_v,
+                                 g.labels)
+        h, groups = table.lookup(rows)
         if hashes is not None:
-            hashes[off - lo] = e.hash
-    return out, hashes
+            hashes[a - lo:b - lo] = h
+        codes = np.unique((groups * n + verts)[verts >= 0])
+        grp = codes // n
+        vl = (codes - grp * n).tolist()
+        cuts = (np.flatnonzero(grp[1:] != grp[:-1]) + 1).tolist()
+        starts = [0] + cuts
+        for gi, s, e in zip(grp[starts].tolist(), starts, cuts + [len(vl)]):
+            d = doms[gi]
+            if len(d) + e - s <= cap:
+                d.update(map(vid.__getitem__, vl[s:e]))
+            else:  # one at a time, so that no set outgrows the cap
+                for v in vl[s:e]:
+                    if len(d) >= cap:
+                        break
+                    d.add(vid[v])
+    return table.results(), hashes
 
 
 def triangle_range(task):
@@ -216,7 +304,7 @@ class Session:
                 graph=g,
                 incident=[g.incident_edges(v).tolist() for v in range(g.num_vertices)],
                 edge_u=g.edge_u.tolist(), edge_v=g.edge_v.tolist(),
-                labels=g.labels.tolist())
+                vertex_ids=list(range(g.num_vertices)))
         runtime.set_context(hasher=self.hasher, id_dtype=self.cse.id_dtype)
         self._base_ctx_set = True
 
@@ -228,7 +316,10 @@ class Session:
         return self.spill_dir
 
     def close(self):
-        """Remove the spill dir if this session created it."""
+        """Drop the worker context and remove the spill dir if this
+        session created it."""
+        runtime.clear_context()
+        self._base_ctx_set = False
         if self._own_dir and self.spill_dir is not None:
             shutil.rmtree(self.spill_dir)
             self.spill_dir = None

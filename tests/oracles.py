@@ -96,6 +96,19 @@ def subgraph_form(g, verts, labeled=False):
     return labels, tuple(rows)
 
 
+def induced_bitmap(adj_sets, verts):
+    """Adjacency bitmap of the subgraph induced on a vertex sequence: bit
+    b stands for the b-th position pair (i, j), i < j, in row-major order."""
+    bits = 0
+    b = 0
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            if verts[j] in adj_sets[verts[i]]:
+                bits |= 1 << b
+            b += 1
+    return bits
+
+
 def edge_subgraph_form(g, eids, labeled=True):
     """Form for the subgraph made of the given edges (not induced)."""
     vs = sorted({x for e in eids for x in g.edge_endpoints(e)})

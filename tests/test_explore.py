@@ -4,13 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from gmine.explore import (edge_seed_preds, explore_level,
-                           is_canonical_edge_extension, is_canonical_extension,
-                           partition_by_weight, predict_candidate_size,
-                           predict_candidate_size_edges, uniform_ranges,
-                           vertex_seed_preds)
+from gmine.explore import (edge_seed_preds, is_canonical_edge_extension,
+                           is_canonical_extension, partition_by_weight,
+                           predict_candidate_size, predict_candidate_size_edges,
+                           uniform_ranges, vertex_seed_preds)
 from gmine.graph import Graph
-from gmine.store import EmbeddingStore
+from gmine.mining import Session
 
 from conftest import make_random_graph
 from oracles import (connected_edge_subsets, enumerate_connected_subsets,
@@ -19,23 +18,20 @@ from oracles import (connected_edge_subsets, enumerate_connected_subsets,
 from test_store import L2_OFF, L2_VERT, L3_OFF, L3_VERT
 
 
-def vertex_store_to(g, k, **kw):
-    s = EmbeddingStore("vertex")
-    s.seed_identity(g.num_vertices, pred=vertex_seed_preds(g))
-    for _ in range(2, k + 1):
-        vert, off, pred = explore_level(g, s, **kw)
-        s.append_level(vert, off, pred)
-    return s
+def vertex_store_to(g, k, workers=1):
+    with Session(g, "vertex", workers=workers) as s:
+        s.seed_vertices()
+        for _ in range(2, k + 1):
+            s.explore()
+    return s.cse
 
 
-def edge_store_to(g, k, **kw):
-    s = EmbeddingStore("edge")
-    s.seed_level1(np.arange(g.num_edges, dtype=np.int32),
-                  pred=edge_seed_preds(g))
-    for _ in range(2, k + 1):
-        vert, off, pred = explore_level(g, s, **kw)
-        s.append_level(vert, off, pred)
-    return s
+def edge_store_to(g, k, workers=1):
+    with Session(g, "edge", workers=workers) as s:
+        s.seed_edges()
+        for _ in range(2, k + 1):
+            s.explore()
+    return s.cse
 
 
 # -- single-step predicate ---------------------------------------------------
@@ -155,24 +151,25 @@ def test_edge_expansion_complete_and_duplicate_free():
 
 
 def test_filter_false_empties_level(demo_graph):
-    s = EmbeddingStore("vertex")
-    s.seed_identity(5, pred=vertex_seed_preds(demo_graph))
-    vert, off, _ = explore_level(demo_graph, s, flt=lambda e, v: False)
-    assert len(vert) == 0
-    assert off.tolist() == [0] * 6
+    with Session(demo_graph, "vertex") as s:
+        s.seed_vertices()
+        s.explore(flt=lambda e, v: False)
+    top = s.cse.top
+    assert len(top.vert) == 0
+    assert top.off.tolist() == [0] * 6
 
 
 def test_alive_mask_prunes_parents(demo_graph):
-    s = EmbeddingStore("vertex")
-    s.seed_identity(5, pred=vertex_seed_preds(demo_graph))
-    vert, off, pred = explore_level(demo_graph, s)
-    s.append_level(vert, off, pred)
-    alive = np.zeros(7, dtype=bool)
-    alive[0] = True  # only <0,1> expands
-    vert, off, _ = explore_level(demo_graph, s, alive=alive)
-    assert off.tolist()[:2] == [0, 2]
-    assert int(off[-1]) == 2
-    assert vert.tolist() == [2, 4]
+    with Session(demo_graph, "vertex") as s:
+        s.seed_vertices()
+        s.explore()
+        alive = np.zeros(7, dtype=bool)
+        alive[0] = True  # only <0,1> expands
+        s.explore(alive=alive)
+    top = s.cse.top
+    assert top.off.tolist()[:2] == [0, 2]
+    assert int(top.off[-1]) == 2
+    assert top.vert.tolist() == [2, 4]
 
 
 # -- prediction ----------------------------------------------------------------

@@ -6,12 +6,13 @@ import pytest
 from gmine.fingerprint import (FNV_OFFSET, MAX_K, Pattern, PatternHasher,
                                SizeLimitError, bits_from_pairs, canonical_sort,
                                char_polynomial, classify_triple,
-                               degrees_from_bits, fnv1a64, induced_bits,
-                               permute_bits, triple_hash, weighted_matrix)
+                               degrees_from_bits, fnv1a64, permute_bits,
+                               triple_hash, weighted_matrix)
 from gmine.graph import Graph
 
 from conftest import make_random_graph
-from oracles import cofactor_charpoly, min_perm_form, subgraph_form
+from oracles import (cofactor_charpoly, induced_bitmap, min_perm_form,
+                     subgraph_form)
 
 
 def test_single_edge_char_polynomial():
@@ -101,8 +102,8 @@ def test_labeled_pair_example_equal_hash():
     h = PatternHasher(g.max_label + 2)
     a = [0, 1, 3]  # dense ids of 1, 2, 5
     b = [2, 1, 3]  # dense ids of 3, 2, 5
-    ha = h.classify(tuple(int(g.labels[v]) for v in a), induced_bits(g, a))
-    hb = h.classify(tuple(int(g.labels[v]) for v in b), induced_bits(g, b))
+    ha = h.classify(tuple(int(g.labels[v]) for v in a), induced_bitmap(g.adj_sets, a))
+    hb = h.classify(tuple(int(g.labels[v]) for v in b), induced_bitmap(g.adj_sets, b))
     assert ha.hash == hb.hash
     assert ha.pattern == hb.pattern
 
@@ -151,7 +152,7 @@ def test_hash_equals_relabeled_subgraphs_oracle():
         for s in subs:
             form = min_perm_form(*subgraph_form(g, s, labeled=True))
             labels = tuple(int(g.labels[v]) for v in s)
-            hv = h.classify(labels, induced_bits(g, s)).hash
+            hv = h.classify(labels, induced_bitmap(g.adj_sets, s)).hash
             by_form.setdefault(form, set()).add(hv)
             by_hash.setdefault(hv, set()).add(form)
         assert all(len(v) == 1 for v in by_form.values())

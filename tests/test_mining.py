@@ -1,20 +1,22 @@
 import math
 import os
+import random
 
 import numpy as np
 import pytest
 
-from gmine import fingerprint
+from gmine import fingerprint, mining, runtime
 from gmine.fingerprint import PAIR_BIT, HashCollisionError, Pattern
 from gmine.graph import Graph
 from gmine.mining import (Session, clique_discovery, fsm, merge_counts,
                           merge_mni, motif_count, result_lines,
                           triangle_count, write_result)
 from gmine.spill import BudgetTooSmallError
+from gmine.store import LevelSlice, iter_embeddings
 
 from conftest import make_random_graph
 from oracles import (brute_cliques, brute_mni, brute_motif_counts,
-                     brute_triangles, min_perm_form)
+                     brute_triangles, min_perm_form, random_connected_edges)
 
 
 def pattern_rows(pat):
@@ -172,6 +174,68 @@ def test_fsm_rejects_bad_args(demo_graph):
         fsm(demo_graph, 2, 0)
 
 
+# -- the chunked MNI kernel ---------------------------------------------------------
+
+@pytest.mark.parametrize("trial", range(3))
+def test_fsm_chunked_kernel_matches_brute(tmp_path, monkeypatch, trial):
+    # 3-row chunks cross parent slices, childless parents and spill windows
+    monkeypatch.setattr(mining, "MNI_CHUNK", 3)
+    g = make_random_graph(2800 + trial, 12, 9, n_labels=3)
+    for k_edges in range(1, 5):
+        base, metrics = fsm(g, k_edges, 2)
+        assert fsm_forms(base) == expected_frequent(g, k_edges, 2), (trial, k_edges)
+        two, _ = fsm(g, k_edges, 2, workers=2)
+        assert result_lines(two) == result_lines(base)
+    budget = int(metrics["peak_resident_estimate"] * 0.4)
+    spilled, m = fsm(g, 4, 2, workers=2, memory_budget=budget,
+                     spill_dir=str(tmp_path), parts_per_level=3)
+    assert m["bytes_spilled"] > 0
+    assert result_lines(spilled) == result_lines(base)
+
+
+def test_mni_edge_range_matches_per_embedding_reference(monkeypatch):
+    monkeypatch.setattr(mining, "MNI_CHUNK", 4)
+    g = make_random_graph(2810, 14, 12, n_labels=3)
+    eu, ev = g.edge_u.tolist(), g.edge_v.tolist()
+    with Session(g, "edge", labeled=True) as s:
+        s.seed_edges()
+        s.explore()
+        s.explore()
+        slices = [LevelSlice.of(l) for l in s.cse.levels]
+        runtime.set_context(slices=slices, cap=10 ** 9, want_hashes=True)
+        count = s.cse.top.count
+        for lo, hi in ((0, count), (5, count - 3)):
+            got, hashes = mining.mni_edge_range((lo, hi))
+            want_hashes = []
+            want = {}
+            for _, emb in iter_embeddings(slices, lo, hi):
+                vs = sorted({x for f in emb for x in (eu[f], ev[f])})
+                pos = {v: i for i, v in enumerate(vs)}
+                bits = 0
+                for f in emb:
+                    bits |= 1 << PAIR_BIT[len(vs)][pos[eu[f]]][pos[ev[f]]]
+                e = s.hasher.classify(tuple(int(g.labels[v]) for v in vs), bits)
+                want_hashes.append(e.hash)
+                rec = want.setdefault(e.hash, [e.pattern,
+                                               [set() for _ in range(e.orbit_count)]])
+                for v, o in zip(vs, e.position_orbits()):
+                    rec[1][o].add(v)
+            assert hashes.tolist() == want_hashes
+            assert got == want
+
+
+def test_fsm_exact_with_labels_past_a_packed_key():
+    # (max label + 2)^8 * 2^28 overflows 63 bits, so a key packing labels
+    # and bitmap into one int64 would wrap at 8 vertices
+    rng = random.Random(2820)
+    edges = random_connected_edges(rng, 8, 1)
+    g = Graph.from_edges(edges, {v: 700 * rng.randrange(3) for v in range(8)})
+    assert (g.max_label + 2) ** 8 << 28 >= 1 << 63
+    result, _ = fsm(g, 7, 1)
+    assert max(p.k for p, _ in result.values()) == 8
+    assert fsm_forms(result) == expected_frequent(g, 7, 1)
+
+
 # -- determinism across workers and budgets ------------------------------------------
 
 def run_variants(tmp_path, fn, req_spill=True):
@@ -287,6 +351,14 @@ def test_session_keeps_caller_spill_dir(tmp_path):
     d = str(tmp_path / "mine")
     motif_count(g, 4, memory_budget=3500, spill_dir=d, parts_per_level=3)
     assert "plan.txt" in os.listdir(d)
+
+
+def test_sessions_clear_the_worker_context():
+    g = make_random_graph(2903, 20, 20, n_labels=2)
+    motif_count(g, 3)
+    assert runtime.get_context() == {}
+    fsm(g, 2, 2)
+    assert runtime.get_context() == {}
 
 
 # -- pattern hash exactness ----------------------------------------------------------
