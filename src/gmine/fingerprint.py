@@ -297,7 +297,8 @@ class PatternHasher:
         known = self._poly.get(pkey)
         if known is None:
             poly = char_polynomial(weighted_matrix(ls, best, self.weight_base))
-            assert poly[0] == 0  # zero diagonal, so the trace term vanishes
+            if poly[0] != 0:  # zero diagonal, so the trace term vanishes
+                raise AssertionError("trace term %d for pattern key %r" % (poly[0], pkey))
             h = triple_hash(ls, ds, poly)
             pat = Pattern(k, pkey[0], tuple(ds), best)
             check_same_pattern(h, self._by_hash.setdefault(h, pat), pat)

@@ -3,9 +3,10 @@ counting, and frequent subgraph mining with exact minimum-image support.
 
 A Session owns one graph, one embedding store, the worker/budget
 configuration, and the metrics dict. Exploration and aggregation both
-run range-parallel over the top level; when the plan has pushed levels
-to disk the same worker functions run inside the windowed replay, so
-results are identical for any worker count, budget, or part layout.
+run range-parallel over the top level through one driver, the windowed
+replay: a memory-resident top is a replay with one window, so the same
+worker functions see the same offsets in the same order and results
+are identical for any worker count, budget, or part layout.
 """
 
 import os
@@ -17,12 +18,13 @@ from bisect import bisect_right
 import numpy as np
 
 from . import runtime
-from .explore import (edge_seed_preds, expand_edge_range, expand_vertex_range,
-                      partition_by_weight, uniform_ranges, vertex_seed_preds)
+from .explore import (edge_seed_preds, expand_vertex_range, partition_by_weight,
+                      touch_lists, uniform_ranges, vertex_seed_preds)
+from .explore import expand_edge_range  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 1)
 from .fingerprint import PAIR_BIT, PatternHasher, check_same_pattern
 from .spill import (PartWriter, plan_spill, replay_top, spill_existing_level,
                     write_manifest)
-from .store import EmbeddingStore, LevelSlice, iter_embeddings, level_columns
+from .store import EmbeddingStore, iter_embeddings, level_columns
 
 
 # -- aggregation workers (module level so pools can address them) -------
@@ -300,12 +302,9 @@ class Session:
         if self.mode == "vertex":
             runtime.set_context(adj=g.adj)
         else:
-            runtime.set_context(
-                graph=g,
-                incident=[g.incident_edges(v).tolist() for v in range(g.num_vertices)],
-                edge_u=g.edge_u.tolist(), edge_v=g.edge_v.tolist(),
-                vertex_ids=list(range(g.num_vertices)))
-        runtime.set_context(hasher=self.hasher, id_dtype=self.cse.id_dtype)
+            runtime.set_context(graph=g, vertex_ids=list(range(g.num_vertices)))
+        runtime.set_context(touch=touch_lists(g, self.mode), hasher=self.hasher,
+                            id_dtype=self.cse.id_dtype)
         self._base_ctx_set = True
 
     def _ensure_dir(self):
@@ -358,15 +357,15 @@ class Session:
             for lvl in cse.levels:
                 if lvl.residency == "disk":
                     lvl.off = None
-        weights = top.pred if top.pred is not None else np.ones(top.count, np.int64)
         runtime.set_context(filter=flt, alive=alive, want_pred=want_pred)
-        fn = expand_vertex_range if self.mode == "vertex" else expand_edge_range
         counts_chunks = []
         pred_chunks = [] if want_pred else None
         writer = None
         vert_chunks = []
         if plan.spill_next:
-            cuts = partition_by_weight(weights, self.parts_per_level)
+            cuts = (partition_by_weight(top.pred, self.parts_per_level)
+                    if top.pred is not None
+                    else uniform_ranges(top.count, self.parts_per_level))
             writer = PartWriter(self.spill_dir, top.index + 1, cse.id_dtype,
                                 cuts, self.metrics)
 
@@ -380,17 +379,7 @@ class Session:
             else:
                 vert_chunks.append(vert)
 
-        if top.residency == "disk":
-            replay_top(cse, self.workers, fn, consume, self.metrics, weights)
-        else:
-            slices = [LevelSlice.of(l) for l in cse.levels]
-            runtime.set_context(slices=slices)
-            t = self.workers
-            cuts = partition_by_weight(weights, t)
-            tasks = [(int(cuts[i]), int(cuts[i + 1])) for i in range(t)
-                     if cuts[i] < cuts[i + 1]]
-            for (lo, hi), res in zip(tasks, runtime.map_ranges(fn, tasks, t)):
-                consume(lo, hi, res)
+        replay_top(cse, self.workers, expand_vertex_range, consume, self.metrics)
         counts = (np.concatenate(counts_chunks) if counts_chunks
                   else np.zeros(0, np.int32))
         pred = (np.concatenate(pred_chunks) if want_pred and pred_chunks
@@ -420,8 +409,6 @@ class Session:
         t0 = time.perf_counter()
         if not self._base_ctx_set:
             self._publish_base()
-        cse = self.cse
-        top = cse.top
         runtime.set_context(**(extra_ctx or {}))
         acc = init
 
@@ -429,17 +416,7 @@ class Session:
             nonlocal acc
             acc = merge(acc, res)
 
-        if top.residency == "disk":
-            replay_top(cse, self.workers, fn, consume, self.metrics)
-        else:
-            slices = [LevelSlice.of(l) for l in cse.levels]
-            runtime.set_context(slices=slices)
-            t = self.workers
-            cuts = uniform_ranges(top.count, t)
-            tasks = [(int(cuts[i]), int(cuts[i + 1])) for i in range(t)
-                     if cuts[i] < cuts[i + 1]]
-            for (lo, hi), res in zip(tasks, runtime.map_ranges(fn, tasks, t)):
-                consume(lo, hi, res)
+        replay_top(self.cse, self.workers, fn, consume, self.metrics)
         self.metrics["aggregate_seconds"] = (self.metrics.get("aggregate_seconds", 0.0)
                                              + time.perf_counter() - t0)
         return acc

@@ -1,10 +1,13 @@
-"""Disk spill for level arrays and windowed replay over spilled levels.
+"""Disk spill for level arrays and the windowed replay that drives
+every range-parallel phase.
 
 A spilled level is cut into parts at parent-slice boundaries, so each
 part carries a self-contained (vert, off-segment) pair. Replay walks
 the top level part by part; every lower spilled level keeps a sliding
 window of one loaded part plus one prefetched candidate, which is
 enough because ancestor offsets grow monotonically with the top offset.
+A memory-resident top is the one-part case: a single window spanning
+all of its parents, so resident and spilled stores share one driver.
 Part boundaries are derived from predicted weights before any worker
 runs, so the files and the processing order are identical for every
 worker count and stride size.
@@ -306,12 +309,12 @@ def write_manifest(spill_dir, cse):
 
 
 class _Window:
-    """Sliding window over one spilled level: one loaded part, one
-    prefetched candidate, never more."""
+    """Sliding window over one level: one loaded part, one prefetched
+    candidate, never more. A resident level is one part spanning all
+    of its parents, backed by its in-memory arrays."""
 
     def __init__(self, level, loader, id_dtype, metrics):
         self.level = level
-        self.parts = level.parts
         self.loader = loader
         self.id_dtype = id_dtype
         self.metrics = metrics
@@ -320,8 +323,15 @@ class _Window:
         self.main_off = None
         self.main_vert = None
         self._cand = None
+        if level.residency == "mem":
+            self.parts = [PartInfo(None, level.index, 0, len(level.off) - 1,
+                                   0, level.count, 0)]
+            self.main_vert, self.main_off = level.vert, level.off
+        else:
+            self.parts = level.parts
+            if self.parts:
+                self.main_vert, self.main_off = self._load(0)
         if self.parts:
-            self.main_vert, self.main_off = self._load(0)
             self.main = self.parts[0]
             self._prefetch()
 
@@ -382,23 +392,21 @@ def _chain_bound(windows_asc, top_part):
     return None, (binder, bound)  # caller resolves via the loaded segment
 
 
-def replay_top(cse, workers, fn, consume, metrics, weights=None):
-    """Run fn over every top-level offset of a spilled store, in order.
+def replay_top(cse, workers, fn, consume, metrics):
+    """Run fn over every top-level offset of the store, in order.
 
-    fn is a module-level worker reading slices from the runtime context;
-    consume(lo, hi, result) is called in global offset order. weights
-    defaults to the top level's predictions when it has them, else
-    ranges are split uniformly.
+    The one range driver for resident and spilled tops alike: a
+    resident top is a single window, so it runs as one map over all of
+    its offsets. fn is a module-level worker reading slices from the
+    runtime context; consume(lo, hi, result) is called in global offset
+    order. Ranges are cut by the top level's predictions when it has
+    them, else uniformly.
     """
     top = cse.top
     spilled = [l for l in cse.levels if l.residency == "disk"]
-    assert spilled and spilled[-1] is top
-    for a, b in zip(spilled, spilled[1:]):
-        assert b.index == a.index + 1, "spilled levels must form a suffix"
-    mem_slices = {l.index: LevelSlice.of(l) for l in cse.levels
-                  if l.residency == "mem"}
-    if weights is None:
-        weights = top.pred
+    if spilled != cse.levels[len(cse.levels) - len(spilled):]:
+        raise AssertionError("spilled levels must form a suffix")
+    mem_slices = [LevelSlice.of(l) for l in cse.levels[:-1] if l.residency == "mem"]
     loader = ThreadPoolExecutor(max_workers=1)
     try:
         windows = [_Window(l, loader, cse.id_dtype, metrics)
@@ -416,19 +424,12 @@ def replay_top(cse, workers, fn, consume, metrics, weights=None):
                 if hi <= cur:
                     binder.slide()
                     continue
-                slices = []
-                for l in cse.levels:
-                    if l.residency == "mem":
-                        slices.append(mem_slices[l.index])
-                    elif l is top:
-                        slices.append(tw.slice())
-                    else:
-                        slices.append(windows[l.index - spilled[0].index].slice())
+                slices = mem_slices + [w.slice() for w in windows + [tw]]
                 t = max(1, workers)
-                if weights is None:
+                if top.pred is None:
                     cuts = uniform_ranges(hi - cur, t) + cur
                 else:
-                    cuts = partition_by_weight(weights[cur:hi], t) + cur
+                    cuts = partition_by_weight(top.pred[cur:hi], t) + cur
                 tasks = [(int(cuts[i]), int(cuts[i + 1])) for i in range(t)
                          if cuts[i] < cuts[i + 1]]
                 runtime.set_context(slices=slices)

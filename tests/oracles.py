@@ -305,6 +305,58 @@ def ordering_is_canonical_edges(g, seq):
     return True
 
 
+def is_canonical_extension(g, emb, v):
+    """True iff appending vertex v to canonical emb stays canonical."""
+    if v in emb or v <= emb[0]:
+        return False
+    a0 = None
+    for i, u in enumerate(emb):
+        if g.check_link(u, v):
+            a0 = i
+            break
+    if a0 is None:
+        return False
+    return all(emb[b] < v for b in range(a0 + 1, len(emb)))
+
+
+def is_canonical_edge_extension(g, emb, eid):
+    """Edge-id analogue: emb is a list of edge ids."""
+    if eid in emb or eid <= emb[0]:
+        return False
+    x, y = g.edge_endpoints(eid)
+    a0 = None
+    for i, f in enumerate(emb):
+        u, v = g.edge_endpoints(f)
+        if x == u or x == v or y == u or y == v:
+            a0 = i
+            break
+    if a0 is None:
+        return False
+    return all(emb[b] < eid for b in range(a0 + 1, len(emb)))
+
+
+# -- candidate prediction ------------------------------------------------------
+
+def predict_candidate_size(g, emb):
+    """|union of neighborhoods minus emb|: the width of the next level's
+    slice for this embedding before canonicality filtering."""
+    cand = set()
+    for u in emb:
+        cand.update(g.adj[u])
+    cand.difference_update(emb)
+    return len(cand)
+
+
+def predict_candidate_size_edges(g, emb):
+    cand = set()
+    for f in emb:
+        u, v = g.edge_endpoints(f)
+        cand.update(g.incident_edges(u).tolist())
+        cand.update(g.incident_edges(v).tolist())
+    cand.difference_update(emb)
+    return len(cand)
+
+
 # -- characteristic polynomial by Laplace expansion ---------------------------
 
 def cofactor_charpoly(m):

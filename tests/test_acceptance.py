@@ -14,8 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from gmine.explore import (is_canonical_edge_extension, is_canonical_extension,
-                           partition_by_weight)
+from gmine.explore import partition_by_weight
 from gmine.fingerprint import (PAIR_BIT, PatternHasher, bits_from_pairs,
                                char_polynomial, classify_triple,
                                degrees_from_bits, weighted_matrix)
@@ -25,7 +24,8 @@ from gmine.mining import (Session, clique_discovery, fsm, motif_count,
 
 from conftest import DEMO_EDGES, make_random_graph
 from oracles import (brute_cliques, brute_triangles, cofactor_charpoly,
-                     enumerate_connected_subsets, iso_oracle, min_perm_form,
+                     enumerate_connected_subsets, is_canonical_edge_extension,
+                     is_canonical_extension, iso_oracle, min_perm_form,
                      ordering_is_canonical, ordering_is_canonical_edges,
                      subgraph_form)
 

@@ -4,17 +4,18 @@ import random
 import numpy as np
 import pytest
 
-from gmine.explore import (edge_seed_preds, is_canonical_edge_extension,
-                           is_canonical_extension, partition_by_weight,
-                           predict_candidate_size, predict_candidate_size_edges,
-                           uniform_ranges, vertex_seed_preds)
+from gmine.explore import (edge_seed_preds, partition_by_weight, uniform_ranges,
+                           vertex_seed_preds)
 from gmine.graph import Graph
 from gmine.mining import Session
+from gmine.spill import read_part
 
 from conftest import make_random_graph
 from oracles import (connected_edge_subsets, enumerate_connected_subsets,
+                     is_canonical_edge_extension, is_canonical_extension,
                      is_connected_subset, ordering_is_canonical,
-                     ordering_is_canonical_edges)
+                     ordering_is_canonical_edges, predict_candidate_size,
+                     predict_candidate_size_edges)
 from test_store import L2_OFF, L2_VERT, L3_OFF, L3_VERT
 
 
@@ -26,8 +27,8 @@ def vertex_store_to(g, k, workers=1):
     return s.cse
 
 
-def edge_store_to(g, k, workers=1):
-    with Session(g, "edge", workers=workers) as s:
+def edge_store_to(g, k, workers=1, **kw):
+    with Session(g, "edge", workers=workers, **kw) as s:
         s.seed_edges()
         for _ in range(2, k + 1):
             s.explore()
@@ -203,13 +204,19 @@ def test_predict_streamed_matches_brute(demo_graph):
 
 
 def test_predict_streamed_matches_brute_edges():
-    for trial in range(6):
-        g = make_random_graph(1700 + trial, 9, 7)
-        s = edge_store_to(g, 3)
-        pred = s.level(3).pred
-        for o in range(s.level(3).count):
-            emb = list(s.extract(3, o))
-            assert pred[o] == predict_candidate_size_edges(g, emb)
+    graphs = [(make_random_graph(1700 + trial, 9, 7), (3,)) for trial in range(6)]
+    # a hub touches most edges, so most candidates have one endpoint
+    # already in the embedding and one new
+    hub = [(0, v) for v in range(1, 12)] + [(1, 2), (2, 3), (3, 12), (12, 13),
+                                            (5, 13), (7, 8), (9, 14)]
+    graphs.append((Graph.from_edges(hub), (2, 3, 4)))
+    for g, levels in graphs:
+        for li in levels:
+            s = edge_store_to(g, li)
+            pred = s.level(li).pred
+            for o in range(s.level(li).count):
+                emb = list(s.extract(li, o))
+                assert pred[o] == predict_candidate_size_edges(g, emb)
 
 
 def test_seed_preds(demo_graph):
@@ -244,7 +251,21 @@ def test_partition_zero_and_empty():
     assert uniform_ranges(10, 3).tolist() == [0, 3, 6, 10]
 
 
-def test_worker_counts_agree(demo_graph):
+def level_arrays(lvl):
+    """(vert, off, pred) of a level as lists, read back from its part
+    files when it is spilled; only the top level keeps its pred."""
+    pred = None if lvl.pred is None else lvl.pred.tolist()
+    if lvl.residency == "mem":
+        return lvl.vert.tolist(), lvl.off.tolist(), pred
+    vert, off = [], [0]
+    for p in lvl.parts:
+        v, o, _ = read_part(p.path, np.int32)
+        vert += v.tolist()
+        off += o[1:].tolist()
+    return vert, off, pred
+
+
+def test_worker_counts_agree(tmp_path):
     for trial in range(6):
         g = make_random_graph(1800 + trial, 30, 45)
         base = None
@@ -256,3 +277,20 @@ def test_worker_counts_agree(demo_graph):
                 base = sig
             else:
                 assert sig == base
+    for trial in range(4):
+        g = make_random_graph(1850 + trial, 14, 16)
+        with Session(g, "edge") as s:
+            s.seed_edges()
+            for _ in range(3):
+                s.explore()
+        want = [level_arrays(s.cse.level(li)) for li in (2, 3, 4)]
+        for w in (2, 3):
+            cse = edge_store_to(g, 4, workers=w)
+            assert [level_arrays(cse.level(li)) for li in (2, 3, 4)] == want
+        # half the peak puts levels 3 and 4 on disk: level 4 is explored
+        # from a spilled top through a window chain
+        cse = edge_store_to(g, 4, workers=2,
+                            memory_budget=s.metrics["peak_resident_estimate"] // 2,
+                            spill_dir=str(tmp_path / str(trial)), parts_per_level=3)
+        assert [l.residency for l in cse.levels] == ["mem", "mem", "disk", "disk"]
+        assert [level_arrays(cse.level(li)) for li in (2, 3, 4)] == want

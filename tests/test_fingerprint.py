@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gmine import fingerprint
 from gmine.fingerprint import (FNV_OFFSET, MAX_K, Pattern, PatternHasher,
                                SizeLimitError, bits_from_pairs, canonical_sort,
                                char_polynomial, classify_triple,
@@ -39,6 +40,13 @@ def test_leading_trace_coefficient_vanishes():
         bits = rng.randrange(1 << (k * (k - 1) // 2))
         m = weighted_matrix([0] * k, bits, 2)
         assert char_polynomial(m)[0] == 0
+
+
+def test_hasher_rejects_a_trace_term(monkeypatch):
+    # an explicit raise, not an assert, so python -O keeps the check
+    monkeypatch.setattr(fingerprint, "char_polynomial", lambda m: (1, 0, 0))
+    with pytest.raises(AssertionError, match="trace term"):
+        PatternHasher(2).classify((0, 0, 0), bits_from_pairs(3, [(0, 1), (1, 2)]))
 
 
 def test_faddeev_leverrier_matches_cofactor_expansion():

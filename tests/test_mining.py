@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gmine import fingerprint, mining, runtime
+from gmine.explore import partition_by_weight, uniform_ranges
 from gmine.fingerprint import PAIR_BIT, HashCollisionError, Pattern
 from gmine.graph import Graph
 from gmine.mining import (Session, clique_discovery, fsm, merge_counts,
@@ -325,6 +326,38 @@ def test_motif_count_builds_no_adjacency_sets():
     g = make_random_graph(2901, 30, 40)
     motif_count(g, 4)
     assert g._adj_sets is None
+
+
+def test_resident_phases_map_once_each(monkeypatch):
+    """A resident top is a replay with one window: each explore and each
+    aggregate maps its ranges once, cut by the top's predictions when it
+    has them and uniformly when it does not."""
+    g = make_random_graph(2904, 40, 70)
+    calls = []
+    real = runtime.map_ranges
+
+    def spy(fn, tasks, workers):
+        calls.append((fn.__name__, list(tasks), workers))
+        return real(fn, tasks, workers)
+
+    def tasks(cuts):
+        return [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
+
+    monkeypatch.setattr(runtime, "map_ranges", spy)
+    with Session(g, "vertex", workers=2) as s:
+        s.seed_vertices()
+        for size in (2, 3, 4):
+            want = tasks(partition_by_weight(s.cse.top.pred, 2))
+            calls.clear()
+            s.explore(want_pred=size < 4)
+            assert calls == [("expand_vertex_range", want, 2)]
+        assert s.cse.top.pred is None
+        calls.clear()
+        s.aggregate(mining.count_patterns_range, merge_counts, {},
+                    {"edge_keys": g.edge_keys, "num_vertices": g.num_vertices})
+        assert calls == [("count_patterns_range",
+                          tasks(uniform_ranges(s.cse.top.count, 2)), 2)]
+    assert all(l.residency == "mem" for l in s.cse.levels)
 
 
 # -- spill directory lifetime ----------------------------------------------------

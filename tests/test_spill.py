@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,6 +17,8 @@ from gmine.store import (EmbeddingStore, InvariantError, iter_embeddings,
 
 from conftest import make_random_graph
 from test_explore import vertex_store_to
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def collect_range(task):
@@ -310,6 +315,29 @@ def test_replay_requires_suffix(tmp_path):
     spill_existing_level(s.level(3), str(tmp_path), 2, {}, True)
     with pytest.raises(AssertionError):
         replay_top(s, 1, collect_range, lambda *a: None, {})
+
+
+def test_replay_requires_suffix_under_optimize(tmp_path):
+    # the layout check is an explicit raise, so python -O keeps it
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = textwrap.dedent("""
+        assert False, "asserts are stripped under -O"
+        from gmine.spill import replay_top, spill_existing_level
+        from conftest import make_random_graph
+        from test_explore import vertex_store_to
+        from test_spill import collect_range
+        s = vertex_store_to(make_random_graph(33, 12, 14), 4)
+        spill_existing_level(s.level(3), %r, 2, {}, True)
+        try:
+            replay_top(s, 1, collect_range, lambda *a: None, {})
+        except AssertionError as e:
+            print("raised:", e)
+    """ % str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, tests)))
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                       text=True, timeout=60, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("raised: spilled levels must form a suffix")
 
 
 def test_manifest_lists_parts(tmp_path, demo_graph):
