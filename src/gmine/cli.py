@@ -45,7 +45,7 @@ def _common(p, k_help=None, k_range=None, needs_support=False):
         p.add_argument("--support", type=int, required=True,
                        help="minimum-image support threshold")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (default 1)")
+                   help="parallel ranges, on at most one process per CPU (default 1)")
     p.add_argument("--memory-budget", type=parse_size, default=0,
                    metavar="BYTES", help="level-array budget, e.g. 64M; "
                    "0 = unlimited (default)")

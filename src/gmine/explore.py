@@ -9,15 +9,29 @@ k to k+1 visits each subgraph exactly once with no duplicate checks.
 
 The edge-induced variant orders edges by their id in the sorted edge
 table and applies the same head/attachment rules to edge ids. One
-kernel expands both: each member id touches ascending candidate lists,
-its neighbors for a vertex and the incident edges of both endpoints
-for an edge, and the rules only ever compare ids.
+array kernel expands both. Each member id touches ascending candidate
+lists in a CSR: its neighbor slice for a vertex, the incident-edge
+slices of both endpoints for an edge. The kernel reads blocks of
+parents as id columns, gathers every member's lists tagged with the
+member's position, and sorts the (parent, candidate, position) keys:
+the first key of each run is the candidate's earliest attachment, and
+the rules, the filters and the predictions become array compares.
 """
 
 import numpy as np
 
 from . import runtime
-from .store import iter_embeddings
+from .store import level_columns
+
+# Parents read as one block of id columns, and list entries per gather.
+# Keys pack (parent in block, id, attach) as (parent * n + id) * 8 +
+# attach; the kernel checks that both fields fit.
+BLOCK = 1 << 13
+GATHER = 1 << 13
+
+# Filter that keeps a vertex candidate only when it is adjacent to every
+# member of its parent: in vertex mode that is a run of length k.
+CLIQUE = "clique"
 
 
 def vertex_seed_preds(g):
@@ -28,19 +42,6 @@ def edge_seed_preds(g):
     du = g.degrees[g.edge_u]
     dv = g.degrees[g.edge_v]
     return (du + dv - 2).astype(np.int32)
-
-
-def touch_lists(g, mode):
-    """Per id, the ascending candidate lists it touches: a vertex its
-    neighbor list, an edge the incident-edge lists of both endpoints
-    (one list per vertex, sharing one int object per edge id)."""
-    if mode == "vertex":
-        return [(a,) for a in g.adj]
-    ids = list(range(g.num_edges))
-    inc = [list(map(ids.__getitem__, g.incident_edges(v).tolist()))
-           for v in range(g.num_vertices)]
-    return list(zip(map(inc.__getitem__, g.edge_u.tolist()),
-                    map(inc.__getitem__, g.edge_v.tolist())))
 
 
 # -- weight-balanced range partition ------------------------------------
@@ -69,69 +70,141 @@ def uniform_ranges(n, t):
     return np.linspace(0, n, t + 1).astype(np.int64)
 
 
+def chunks(weights, cap):
+    """Yield consecutive ranges [a, b) of 0..n whose weights total at
+    most cap; an item heavier than cap forms a range alone."""
+    cum = np.cumsum(weights)
+    a = 0
+    while a < len(cum):
+        b = max(a + 1, int(np.searchsorted(cum, (cum[a - 1] if a else 0) + cap,
+                                           side="right")))
+        yield a, b
+        a = b
+
+
+# -- array helpers --------------------------------------------------------
+
+def run_heads(a):
+    """True at the first entry of each run of equal values in sorted a.
+    Sort plus this mask dedupes: np.unique's hash path on numpy 2.4 ran
+    25-50x slower on 40k-1M random int64 keys (2-vCPU x86 VM)."""
+    h = np.empty(len(a), dtype=bool)
+    h[:1] = True
+    np.not_equal(a[1:], a[:-1], out=h[1:])
+    return h
+
+
+def in_sorted(a, q):
+    """Mask of the entries of q present in the sorted, non-empty a."""
+    return a[np.minimum(np.searchsorted(a, q), len(a) - 1)] == q
+
+
+def ragged(starts, lens):
+    """Flat indices of the slices [starts[j], starts[j] + lens[j]), in
+    order, and the slice number j of each."""
+    owner = np.repeat(np.arange(len(lens)), lens)
+    return (starts - np.cumsum(lens) + lens)[owner] + np.arange(len(owner)), owner
+
+
+def _sources(ids, ends):
+    """The CSR rows whose slices ids touch: a vertex its own row, an edge
+    its first endpoints' rows stacked over its second endpoints'."""
+    return np.atleast_2d(ids) if ends is None else np.vstack((ends[0][ids], ends[1][ids]))
+
+
 # -- range expansion ---------------------------------------------------
 
 def expand_vertex_range(task):
     """Expand top-level offsets [lo, hi) by one id.
 
-    Reads the touch table, slices and filter from the published worker
-    context and returns (vert, counts, preds) arrays for the range.
-    Candidates are gathered into one dict per parent keyed first-touch,
-    which records the earliest attachment index; embedding members
-    carry a sentinel. A candidate's prediction counts the ids its lists
-    add to the parent's; the lists of an edge's old endpoint add none,
-    since every member that touches that endpoint already walked them.
+    Reads the CSR, slices, filter and alive mask from the published
+    worker context and returns (vert, counts, preds) arrays for the
+    range, children ascending per parent. The filter is None, a boolean
+    mask over ids, or CLIQUE. A child's prediction is its parent's
+    candidate count minus one plus the ids its lists add to the
+    parent's touched set; lists of a member's vertex add none, so an
+    edge's old endpoint is not gathered.
     """
     lo, hi = task
     ctx = runtime.get_context()
-    touch = ctx["touch"]
     slices = ctx["slices"]
+    off, ids = ctx["csr"]
+    ends = ctx["ends"]
+    n = ctx["num_ids"]
     flt = ctx.get("filter")
     alive = ctx.get("alive")
     want_pred = ctx.get("want_pred", True)
-    out_vert = []
+    k = len(slices)
+    if k > 8:
+        raise ValueError("cannot expand %d-member embeddings: attach indices "
+                         "pack into 3 bits" % k)
+    if BLOCK * n * 8 > 1 << 63:
+        raise OverflowError("%d parents of %d ids overflow an int64 key"
+                            % (BLOCK, n))
+    deg = np.diff(off)
+    id_dtype = ctx["id_dtype"]
     counts = np.zeros(hi - lo, dtype=np.int32)
-    out_pred = [] if want_pred else None
-    for off, emb in iter_embeddings(slices, lo, hi):
-        if alive is not None and not alive[off]:
-            continue
-        k = len(emb)
-        head = emb[0]
-        seen = {}
-        for u in emb:
-            seen[u] = -1
-        for i in range(k):
-            for lst in touch[emb[i]]:
-                for w in lst:
-                    if w not in seen:
-                        seen[w] = i
-        base = len(seen) - k - 1  # parent candidates minus the one consumed
-        sm = [-1] * k  # sm[i] = max of emb[i+1:]
-        m = -1
-        for i in range(k - 1, -1, -1):
-            sm[i] = m
-            if emb[i] > m:
-                m = emb[i]
-        produced = 0
-        for v in sorted(seen):
-            a0 = seen[v]
-            if a0 < 0 or v <= head or v <= sm[a0]:
-                continue
-            if flt is not None and not flt(emb, v):
-                continue
-            out_vert.append(v)
-            produced += 1
+    out_vert = [np.zeros(0, id_dtype)]
+    out_pred = [np.zeros(0, np.int32)]
+    for b0 in range(lo, hi, BLOCK):
+        b1 = min(b0 + BLOCK, hi)
+        live = np.arange(b1 - b0) if alive is None else np.flatnonzero(alive[b0:b1])
+        cols = level_columns(slices, b0, b1)[:, live]
+        src = _sources(cols, ends)  # row = source * k + attach
+        lens = deg[src]
+        for s0, s1 in chunks(lens.sum(axis=0), GATHER):
+            emb = cols[:, s0:s1]
+            p = s1 - s0
+            idx, owner = ragged(off[src[:, s0:s1]].ravel(), lens[:, s0:s1].ravel())
+            row, par = np.divmod(owner, p)
+            keys = (par * n + ids[idx]) * 8 + row % k
+            keys.sort()
+            first = np.flatnonzero(run_heads(keys >> 3))
+            head = keys[first]  # each run's earliest attachment
+            run = head >> 3
+            rp, rw = np.divmod(run, n)
+            # a child attached at i exceeds the head and every member after
+            # i, so no member passes (a later one attaches before itself)
+            lim = np.empty_like(emb)
+            lim[:-1] = np.maximum.accumulate(emb[::-1], axis=0)[-2::-1]
+            lim[-1] = emb[0]  # members after the head already exceed it
+            keep = rw > lim[head & 7, rp]
+            if flt is CLIQUE:
+                keep &= np.diff(first, append=len(keys)) == k
+            elif flt is not None:
+                keep &= flt[rw]
+            cp = rp[keep]
+            cv = rw[keep]
+            counts[b0 - lo + live[s0:s1]] = np.bincount(cp, minlength=p)
+            out_vert.append(cv.astype(id_dtype))
             if want_pred:
-                grow = 0
-                for lst in touch[v]:
-                    for w in lst:
-                        if w not in seen:
-                            grow += 1
-                out_pred.append(base + grow)
-        counts[off - lo] = produced
-    vert = np.array(out_vert, dtype=ctx["id_dtype"])
-    pred = np.array(out_pred, dtype=np.int32) if want_pred else None
-    return vert, counts, pred
+                member = (emb[:, rp] == rw).any(axis=0)
+                base = (np.bincount(rp, minlength=p)
+                        - np.bincount(rp[member], minlength=p) - 1)
+                seen = np.concatenate((run, (np.arange(p) * n + emb).ravel()))
+                seen.sort()
+                grow = _growth(cp, cv, src[:, s0:s1], seen, off, ids, deg, ends, n)
+                out_pred.append((base[cp] + grow).astype(np.int32))
+    return (np.concatenate(out_vert), counts,
+            np.concatenate(out_pred) if want_pred else None)
+
+
+def _growth(cp, cv, msrc, seen, off, ids, deg, ends, n):
+    """Per child (parent cp, id cv): entries of its lists whose key
+    parent * n + entry is not in sorted seen, in gathers of at most
+    GATHER entries. Lists of the parent's member sources are skipped."""
+    src = _sources(cv, ends)
+    lens = deg[src]
+    lens[(msrc[:, cp] == src[:, None]).any(axis=1)] = 0
+    total = lens.sum(axis=0)
+    grow = np.empty(len(cv), dtype=np.int64)
+    for c0, c1 in chunks(total, GATHER):
+        idx, owner = ragged(off[src[:, c0:c1]].ravel(), lens[:, c0:c1].ravel())
+        j = owner % (c1 - c0)
+        q = cp[c0:c1][j] * n + ids[idx]
+        grow[c0:c1] = total[c0:c1] - np.bincount(j[in_sorted(seen, q)],
+                                                 minlength=c1 - c0)
+    return grow
 
 
 # The one kernel expands edge embeddings too; this name stays only

@@ -34,7 +34,6 @@ class Graph:
         self._edge_keys = None
         self._edge_u = None
         self._edge_v = None
-        self._inc_off = None
         self._inc_ids = None
 
     # -- construction -------------------------------------------------
@@ -150,21 +149,22 @@ class Graph:
         self._edge_u = src[mask]
         self._edge_v = self.neighbor_ids[mask]
         m = len(self._edge_u)
-        cnt = np.zeros(n, dtype=np.int64)
-        np.add.at(cnt, self._edge_u, 1)
-        np.add.at(cnt, self._edge_v, 1)
-        off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(cnt, out=off[1:])
-        fill = off[:-1].copy()
-        ids = np.empty(2 * m, dtype=_dtype_for(m))
-        for e in range(m):  # ascending e keeps per-vertex id lists ascending
-            a, b = self._edge_u[e], self._edge_v[e]
-            ids[fill[a]] = e
-            fill[a] += 1
-            ids[fill[b]] = e
-            fill[b] += 1
-        self._inc_off = off
-        self._inc_ids = ids
+        # At vertex x, every edge (w, x) with w < x precedes every (x, w),
+        # so a stable sort of second endpoints, then first endpoints,
+        # lists each vertex's edge ids ascending, in CSR slice sizes.
+        order = np.argsort(np.concatenate((self._edge_v, self._edge_u)), kind="stable")
+        self._inc_ids = (order % max(m, 1)).astype(_dtype_for(m))
+        self._inc_ids.flags.writeable = False
+
+    @property
+    def incident_csr(self):
+        """(offsets, ids), read-only: the ascending ids of the edges
+        touching v are ids[offsets[v]:offsets[v + 1]]."""
+        if self._inc_ids is None:
+            self._build_edge_table()
+        off = self.offsets.view()
+        off.flags.writeable = False
+        return off, self._inc_ids
 
     @property
     def edge_u(self):
@@ -180,12 +180,6 @@ class Graph:
 
     def edge_endpoints(self, eid):
         return int(self.edge_u[eid]), int(self.edge_v[eid])
-
-    def incident_edges(self, v):
-        """Ascending ids of edges touching v."""
-        if self._inc_off is None:
-            self._build_edge_table()
-        return self._inc_ids[self._inc_off[v]:self._inc_off[v + 1]]
 
     def __eq__(self, other):
         return (isinstance(other, Graph)

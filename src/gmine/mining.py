@@ -13,18 +13,18 @@ import os
 import shutil
 import tempfile
 import time
-from bisect import bisect_right
 
 import numpy as np
 
 from . import runtime
-from .explore import (edge_seed_preds, expand_vertex_range, partition_by_weight,
-                      touch_lists, uniform_ranges, vertex_seed_preds)
+from .explore import (CLIQUE, GATHER, chunks, edge_seed_preds, expand_vertex_range,
+                      in_sorted, partition_by_weight, ragged, run_heads,
+                      uniform_ranges, vertex_seed_preds)
 from .explore import expand_edge_range  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 1)
 from .fingerprint import PAIR_BIT, PatternHasher, check_same_pattern
 from .spill import (PartWriter, plan_spill, replay_top, spill_existing_level,
                     write_manifest)
-from .store import EmbeddingStore, iter_embeddings, level_columns
+from .store import EmbeddingStore, level_columns
 
 
 # -- aggregation workers (module level so pools can address them) -------
@@ -46,20 +46,18 @@ def count_patterns_range(task):
     ctx = runtime.get_context()
     slices = ctx["slices"]
     keys = ctx["edge_keys"]
-    n = ctx["num_vertices"]
+    n = ctx["num_ids"]
     hasher = ctx["hasher"]
     k = len(slices)
     tab = PAIR_BIT[k]
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    last = len(keys) - 1
     zeros = (0,) * k
     out = {}
     for a in range(lo, hi, CHUNK):
         cols = level_columns(slices, a, min(a + CHUNK, hi))
         bits = np.zeros(cols.shape[1], dtype=np.int64)
         for i, j in pairs:
-            q = cols[i] * n + cols[j]
-            hit = keys[np.minimum(np.searchsorted(keys, q), last)] == q
+            hit = in_sorted(keys, cols[i] * n + cols[j])
             bits |= hit.astype(np.int64) << tab[i][j]
         uniq, cnt = np.unique(bits, return_counts=True)
         for b, c in zip(uniq.tolist(), cnt.tolist()):
@@ -189,7 +187,8 @@ def mni_edge_range(task):
         h, groups = table.lookup(rows)
         if hashes is not None:
             hashes[a - lo:b - lo] = h
-        codes = np.unique((groups * n + verts)[verts >= 0])
+        codes = np.sort((groups * n + verts)[verts >= 0])
+        codes = codes[run_heads(codes)]
         grp = codes // n
         vl = (codes - grp * n).tolist()
         cuts = (np.flatnonzero(grp[1:] != grp[:-1]) + 1).tolist()
@@ -207,20 +206,28 @@ def mni_edge_range(task):
 
 
 def triangle_range(task):
-    """Count common neighbors above the larger endpoint per 2-embedding."""
+    """Count common neighbors above the larger endpoint per 2-embedding.
+
+    Works on chunks of id columns (u, v): v's index in the sorted edge
+    keys is its place in u's neighbor slice, so the neighbors of u above
+    v are one slice per embedding, gathered in pieces of at most GATHER
+    entries and tested against v's row in one binary search.
+    """
     lo, hi = task
     ctx = runtime.get_context()
     slices = ctx["slices"]
-    adj = ctx["adj"]
-    sets = ctx["adj_sets"]
+    off, nbr = ctx["csr"]
+    keys = ctx["edge_keys"]
+    n = ctx["num_ids"]
     total = 0
-    for _, emb in iter_embeddings(slices, lo, hi):
-        u, v = emb
-        au = adj[u]
-        sv = sets[v]
-        for w in au[bisect_right(au, v):]:
-            if w in sv:
-                total += 1
+    for a in range(lo, hi, CHUNK):
+        u, v = level_columns(slices, a, min(a + CHUNK, hi))
+        start = np.searchsorted(keys, u * n + v) + 1
+        lens = off[u + 1] - start
+        for c0, c1 in chunks(lens, GATHER):
+            idx, owner = ragged(start[c0:c1], lens[c0:c1])
+            q = v[c0:c1][owner] * n + nbr[idx]
+            total += int(np.count_nonzero(in_sorted(keys, q)))
     return total
 
 
@@ -300,11 +307,13 @@ class Session:
     def _publish_base(self):
         g = self.g
         if self.mode == "vertex":
-            runtime.set_context(adj=g.adj)
+            runtime.set_context(csr=(g.offsets, g.neighbor_ids), ends=None,
+                                num_ids=g.num_vertices)
         else:
-            runtime.set_context(graph=g, vertex_ids=list(range(g.num_vertices)))
-        runtime.set_context(touch=touch_lists(g, self.mode), hasher=self.hasher,
-                            id_dtype=self.cse.id_dtype)
+            runtime.set_context(graph=g, vertex_ids=list(range(g.num_vertices)),
+                                csr=g.incident_csr, ends=(g.edge_u, g.edge_v),
+                                num_ids=g.num_edges)
+        runtime.set_context(hasher=self.hasher, id_dtype=self.cse.id_dtype)
         self._base_ctx_set = True
 
     def _ensure_dir(self):
@@ -338,7 +347,12 @@ class Session:
         return (w * idw, (top.count + 1) * 8, w * 4 if want_pred else 0)
 
     def explore(self, flt=None, alive=None, want_pred=True):
-        """Grow the store by one level, spilling per the plan."""
+        """Grow the store by one level, spilling per the plan.
+
+        flt keeps a candidate id c only where the boolean id mask flt[c]
+        is true, or, as explore.CLIQUE, only where c is adjacent to every
+        member; alive keeps a top-level parent only where alive[parent].
+        """
         t0 = time.perf_counter()
         if not self._base_ctx_set:
             self._publish_base()
@@ -392,8 +406,9 @@ class Session:
                 np.cumsum(counts, out=off[1:])
             cse.append_spilled(int(counts.sum()), off, pred, parts)
         else:
-            vert = (np.concatenate(vert_chunks) if vert_chunks
-                    else np.zeros(0, cse.id_dtype))
+            # a lone chunk (one task) is the level itself: no second copy
+            vert = (vert_chunks[0] if len(vert_chunks) == 1
+                    else np.concatenate(vert_chunks or [np.zeros(0, cse.id_dtype)]))
             off = np.zeros(len(counts) + 1, dtype=np.int64)
             np.cumsum(counts, out=off[1:])
             cse.append_level(vert, off, pred)
@@ -439,8 +454,7 @@ def motif_count(g, k, workers=1, memory_budget=0, spill_dir=None,
         for size in range(2, k + 1):
             s.explore(want_pred=size < k)
         counts = s.aggregate(count_patterns_range, merge_counts, {},
-                             {"edge_keys": g.edge_keys,
-                              "num_vertices": g.num_vertices})
+                             {"edge_keys": g.edge_keys})
     return counts, s.metrics
 
 
@@ -452,16 +466,8 @@ def clique_discovery(g, k, workers=1, memory_budget=0, spill_dir=None,
     with Session(g, "vertex", workers, memory_budget, spill_dir,
                  parts_per_level, labeled=False) as s:
         s.seed_vertices()
-        sets = g.adj_sets
-
-        def all_adjacent(emb, v):
-            for u in emb:
-                if v not in sets[u]:
-                    return False
-            return True
-
         for size in range(2, k + 1):
-            s.explore(flt=all_adjacent if size > 2 else None, want_pred=size < k)
+            s.explore(flt=CLIQUE, want_pred=size < k)
     return s.cse.top.count, s.metrics
 
 
@@ -473,7 +479,7 @@ def triangle_count(g, workers=1, memory_budget=0, spill_dir=None,
         s.seed_vertices()
         s.explore(want_pred=False)
         total = s.aggregate(triangle_range, lambda a, b: a + b, 0,
-                            {"adj_sets": g.adj_sets})
+                            {"edge_keys": g.edge_keys})
     return total, s.metrics
 
 
@@ -509,13 +515,9 @@ def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
         s.seed_edges(keep)
         edge_ok = np.zeros(g.num_edges, dtype=bool)
         edge_ok[keep] = True
-
-        def freq_edge(emb, eid):
-            return bool(edge_ok[eid])
-
         alive = None
         for size in range(2, k_edges + 1):
-            s.explore(flt=freq_edge, alive=alive, want_pred=size < k_edges)
+            s.explore(flt=edge_ok, alive=alive, want_pred=size < k_edges)
             cap_ctx = {"cap": support, "want_hashes": size < k_edges}
             agg = s.aggregate(mni_edge_range, _merge_mni_hashes, ({}, []), cap_ctx)
             pats, hashes = _finish_mni(agg, s.cse.top.count)

@@ -8,6 +8,7 @@ every phase's output independent of the worker count.
 """
 
 import multiprocessing
+import os
 
 _WORK = {}
 
@@ -29,8 +30,10 @@ def map_ranges(fn, tasks, workers):
 
     fn must be a module-level function reading its big inputs from the
     published context. Falls back to in-process execution for a single
-    worker or a single task. A worker that dies raises BrokenProcessPool
-    instead of leaving the run waiting for its result.
+    worker or a single task. The pool has at most one process per usable
+    CPU: more only add fork and switching cost, while the tasks still
+    balance over the processes it has. A worker that dies raises
+    BrokenProcessPool instead of leaving the run waiting for its result.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
@@ -38,6 +41,8 @@ def map_ranges(fn, tasks, workers):
     # peak RSS of runs that never fork
     from concurrent.futures import ProcessPoolExecutor
     ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=ctx) as pool:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with ProcessPoolExecutor(min(workers, len(tasks), cpus), mp_context=ctx) as pool:
         return list(pool.map(fn, tasks))
 

@@ -37,9 +37,6 @@ class Level:
     def identity(self):
         return self.vert is None and self.residency == "mem"
 
-    def value(self, i):
-        return int(i) if self.vert is None else int(self.vert[i])
-
     def size_bytes(self):
         """Exact payload footprint of vert plus off.
 
@@ -116,7 +113,7 @@ class EmbeddingStore:
             raise InvariantError("off[-1]=%d does not match len(vert)=%d"
                                  % (int(off[-1]), len(vert)))
         if len(vert) > 1:
-            rising = np.diff(vert) > 0
+            rising = vert[1:] > vert[:-1]  # no int temporary as long as vert
             starts = np.zeros(len(vert), dtype=bool)
             inner = off[1:-1]
             starts[inner[inner < len(vert)]] = True  # a new slice may restart low
@@ -157,28 +154,6 @@ class EmbeddingStore:
     def total_bytes(self):
         return sum(l.size_bytes() for l in self.levels)
 
-    def extract(self, level_index, offset):
-        """Recover the full id tuple of one embedding.
-
-        Walks parents by binary search: the parent of offset o at level l
-        is the slice whose off interval contains o. All touched levels
-        must be memory resident.
-        """
-        lvl = self.level(level_index)
-        if not 0 <= offset < lvl.count:
-            raise IndexError("offset %d out of range at level %d" % (offset, level_index))
-        out = []
-        o = int(offset)
-        for li in range(level_index, 0, -1):
-            lvl = self.level(li)
-            if lvl.residency != "mem" or lvl.off is None:
-                raise InvariantError("level %d is not memory resident" % li)
-            out.append(lvl.value(o))
-            if li > 1:
-                o = int(np.searchsorted(lvl.off, o, side="right")) - 1
-        out.reverse()
-        return tuple(out)
-
 
 class LevelSlice:
     """A contiguous window of one level, with global offsets preserved.
@@ -202,24 +177,14 @@ class LevelSlice:
             raise InvariantError("level %d not memory resident" % level.index)
         return cls(level.vert, level.off)
 
-    def value(self, i):
-        return int(i) if self.vert is None else int(self.vert[i - self.vbase])
-
-    def parent_of(self, offset):
-        i = int(np.searchsorted(self.off, offset, side="right")) - 1
-        return i + self.obase
-
-    def slice_end(self, parent):
-        return int(self.off[parent - self.obase + 1])
-
 
 def level_columns(slices, lo, hi):
     """The ids of top-level offsets [lo, hi) as a (depth, hi - lo) int64
     array: row i holds position i of every embedding.
 
-    The array form of iter_embeddings. Each level's parents come from
-    one binary search of its off array, so spill windows (vbase/obase)
-    and childless parents need no special case.
+    Each level's parents come from one binary search of its off array,
+    so spill windows (vbase/obase) and childless parents need no special
+    case.
     """
     depth = len(slices)
     cols = np.empty((depth, hi - lo), dtype=np.int64)
@@ -230,42 +195,3 @@ def level_columns(slices, lo, hi):
         if li:
             o = np.searchsorted(s.off, o, side="right") - 1 + s.obase
     return cols
-
-
-def iter_embeddings(slices, lo, hi):
-    """Yield (offset, ids) for top-level offsets in [lo, hi).
-
-    slices[0..L-1] cover levels 1..L and must each contain the offsets
-    the walk touches. The ids list is reused between yields; callers
-    that keep it must copy. Runs as an odometer: successive offsets
-    share their prefix until a parent slice boundary is crossed.
-    """
-    depth = len(slices)
-    if lo >= hi:
-        return
-    anc = [0] * depth
-    emb = [0] * depth
-    o = lo
-    for li in range(depth - 1, -1, -1):
-        anc[li] = o
-        emb[li] = slices[li].value(o)
-        if li:
-            o = slices[li].parent_of(o)
-    yield lo, emb
-    top = depth - 1
-    for o in range(lo + 1, hi):
-        anc[top] = o
-        emb[top] = slices[top].value(o)
-        li = top
-        cur = o
-        while li > 0:
-            p = anc[li - 1]
-            if cur < slices[li].slice_end(p):
-                break
-            while cur >= slices[li].slice_end(p):  # skip childless parents
-                p += 1
-            anc[li - 1] = p
-            emb[li - 1] = slices[li - 1].value(p)
-            cur = p
-            li -= 1
-        yield o, emb

@@ -2,11 +2,16 @@
 
 Everything here is deliberately naive: exhaustive enumeration,
 permutation search, Laplace expansion. Nothing imports engine internals
-beyond the Graph container, so an engine bug cannot hide in its oracle.
+beyond the Graph container and the store's error type, so an engine bug
+cannot hide in its oracle.
 """
 
 import itertools
 from functools import lru_cache
+
+import numpy as np
+
+from gmine.store import InvariantError
 
 
 # -- enumeration -----------------------------------------------------------
@@ -58,10 +63,16 @@ def enumerate_connected_subsets(adj_sets, n, k):
     return out
 
 
+def incident_edges(g, v):
+    """Ascending ids of the edges touching vertex v."""
+    off, ids = g.incident_csr
+    return ids[off[v]:off[v + 1]]
+
+
 def connected_edge_subsets(g, k_edges):
     """All connected k-edge subsets (as sorted edge-id tuples), each once."""
     m = g.num_edges
-    inc = [set(g.incident_edges(v).tolist()) for v in range(g.num_vertices)]
+    inc = [set(incident_edges(g, v).tolist()) for v in range(g.num_vertices)]
     out = set()
 
     def neighbors_of_edge(e):
@@ -351,10 +362,160 @@ def predict_candidate_size_edges(g, emb):
     cand = set()
     for f in emb:
         u, v = g.edge_endpoints(f)
-        cand.update(g.incident_edges(u).tolist())
-        cand.update(g.incident_edges(v).tolist())
+        cand.update(incident_edges(g, u).tolist())
+        cand.update(incident_edges(g, v).tolist())
     cand.difference_update(emb)
     return len(cand)
+
+
+# -- store walks -----------------------------------------------------------------
+
+def slice_value(sl, i):
+    """Id at global offset i of a LevelSlice (i itself for identity)."""
+    return int(i) if sl.vert is None else int(sl.vert[i - sl.vbase])
+
+
+def slice_parent_of(sl, offset):
+    i = int(np.searchsorted(sl.off, offset, side="right")) - 1
+    return i + sl.obase
+
+
+def slice_end(sl, parent):
+    return int(sl.off[parent - sl.obase + 1])
+
+
+def iter_embeddings(slices, lo, hi):
+    """Yield (offset, ids) for top-level offsets in [lo, hi).
+
+    slices[0..L-1] cover levels 1..L and must each contain the offsets
+    the walk touches. The ids list is reused between yields; callers
+    that keep it must copy. Runs as an odometer: successive offsets
+    share their prefix until a parent slice boundary is crossed.
+    """
+    depth = len(slices)
+    if lo >= hi:
+        return
+    anc = [0] * depth
+    emb = [0] * depth
+    o = lo
+    for li in range(depth - 1, -1, -1):
+        anc[li] = o
+        emb[li] = slice_value(slices[li], o)
+        if li:
+            o = slice_parent_of(slices[li], o)
+    yield lo, emb
+    top = depth - 1
+    for o in range(lo + 1, hi):
+        anc[top] = o
+        emb[top] = slice_value(slices[top], o)
+        li = top
+        cur = o
+        while li > 0:
+            p = anc[li - 1]
+            if cur < slice_end(slices[li], p):
+                break
+            while cur >= slice_end(slices[li], p):  # skip childless parents
+                p += 1
+            anc[li - 1] = p
+            emb[li - 1] = slice_value(slices[li - 1], p)
+            cur = p
+            li -= 1
+        yield o, emb
+
+
+def extract(store, level_index, offset):
+    """Recover the full id tuple of one embedding of an EmbeddingStore.
+
+    Walks parents by binary search: the parent of offset o at level l
+    is the slice whose off interval contains o. All touched levels
+    must be memory resident.
+    """
+    lvl = store.level(level_index)
+    if not 0 <= offset < lvl.count:
+        raise IndexError("offset %d out of range at level %d" % (offset, level_index))
+    out = []
+    o = int(offset)
+    for li in range(level_index, 0, -1):
+        lvl = store.level(li)
+        if lvl.residency != "mem" or lvl.off is None:
+            raise InvariantError("level %d is not memory resident" % li)
+        out.append(int(o) if lvl.vert is None else int(lvl.vert[o]))
+        if li > 1:
+            o = int(np.searchsorted(lvl.off, o, side="right")) - 1
+    out.reverse()
+    return tuple(out)
+
+
+# -- reference expander ------------------------------------------------------------
+
+def touch_lists(g, mode):
+    """Per id, the ascending candidate lists it touches: a vertex its
+    neighbor list, an edge the incident-edge lists of both endpoints
+    (one list per vertex, sharing one int object per edge id)."""
+    if mode == "vertex":
+        return [(a,) for a in g.adj]
+    ids = list(range(g.num_edges))
+    inc = [list(map(ids.__getitem__, incident_edges(g, v).tolist()))
+           for v in range(g.num_vertices)]
+    return list(zip(map(inc.__getitem__, g.edge_u.tolist()),
+                    map(inc.__getitem__, g.edge_v.tolist())))
+
+
+def reference_expand(g, mode, slices, lo, hi, flt=None, alive=None,
+                     want_pred=True, id_dtype=np.int32):
+    """Expand top-level offsets [lo, hi) by one id, one dict per parent.
+
+    Returns (vert, counts, preds) arrays for the range, as the engine's
+    expand_vertex_range does. flt(emb, v) is a per-candidate callback.
+    Candidates are gathered into one dict per parent keyed first-touch,
+    which records the earliest attachment index; embedding members
+    carry a sentinel. A candidate's prediction counts the ids its lists
+    add to the parent's.
+    """
+    touch = touch_lists(g, mode)
+    out_vert = []
+    counts = np.zeros(hi - lo, dtype=np.int32)
+    out_pred = [] if want_pred else None
+    for off, emb in iter_embeddings(slices, lo, hi):
+        if alive is not None and not alive[off]:
+            continue
+        k = len(emb)
+        head = emb[0]
+        seen = {}
+        for u in emb:
+            seen[u] = -1
+        for i in range(k):
+            for lst in touch[emb[i]]:
+                for w in lst:
+                    if w not in seen:
+                        seen[w] = i
+        base = len(seen) - k - 1  # parent candidates minus the one consumed
+        sm = [-1] * k  # sm[i] = max of emb[i+1:]
+        m = -1
+        for i in range(k - 1, -1, -1):
+            sm[i] = m
+            if emb[i] > m:
+                m = emb[i]
+        produced = 0
+        for v in sorted(seen):
+            a0 = seen[v]
+            if a0 < 0 or v <= head or v <= sm[a0]:
+                continue
+            if flt is not None and not flt(emb, v):
+                continue
+            out_vert.append(v)
+            produced += 1
+            if want_pred:
+                grow = 0
+                for lst in touch[v]:
+                    for w in lst:
+                        if w not in seen:
+                            grow += 1
+                out_pred.append(base + grow)
+        counts[off - lo] = produced
+    vert = np.array(out_vert, dtype=id_dtype)
+    pred = np.array(out_pred, dtype=np.int32) if want_pred else None
+    return vert, counts, pred
 
 
 # -- characteristic polynomial by Laplace expansion ---------------------------

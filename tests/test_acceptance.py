@@ -24,8 +24,9 @@ from gmine.mining import (Session, clique_discovery, fsm, motif_count,
 
 from conftest import DEMO_EDGES, make_random_graph
 from oracles import (brute_cliques, brute_triangles, cofactor_charpoly,
-                     enumerate_connected_subsets, is_canonical_edge_extension,
-                     is_canonical_extension, iso_oracle, min_perm_form,
+                     enumerate_connected_subsets, incident_edges,
+                     is_canonical_edge_extension, is_canonical_extension,
+                     iso_oracle, min_perm_form,
                      ordering_is_canonical, ordering_is_canonical_edges,
                      subgraph_form)
 
@@ -258,7 +259,7 @@ def _grow_edge_set(g, rng, k):
     while len(chosen) < k:
         cand = set()
         for v in verts:
-            cand.update(g.incident_edges(v).tolist())
+            cand.update(incident_edges(g, v).tolist())
         cand -= chosen
         if not cand:
             return None

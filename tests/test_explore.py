@@ -4,18 +4,21 @@ import random
 import numpy as np
 import pytest
 
-from gmine.explore import (edge_seed_preds, partition_by_weight, uniform_ranges,
-                           vertex_seed_preds)
+from gmine import explore
+from gmine.explore import (CLIQUE, edge_seed_preds, partition_by_weight,
+                           uniform_ranges, vertex_seed_preds)
 from gmine.graph import Graph
 from gmine.mining import Session
 from gmine.spill import read_part
+from gmine.store import LevelSlice
 
 from conftest import make_random_graph
 from oracles import (connected_edge_subsets, enumerate_connected_subsets,
-                     is_canonical_edge_extension, is_canonical_extension,
-                     is_connected_subset, ordering_is_canonical,
-                     ordering_is_canonical_edges, predict_candidate_size,
-                     predict_candidate_size_edges)
+                     extract, is_canonical_edge_extension,
+                     is_canonical_extension, is_connected_subset,
+                     ordering_is_canonical, ordering_is_canonical_edges,
+                     predict_candidate_size, predict_candidate_size_edges,
+                     reference_expand)
 from test_store import L2_OFF, L2_VERT, L3_OFF, L3_VERT
 
 
@@ -133,7 +136,7 @@ def test_expansion_complete_and_duplicate_free():
         g = make_random_graph(1400 + trial, 11, 12)
         for k in (3, 4):
             s = vertex_store_to(g, k)
-            got = sorted(tuple(sorted(s.extract(k, o)))
+            got = sorted(tuple(sorted(extract(s, k, o)))
                          for o in range(s.top.count))
             want = sorted(enumerate_connected_subsets(
                 g.adj_sets, g.num_vertices, k))
@@ -145,7 +148,7 @@ def test_edge_expansion_complete_and_duplicate_free():
         g = make_random_graph(1500 + trial, 9, 7)
         for k in (2, 3):
             s = edge_store_to(g, k)
-            got = sorted(tuple(sorted(s.extract(k, o)))
+            got = sorted(tuple(sorted(extract(s, k, o)))
                          for o in range(s.top.count))
             want = connected_edge_subsets(g, k)
             assert got == want
@@ -154,7 +157,7 @@ def test_edge_expansion_complete_and_duplicate_free():
 def test_filter_false_empties_level(demo_graph):
     with Session(demo_graph, "vertex") as s:
         s.seed_vertices()
-        s.explore(flt=lambda e, v: False)
+        s.explore(flt=np.zeros(demo_graph.num_vertices, dtype=bool))
     top = s.cse.top
     assert len(top.vert) == 0
     assert top.off.tolist() == [0] * 6
@@ -199,7 +202,7 @@ def test_predict_streamed_matches_brute(demo_graph):
     s = vertex_store_to(g, 3)
     pred = s.level(3).pred
     for o in range(s.level(3).count):
-        emb = list(s.extract(3, o))
+        emb = list(extract(s, 3, o))
         assert pred[o] == predict_candidate_size(g, emb)
 
 
@@ -215,7 +218,7 @@ def test_predict_streamed_matches_brute_edges():
             s = edge_store_to(g, li)
             pred = s.level(li).pred
             for o in range(s.level(li).count):
-                emb = list(s.extract(li, o))
+                emb = list(extract(s, li, o))
                 assert pred[o] == predict_candidate_size_edges(g, emb)
 
 
@@ -294,3 +297,98 @@ def test_worker_counts_agree(tmp_path):
                             spill_dir=str(tmp_path / str(trial)), parts_per_level=3)
         assert [l.residency for l in cse.levels] == ["mem", "mem", "disk", "disk"]
         assert [level_arrays(cse.level(li)) for li in (2, 3, 4)] == want
+
+
+# -- the array kernel against the reference expander ----------------------------
+
+def reference_filter(g, flt):
+    """The per-candidate callback form of an explore filter."""
+    if flt is None:
+        return None
+    if flt is CLIQUE:
+        sets = g.adj_sets
+        return lambda emb, v: all(v in sets[u] for u in emb)
+    return lambda emb, v: bool(flt[v])
+
+
+def explore_checked(g, mode, depth, flt=None, alive_p=None, seed=0, **kw):
+    """Grow a store to depth, each explore with flt and (if alive_p is
+    set) a random alive mask; while the store is resident, check each new
+    level's vert/off/pred against reference_expand. Returns each new
+    top's (vert, off, pred) and the session metrics."""
+    rng = np.random.default_rng(seed)
+    tops = []
+    with Session(g, mode, **kw) as s:
+        s.seed_vertices() if mode == "vertex" else s.seed_edges()
+        for size in range(2, depth + 1):
+            top = s.cse.top
+            alive = None if alive_p is None else rng.random(top.count) < alive_p
+            want_pred = size < depth
+            resident = all(l.residency == "mem" for l in s.cse.levels)
+            if resident:
+                slices = [LevelSlice.of(l) for l in s.cse.levels]
+                want = reference_expand(g, mode, slices, 0, top.count,
+                                        reference_filter(g, flt), alive, want_pred)
+            s.explore(flt, alive, want_pred)
+            got = level_arrays(s.cse.top)
+            if resident:
+                vert, counts, pred = want
+                assert got[0] == vert.tolist()
+                assert got[1] == [0] + np.cumsum(counts).tolist()
+                # an empty parent level maps no ranges and keeps no pred
+                assert (got[2] or []) == (pred.tolist() if want_pred else [])
+            tops.append(got)
+    return tops, s.metrics
+
+
+def kernel_cases(trial):
+    """(graph, mode, depth, filter, alive share): parents of 1..5 ids in
+    both modes, with id masks, the clique rule and alive masks."""
+    g = make_random_graph(3300 + trial, 13, 10 + trial)
+    dense = make_random_graph(3350 + trial, 11, 26)
+    rng = np.random.default_rng(trial)
+    vmask = rng.random(g.num_vertices) < 0.9
+    emask = rng.random(g.num_edges) < 0.8
+    return [(g, "vertex", 6, None, None), (g, "vertex", 6, vmask, 0.9),
+            (dense, "vertex", 6, CLIQUE, None), (dense, "vertex", 5, CLIQUE, 0.9),
+            (g, "edge", 6, None, 0.8), (g, "edge", 5, emask, None)]
+
+
+@pytest.mark.parametrize("gather, block", [(explore.GATHER, explore.BLOCK),
+                                           (1, explore.BLOCK), (7, 3)])
+def test_kernel_matches_reference_expander(monkeypatch, gather, block):
+    # gather 1: every parent and child is heavier than a gather and runs
+    # alone; gather 7 over blocks of 3 parents cuts inside each block
+    monkeypatch.setattr(explore, "GATHER", gather)
+    monkeypatch.setattr(explore, "BLOCK", block)
+    for trial in range(2):
+        for i, (g, mode, depth, flt, alive_p) in enumerate(kernel_cases(trial)):
+            explore_checked(g, mode, depth, flt, alive_p, seed=i)
+
+
+def test_kernel_worker_and_budget_invariance(tmp_path):
+    for i, (g, mode, depth, flt, alive_p) in enumerate(kernel_cases(2)):
+        base, m = explore_checked(g, mode, depth, flt, alive_p, seed=i)
+        two, _ = explore_checked(g, mode, depth, flt, alive_p, seed=i, workers=2)
+        assert two == base
+        budget = m["peak_resident_estimate"] // 2
+        spilled, sm = explore_checked(g, mode, depth, flt, alive_p, seed=i, workers=2,
+                                      memory_budget=budget, parts_per_level=3,
+                                      spill_dir=str(tmp_path / str(i)))
+        assert sm["bytes_spilled"] > 0
+        assert spilled == base
+
+
+def test_kernel_checks_key_packing(monkeypatch):
+    g = Graph.from_edges([(v, v + 1) for v in range(10)])
+    with Session(g, "vertex") as s:
+        s.seed_vertices()
+        for _ in range(8):
+            s.explore()
+        with pytest.raises(ValueError, match="3 bits"):
+            s.explore()  # a 10th id would attach at index 8
+    monkeypatch.setattr(explore, "BLOCK", 1 << 60)
+    with Session(g, "vertex") as s:
+        s.seed_vertices()
+        with pytest.raises(OverflowError, match="int64"):
+            s.explore()

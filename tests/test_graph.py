@@ -6,6 +6,7 @@ import pytest
 from gmine.graph import Graph, GraphFormatError, load_graph, write_edge_list, write_labels
 
 from conftest import DEMO_EDGES, make_random_graph
+from oracles import incident_edges
 
 
 def test_demo_graph_shape(demo_graph):
@@ -120,8 +121,25 @@ def test_edge_table_order(demo_graph):
     assert all(u < v for u, v in pairs)
     # incident lists ascending and consistent
     for v in range(g.num_vertices):
-        ids = g.incident_edges(v).tolist()
+        ids = incident_edges(g, v).tolist()
         assert ids == sorted(ids)
         for e in ids:
             assert v in g.edge_endpoints(e)
     assert len(pairs) == g.num_edges
+
+
+def test_incident_csr_matches_plain_construction():
+    graphs = [make_random_graph(130 + t, 6 + t, 3 * t) for t in range(20)]
+    # isolated vertices (a self-loop only) and a graph without edges
+    graphs.append(Graph.from_edges([(0, 1), (2, 2), (1, 3), (5, 5), (3, 0)]))
+    graphs.append(Graph.from_edges([(4, 4)]))
+    for g in graphs:
+        n = g.num_vertices
+        pairs = sorted((u, w) for u in range(n) for w in g.neighbors(u).tolist() if u < w)
+        inc = [[] for _ in range(n)]
+        for e, (u, w) in enumerate(pairs):
+            inc[u].append(e)
+            inc[w].append(e)
+        off, ids = g.incident_csr
+        assert not off.flags.writeable and not ids.flags.writeable
+        assert [ids[off[v]:off[v + 1]].tolist() for v in range(n)] == inc

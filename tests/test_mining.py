@@ -13,11 +13,12 @@ from gmine.mining import (Session, clique_discovery, fsm, merge_counts,
                           merge_mni, motif_count, result_lines,
                           triangle_count, write_result)
 from gmine.spill import BudgetTooSmallError
-from gmine.store import LevelSlice, iter_embeddings
+from gmine.store import LevelSlice
 
 from conftest import make_random_graph
 from oracles import (brute_cliques, brute_mni, brute_motif_counts,
-                     brute_triangles, min_perm_form, random_connected_edges)
+                     brute_triangles, iter_embeddings, min_perm_form,
+                     random_connected_edges)
 
 
 def pattern_rows(pat):
@@ -322,10 +323,14 @@ def test_spilled_two_worker_motif_matches_brute(tmp_path, k):
     assert motif_forms(counts) == brute_motif_counts(g, k)
 
 
-def test_motif_count_builds_no_adjacency_sets():
-    g = make_random_graph(2901, 30, 40)
-    motif_count(g, 4)
-    assert g._adj_sets is None
+@pytest.mark.parametrize("app", [
+    lambda g: motif_count(g, 4), lambda g: clique_discovery(g, 4),
+    triangle_count, lambda g: fsm(g, 3, 2)],
+    ids=["motif_count", "clique_discovery", "triangle_count", "fsm"])
+def test_applications_build_no_adjacency_lists(app):
+    g = make_random_graph(2901, 30, 40, n_labels=3)
+    app(g)
+    assert g._adj is None and g._adj_sets is None
 
 
 def test_resident_phases_map_once_each(monkeypatch):

@@ -12,10 +12,10 @@ from gmine.spill import (BudgetTooSmallError, CorruptPartError, PartWriter,
                          _Window, part_name, plan_spill, read_part,
                          replay_top, spill_existing_level, write_manifest,
                          write_part)
-from gmine.store import (EmbeddingStore, InvariantError, iter_embeddings,
-                         level_columns)
+from gmine.store import EmbeddingStore, InvariantError, level_columns
 
 from conftest import make_random_graph
+from oracles import extract, iter_embeddings
 from test_explore import vertex_store_to
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -209,7 +209,7 @@ def test_spill_existing_roundtrip(tmp_path):
     names = sorted(os.path.basename(p.path) for p in lvl.parts)
     assert names[0] == part_name(3, 0)
     with pytest.raises(InvariantError):
-        s.extract(3, 0)
+        extract(s, 3, 0)
 
 
 # -- windows ----------------------------------------------------------------------
@@ -256,7 +256,7 @@ def test_window_rejects_level_mismatch(tmp_path):
 
 def expected_embeddings(g, depth):
     s = vertex_store_to(g, depth)
-    return [(o, s.extract(depth, o)) for o in range(s.top.count)]
+    return [(o, extract(s, depth, o)) for o in range(s.top.count)]
 
 
 def run_replay(g, depth, spill_from, parts, keep_off, workers, tmp_path):

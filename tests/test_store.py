@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from gmine.store import (EmbeddingStore, InvariantError, LevelSlice,
-                         iter_embeddings, level_columns)
+from gmine.store import EmbeddingStore, InvariantError, LevelSlice, level_columns
+
+from oracles import (extract, iter_embeddings, slice_end, slice_parent_of,
+                     slice_value)
 
 # Hand-derived canonical levels for the demo graph in dense ids
 # (vertices 1..5 densify to 0..4; 4 is the hub).
@@ -29,7 +31,7 @@ def test_identity_level():
     lvl = s.seed_identity(5)
     assert lvl.count == 5
     assert lvl.identity
-    assert s.extract(1, 3) == (3,)
+    assert extract(s, 1, 3) == (3,)
 
 
 def test_append_and_counts():
@@ -42,19 +44,19 @@ def test_append_and_counts():
 def test_extraction_known_offsets():
     s = demo_store()
     # original-id walk <2,3,5> is dense <1,2,4> at level-3 offset 5
-    assert s.extract(3, 5) == (1, 2, 4)
-    assert s.extract(2, 0) == (0, 1)
-    assert s.extract(2, 6) == (3, 4)
+    assert extract(s, 3, 5) == (1, 2, 4)
+    assert extract(s, 2, 0) == (0, 1)
+    assert extract(s, 2, 6) == (3, 4)
     for off, want in enumerate(L3_EMBEDDINGS):
-        assert s.extract(3, off) == want
+        assert extract(s, 3, off) == want
 
 
 def test_extraction_bounds():
     s = demo_store()
     with pytest.raises(IndexError):
-        s.extract(3, 8)
+        extract(s, 3, 8)
     with pytest.raises(IndexError):
-        s.extract(2, -1)
+        extract(s, 2, -1)
 
 
 def test_iteration_matches_extraction():
@@ -160,7 +162,7 @@ def test_filtered_seed():
     s = EmbeddingStore("edge")
     s.seed_level1([0, 2, 5])
     assert s.top.count == 3
-    assert s.extract(1, 1) == (2,)
+    assert extract(s, 1, 1) == (2,)
     with pytest.raises(InvariantError):
         EmbeddingStore("edge").seed_level1([3, 1])
 
@@ -170,7 +172,9 @@ def test_level_slice_windows():
     l3 = s.level(3)
     # a window holding only parents 2..4 of level 3 (child offsets 4..7)
     sl = LevelSlice(l3.vert[4:8], l3.off[2:6], vbase=4, obase=2)
-    assert sl.value(5) == L3_VERT[5]
-    assert sl.parent_of(5) == 2
-    assert sl.slice_end(2) == 6
-    assert sl.slice_end(4) == 8
+    assert slice_value(sl, 5) == L3_VERT[5]
+    assert slice_parent_of(sl, 5) == 2
+    assert slice_end(sl, 2) == 6
+    assert slice_end(sl, 4) == 8
+    whole = [LevelSlice.of(s.level(1)), LevelSlice.of(s.level(2))]
+    assert columns_as_rows(whole + [sl], 4, 8) == L3_EMBEDDINGS[4:8]
