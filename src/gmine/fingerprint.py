@@ -57,15 +57,6 @@ def _pair_table(k):
 PAIR_BIT = [None] + [_pair_table(k) for k in range(1, MAX_K + 1)]
 
 
-def bits_from_pairs(k, pairs):
-    """Pack undirected position pairs into an upper-triangle bitmap."""
-    tab = PAIR_BIT[k]
-    bits = 0
-    for i, j in pairs:
-        bits |= 1 << tab[i][j]
-    return bits
-
-
 def degrees_from_bits(k, bits):
     d = [0] * k
     b = 0
@@ -308,11 +299,3 @@ class PatternHasher:
         for slot, pos in enumerate(best_perm):  # canonical slot -> input position
             pos_orbit[pos] = orbits[slot]
         return _Entry(h, pat, tuple(pos_orbit))
-
-
-def classify_triple(labels, degrees, bits, weight_base):
-    """One-shot (L, D, P) triple for a raw embedding, no caching."""
-    _check_k(len(labels))
-    ls, ds, sbits, _ = canonical_sort(labels, degrees, bits)
-    poly = char_polynomial(weighted_matrix(ls, sbits, weight_base))
-    return tuple(ls), tuple(ds), poly

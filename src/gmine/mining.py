@@ -80,10 +80,14 @@ MNI_CHUNK = 1 << 12
 def _edge_rows(cols, eu, ev, labels):
     """Vertex and key rows of edge embeddings given as (k, m) id columns.
 
-    Returns verts, (k+1, m): each embedding's distinct endpoints in
-    ascending order, padded with -1; and rows, (k+2, m): the label of
-    each verts entry (-1 for padding) and then the adjacency bitmap over
-    those positions, as PAIR_BIT numbers the pairs.
+    Returns verts, (k+1, m): each embedding's distinct endpoints in the
+    hasher's canonical order, ascending by (label, degree inside the
+    embedding) with ties by vertex id, padded with -1; and rows,
+    (k+2, m): the label of each verts entry (-1 for padding) and then
+    the adjacency bitmap over those positions, as PAIR_BIT numbers the
+    pairs. Listings of a pattern that differ only inside its tied
+    (label, degree) blocks share one key, and the hasher never has to
+    reorder a key.
     """
     k, m = cols.shape
     ends = np.concatenate((eu[cols], ev[cols]))
@@ -91,28 +95,39 @@ def _edge_rows(cols, eu, ev, labels):
     srt = np.take_along_axis(ends, order, axis=0)
     first = np.ones(srt.shape, dtype=bool)
     np.not_equal(srt[1:], srt[:-1], out=first[1:])
-    rank = np.cumsum(first, axis=0, dtype=np.int8) - 1  # positions stay below 9
+    rank = np.cumsum(first, axis=0) - 1  # id-order position of each sorted end
     nv = rank[-1] + 1
+    verts = np.full((k + 1, m), -1, dtype=ends.dtype)
+    verts[rank[first], np.nonzero(first)[1]] = srt[first]
+    lab = np.where(verts >= 0, labels[verts], -1)
+    # a position's degree is how often its vertex occurs among the ends;
+    # label * (k+1) + degree is exact in int64 for any int32 label, and
+    # padding sorts last
+    deg = np.bincount((rank * m + np.arange(m)).ravel(), minlength=(k + 1) * m)
+    key = np.where(verts >= 0, lab * np.int64(k + 1) + deg.reshape(k + 1, m),
+                   np.iinfo(np.int64).max)
+    slot = np.argsort(key, axis=0, kind="stable")  # canonical slot -> id position
+    place = np.empty_like(slot)                     # id position -> canonical slot
+    np.put_along_axis(place, slot, np.arange(k + 1)[:, None], axis=0)
     pos = np.empty_like(rank)
-    np.put_along_axis(pos, order, rank, axis=0)
+    np.put_along_axis(pos, order, np.take_along_axis(place, rank, axis=0), axis=0)
     i = np.minimum(pos[:k], pos[k:])
     j = np.maximum(pos[:k], pos[k:])
     bit = i * nv - i * (i + 1) // 2 + (j - i - 1)  # PAIR_BIT[nv][i][j]
-    verts = np.full((k + 1, m), -1, dtype=ends.dtype)
-    verts[rank[first], np.nonzero(first)[1]] = srt[first]
     rows = np.empty((k + 2, m), dtype=labels.dtype)  # a bitmap has at most 28 bits
-    rows[:-1] = np.where(verts >= 0, labels[verts], -1)
-    rows[-1] = np.bitwise_or.reduce(np.int32(1) << bit, axis=0)
-    return verts, rows
+    rows[:-1] = np.take_along_axis(lab, slot, axis=0)
+    rows[-1] = np.bitwise_or.reduce(1 << bit, axis=0)
+    return np.take_along_axis(verts, slot, axis=0), rows
 
 
 class _RawKeyTable:
     """Per-range map from (labels, bitmap) key rows to the pattern hash
     and one MNI domain group per position, classifying each key once.
 
-    A row's bytes are its exact key whatever the label values, so
-    looking up a chunk costs one dict probe per embedding and only keys
-    new to the range reach the hasher.
+    A chunk's rows are deduplicated by one lexsort, so only its distinct
+    rows become bytes keys and probe the dict; a row's bytes are its
+    exact key whatever the label values, and only keys new to the range
+    reach the hasher.
     """
 
     def __init__(self, hasher, width):
@@ -122,17 +137,23 @@ class _RawKeyTable:
         self.hash = np.zeros(0, dtype=np.uint64)
         self.group = np.zeros((0, width), dtype=np.int64)
         self.patterns = {}                     # hash -> (Pattern, first group, orbit count)
-        self.domains = []                      # one vertex set per group
+        self.groups = 0                        # domain groups numbered so far
 
     def lookup(self, rows):
         """Hash per column of rows, and its groups as a (width, m) array."""
-        keys = np.ascontiguousarray(rows.T).view(
-            np.dtype((np.void, rows.itemsize * len(rows)))).ravel().tolist()
-        new = sorted(set(keys).difference(self.index))
+        order = np.lexsort(rows)
+        srt = rows[:, order]
+        head = np.ones(len(order), dtype=bool)
+        np.any(srt[:, 1:] != srt[:, :-1], axis=0, out=head[1:])
+        inv = np.empty(len(order), dtype=np.int64)
+        inv[order] = np.cumsum(head) - 1
+        uniq = np.ascontiguousarray(srt[:, head].T)
+        keys = uniq.view(np.dtype((np.void, uniq.itemsize * len(rows)))).ravel().tolist()
+        new = [key for key in keys if key not in self.index]
         if new:
             self._add(new, rows.dtype)
         e = np.fromiter(map(self.index.__getitem__, keys), dtype=np.int64,
-                        count=len(keys))
+                        count=len(keys))[inv]
         return self.hash[e], self.group[e].T
 
     def _add(self, keys, dtype):
@@ -145,30 +166,31 @@ class _RawKeyTable:
             e = self.hasher.classify(tuple(row[:nv]), row[-1])
             rec = self.patterns.get(e.hash)
             if rec is None:
-                rec = self.patterns[e.hash] = (e.pattern, len(self.domains), e.orbit_count)
-                self.domains.extend(set() for _ in range(e.orbit_count))
+                rec = self.patterns[e.hash] = (e.pattern, self.groups, e.orbit_count)
+                self.groups += e.orbit_count
             hs.append(e.hash)
             gs.append([rec[1] + o for o in e.position_orbits()] + [-1] * (self.width - nv))
         self.hash = np.concatenate((self.hash, np.array(hs, dtype=np.uint64)))
         self.group = np.concatenate((self.group, np.array(gs, dtype=np.int64)))
 
-    def results(self):
-        return {h: [pat, self.domains[g:g + c]]
+    def results(self, domains):
+        return {h: [pat, domains[g:g + c]]
                 for h, (pat, g, c) in self.patterns.items()}
 
 
 def mni_edge_range(task):
-    """Classify edge embeddings and accumulate per-orbit vertex domains.
+    """Classify edge embeddings and collect per-orbit vertex domains.
 
     Works on chunks of id columns: the endpoints give each embedding's
-    sorted vertex list, label row and adjacency bitmap as arrays, a
-    per-range table classifies each distinct (labels, bitmap) key once,
-    and each chunk's deduplicated (domain group, vertex) codes feed the
-    domains. Domains stop growing at the support threshold; the
-    reported support min(|domain|, cap) is then independent of visit
-    order and worker count. Optionally records each embedding's pattern
-    hash so the caller can keep only embeddings of frequent patterns
-    alive.
+    canonically ordered vertex list, label row and adjacency bitmap as
+    arrays, and a per-range table classifies each distinct (labels,
+    bitmap) key once. The domains are one sorted, deduplicated array of
+    (domain group, vertex) codes per range, one int64 per distinct pair,
+    that each chunk's codes merge into. When the range returns, each
+    group becomes one set of its lowest cap vertex ids: the reported
+    support min(|domain|, cap) is then independent of visit order and
+    worker count. Optionally records each embedding's pattern hash so
+    the caller can keep only embeddings of frequent patterns alive.
     """
     lo, hi = task
     ctx = runtime.get_context()
@@ -178,8 +200,8 @@ def mni_edge_range(task):
     cap = ctx["cap"]
     n = g.num_vertices
     table = _RawKeyTable(ctx["hasher"], len(slices) + 1)
-    doms = table.domains
     hashes = np.zeros(hi - lo, dtype=np.uint64) if ctx.get("want_hashes") else None
+    codes = np.zeros(0, dtype=np.int64)
     for a in range(lo, hi, MNI_CHUNK):
         b = min(a + MNI_CHUNK, hi)
         verts, rows = _edge_rows(level_columns(slices, a, b), g.edge_u, g.edge_v,
@@ -187,22 +209,16 @@ def mni_edge_range(task):
         h, groups = table.lookup(rows)
         if hashes is not None:
             hashes[a - lo:b - lo] = h
-        codes = np.sort((groups * n + verts)[verts >= 0])
+        new = np.sort((groups * n + verts)[verts >= 0])
+        codes = np.concatenate((codes, new[run_heads(new)]))
+        codes.sort(kind="stable")  # timsort: merges the two sorted runs in one pass
         codes = codes[run_heads(codes)]
-        grp = codes // n
-        vl = (codes - grp * n).tolist()
-        cuts = (np.flatnonzero(grp[1:] != grp[:-1]) + 1).tolist()
-        starts = [0] + cuts
-        for gi, s, e in zip(grp[starts].tolist(), starts, cuts + [len(vl)]):
-            d = doms[gi]
-            if len(d) + e - s <= cap:
-                d.update(map(vid.__getitem__, vl[s:e]))
-            else:  # one at a time, so that no set outgrows the cap
-                for v in vl[s:e]:
-                    if len(d) >= cap:
-                        break
-                    d.add(vid[v])
-    return table.results(), hashes
+    grp, codes = np.divmod(codes, n)
+    starts = np.flatnonzero(run_heads(grp)).tolist()
+    doms = [set() for _ in range(table.groups)]
+    for gi, s, e in zip(grp[starts].tolist(), starts, starts[1:] + [len(codes)]):
+        doms[gi] = set(map(vid.__getitem__, codes[s:min(e, s + cap)].tolist()))
+    return table.results(doms), hashes
 
 
 def triangle_range(task):
@@ -500,16 +516,11 @@ def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
     with Session(g, "edge", workers, memory_budget, spill_dir,
                  parts_per_level, labeled=True) as s:
         s.seed_edges()
-        cap_ctx = {"cap": support, "want_hashes": True}
-        agg = s.aggregate(mni_edge_range, _merge_mni_hashes, ({}, []), cap_ctx)
-        pats, hashes = _finish_mni(agg, s.cse.top.count)
-        frequent = {h: [p, mni_support(d, support)] for h, (p, d) in pats.items()
-                    if mni_support(d, support) >= support}
-        result = dict(frequent)
-        if k_edges == 1 or not frequent:
+        agg = s.aggregate(mni_edge_range, _merge_mni_hashes, ({}, []),
+                          {"cap": support, "want_hashes": True})
+        result, edge_alive = _frequent(agg, s.cse.top.count, support)
+        if k_edges == 1 or not result:
             return result, s.metrics
-        fh = np.fromiter(frequent.keys(), dtype=np.uint64, count=len(frequent))
-        edge_alive = np.isin(hashes, fh)
         keep = np.flatnonzero(edge_alive).astype(np.int32)
         s.cse = EmbeddingStore("edge", np.int32)
         s.seed_edges(keep)
@@ -518,17 +529,12 @@ def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
         alive = None
         for size in range(2, k_edges + 1):
             s.explore(flt=edge_ok, alive=alive, want_pred=size < k_edges)
-            cap_ctx = {"cap": support, "want_hashes": size < k_edges}
-            agg = s.aggregate(mni_edge_range, _merge_mni_hashes, ({}, []), cap_ctx)
-            pats, hashes = _finish_mni(agg, s.cse.top.count)
-            frequent = {h: [p, mni_support(d, support)] for h, (p, d) in pats.items()
-                        if mni_support(d, support) >= support}
+            agg = s.aggregate(mni_edge_range, _merge_mni_hashes, ({}, []),
+                              {"cap": support, "want_hashes": size < k_edges})
+            frequent, alive = _frequent(agg, s.cse.top.count, support)
             result.update(frequent)
             if not frequent:
                 break
-            if size < k_edges:
-                fh = np.fromiter(frequent.keys(), dtype=np.uint64, count=len(frequent))
-                alive = np.isin(hashes, fh)
         return result, s.metrics
 
 
@@ -541,12 +547,22 @@ def _merge_mni_hashes(acc, res):
     return pats, hashes
 
 
-def _finish_mni(agg, count):
+def _frequent(agg, count, support):
+    """The frequent patterns of an aggregated level with their supports,
+    and the mask of its embeddings whose pattern is frequent (None when
+    no hashes were recorded or nothing is frequent)."""
     pats, hash_chunks = agg
-    hashes = np.concatenate(hash_chunks) if hash_chunks else None
-    if hashes is not None and len(hashes) != count:
+    frequent = {h: [p, sup] for h, (p, d) in pats.items()
+                if (sup := mni_support(d, support)) >= support}
+    if not hash_chunks:
+        return frequent, None
+    hashes = np.concatenate(hash_chunks)
+    if len(hashes) != count:
         raise AssertionError("hash coverage mismatch")
-    return pats, hashes
+    if not frequent:
+        return frequent, None
+    fh = np.sort(np.fromiter(frequent, dtype=np.uint64, count=len(frequent)))
+    return frequent, in_sorted(fh, hashes)
 
 
 # -- result serialization ---------------------------------------------------

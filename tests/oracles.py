@@ -3,7 +3,9 @@
 Everything here is deliberately naive: exhaustive enumeration,
 permutation search, Laplace expansion. Nothing imports engine internals
 beyond the Graph container and the store's error type, so an engine bug
-cannot hide in its oracle.
+cannot hide in its oracle. The one exception is the fingerprint section:
+classify_triple chains the engine's own fingerprint steps without the
+hasher's cache, for tests that pin those steps down one at a time.
 """
 
 import itertools
@@ -11,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from gmine.fingerprint import (PAIR_BIT, _check_k, canonical_sort,
+                               char_polynomial, weighted_matrix)
 from gmine.store import InvariantError
 
 
@@ -562,6 +566,25 @@ def cofactor_charpoly(m):
     det.cache_clear()
     assert len(poly) == k + 1 and poly[k] == 1
     return tuple(poly[k - 1 - i] for i in range(k))
+
+
+# -- fingerprint helpers --------------------------------------------------------
+
+def bits_from_pairs(k, pairs):
+    """Pack undirected position pairs into an upper-triangle bitmap."""
+    tab = PAIR_BIT[k]
+    bits = 0
+    for i, j in pairs:
+        bits |= 1 << tab[i][j]
+    return bits
+
+
+def classify_triple(labels, degrees, bits, weight_base):
+    """One-shot (L, D, P) triple for a raw embedding, no caching."""
+    _check_k(len(labels))
+    ls, ds, sbits, _ = canonical_sort(labels, degrees, bits)
+    poly = char_polynomial(weighted_matrix(ls, sbits, weight_base))
+    return tuple(ls), tuple(ds), poly
 
 
 # -- random graphs ------------------------------------------------------------

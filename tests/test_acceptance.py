@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 
 from gmine.explore import partition_by_weight
-from gmine.fingerprint import (PAIR_BIT, PatternHasher, bits_from_pairs,
-                               char_polynomial, classify_triple,
+from gmine.fingerprint import (PAIR_BIT, PatternHasher, char_polynomial,
                                degrees_from_bits, weighted_matrix)
 from gmine.graph import Graph
 from gmine.mining import (Session, clique_discovery, fsm, motif_count,
                           result_lines, triangle_count, write_result)
 
 from conftest import DEMO_EDGES, make_random_graph
-from oracles import (brute_cliques, brute_triangles, cofactor_charpoly,
+from oracles import (bits_from_pairs, brute_cliques, brute_triangles,
+                     classify_triple, cofactor_charpoly,
                      enumerate_connected_subsets, incident_edges,
                      is_canonical_edge_extension, is_canonical_extension,
                      iso_oracle, min_perm_form,

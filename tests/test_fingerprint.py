@@ -5,15 +5,14 @@ import pytest
 
 from gmine import fingerprint
 from gmine.fingerprint import (FNV_OFFSET, MAX_K, Pattern, PatternHasher,
-                               SizeLimitError, bits_from_pairs, canonical_sort,
-                               char_polynomial, classify_triple,
+                               SizeLimitError, canonical_sort, char_polynomial,
                                degrees_from_bits, fnv1a64, permute_bits,
                                triple_hash, weighted_matrix)
 from gmine.graph import Graph
 
 from conftest import make_random_graph
-from oracles import (cofactor_charpoly, induced_bitmap, min_perm_form,
-                     subgraph_form)
+from oracles import (bits_from_pairs, classify_triple, cofactor_charpoly,
+                     induced_bitmap, min_perm_form, subgraph_form)
 
 
 def test_single_edge_char_polynomial():

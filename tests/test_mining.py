@@ -13,7 +13,7 @@ from gmine.mining import (Session, clique_discovery, fsm, merge_counts,
                           merge_mni, motif_count, result_lines,
                           triangle_count, write_result)
 from gmine.spill import BudgetTooSmallError
-from gmine.store import LevelSlice
+from gmine.store import LevelSlice, level_columns
 
 from conftest import make_random_graph
 from oracles import (brute_cliques, brute_mni, brute_motif_counts,
@@ -224,6 +224,79 @@ def test_mni_edge_range_matches_per_embedding_reference(monkeypatch):
                     rec[1][o].add(v)
             assert hashes.tolist() == want_hashes
             assert got == want
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_edge_rows_are_in_canonical_order(monkeypatch, trial):
+    # positions sorted by (label, degree), ties by vertex id, so every key
+    # the hasher caches is already in its canonical order; the labels
+    # include the int32 maximum and repeat, which makes ties
+    monkeypatch.setattr(mining, "MNI_CHUNK", 3)
+    rng = random.Random(2830 + trial)
+    edges = random_connected_edges(rng, 10, 8)
+    g = Graph.from_edges(edges, {v: rng.choice((0, 700, 1400, 2 ** 31 - 1))
+                                 for v in range(10)})
+    eu, ev, lab = g.edge_u.tolist(), g.edge_v.tolist(), g.labels.tolist()
+    for k_edges in range(1, 5):
+        with Session(g, "edge", labeled=True) as s:
+            s.seed_edges()
+            for _ in range(k_edges - 1):
+                s.explore()
+            slices = [LevelSlice.of(l) for l in s.cse.levels]
+            count = s.cse.top.count
+            verts, rows = mining._edge_rows(level_columns(slices, 0, count),
+                                            g.edge_u, g.edge_v, g.labels)
+            want_verts, want_rows = [], []
+            for _, emb in iter_embeddings(slices, 0, count):
+                deg = {}
+                for f in emb:
+                    for x in (eu[f], ev[f]):
+                        deg[x] = deg.get(x, 0) + 1
+                vs = sorted(deg, key=lambda x: (lab[x], deg[x], x))
+                pos = {x: i for i, x in enumerate(vs)}
+                bits = 0
+                for f in emb:
+                    bits |= 1 << PAIR_BIT[len(vs)][pos[eu[f]]][pos[ev[f]]]
+                pad = [-1] * (k_edges + 1 - len(vs))
+                want_verts.append(vs + pad)
+                want_rows.append([lab[x] for x in vs] + pad + [bits])
+            assert verts.T.tolist() == want_verts
+            assert rows.T.tolist() == want_rows
+            s.aggregate(mining.mni_edge_range, lambda acc, res: acc, None,
+                        {"cap": 10 ** 9, "want_hashes": False})
+            for labels, bits in s.hasher._by_raw:
+                degrees = fingerprint.degrees_from_bits(len(labels), bits)
+                perm = fingerprint.canonical_sort(labels, degrees, bits)[3]
+                assert perm == list(range(len(labels)))
+            assert len(s.hasher._poly) == len(brute_mni(g, k_edges))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5])
+def test_mni_edge_range_caps_each_domain_when_the_range_returns(tmp_path, cap):
+    g = make_random_graph(2810, 14, 12, n_labels=3)
+    with Session(g, "edge", labeled=True) as s:
+        s.seed_edges()
+        s.explore()
+        s.explore()
+        runtime.set_context(slices=[LevelSlice.of(l) for l in s.cse.levels],
+                            cap=10 ** 9, want_hashes=False)
+        full, _ = mining.mni_edge_range((0, s.cse.top.count))
+        runtime.set_context(cap=cap)
+        got, _ = mining.mni_edge_range((0, s.cse.top.count))
+    assert got.keys() == full.keys()
+    for h, (pat, doms) in got.items():
+        assert pat == full[h][0]
+        for d, whole in zip(doms, full[h][1], strict=True):
+            assert d <= whole and len(d) == min(cap, len(whole))
+    # a larger graph keeps a spilling budget feasible for every cap
+    g = make_random_graph(2810, 20, 24, n_labels=3)
+    base, metrics = fsm(g, 3, cap)
+    assert result_lines(fsm(g, 3, cap, workers=2)[0]) == result_lines(base)
+    budget = int(metrics["peak_resident_estimate"] * 0.5)
+    spilled, m = fsm(g, 3, cap, memory_budget=budget, spill_dir=str(tmp_path),
+                     parts_per_level=3)
+    assert m["bytes_spilled"] > 0
+    assert result_lines(spilled) == result_lines(base)
 
 
 def test_fsm_exact_with_labels_past_a_packed_key():
