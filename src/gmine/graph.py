@@ -104,14 +104,6 @@ class Graph:
     def degrees(self):
         return np.diff(self.offsets)
 
-    def check_link(self, u, v):
-        """True iff edge {u, v} exists; binary search in the shorter slice."""
-        if self.degree(u) > self.degree(v):
-            u, v = v, u
-        sl = self.neighbors(u)
-        i = int(np.searchsorted(sl, v))
-        return i < len(sl) and sl[i] == v
-
     # -- lazy derived structures ---------------------------------------
 
     @property
@@ -178,9 +170,6 @@ class Graph:
             self._build_edge_table()
         return self._edge_v
 
-    def edge_endpoints(self, eid):
-        return int(self.edge_u[eid]), int(self.edge_v[eid])
-
     def __eq__(self, other):
         return (isinstance(other, Graph)
                 and np.array_equal(self.offsets, other.offsets)
@@ -228,16 +217,3 @@ def load_graph(edge_path, label_path=None):
         for _, vid, lab in _parse_pairs(label_path):
             labels[vid] = lab
     return Graph.from_edges(edges, labels)
-
-
-def write_edge_list(g, path):
-    """Write back as a sorted edge list over original ids (round-trips)."""
-    with open(path, "w") as fh:
-        for u, v in zip(g.edge_u, g.edge_v):
-            fh.write("%d %d\n" % (g.orig_ids[u], g.orig_ids[v]))
-
-
-def write_labels(g, path):
-    with open(path, "w") as fh:
-        for v in range(g.num_vertices):
-            fh.write("%d %d\n" % (g.orig_ids[v], g.labels[v]))

@@ -287,7 +287,11 @@ class Session:
         self.mode = mode
         self.workers = max(1, int(workers))
         self.budget = int(memory_budget or 0)
-        self.parts_per_level = int(parts_per_level or self.workers)
+        self.parts_per_level = int(self.workers if parts_per_level is None
+                                   else parts_per_level)
+        if self.parts_per_level < 1:
+            raise ValueError("parts per level must be at least 1, got %d"
+                             % self.parts_per_level)
         self._own_dir = spill_dir is None
         self.spill_dir = spill_dir
         self.labeled = labeled

@@ -4,21 +4,19 @@ every range-parallel phase.
 A spilled level is cut into parts at parent-slice boundaries, so each
 part carries a self-contained (vert, off-segment) pair. Replay walks
 the top level part by part; every lower spilled level keeps a sliding
-window of one loaded part plus one prefetched candidate, which is
-enough because ancestor offsets grow monotonically with the top offset.
-A memory-resident top is the one-part case: a single window spanning
-all of its parents, so resident and spilled stores share one driver.
-Part boundaries are derived from predicted weights before any worker
-runs, so the files and the processing order are identical for every
-worker count and stride size.
+window of one loaded part, which is enough because ancestor offsets
+grow monotonically with the top offset. A memory-resident top is the
+one-part case: a single window spanning all of its parents, so
+resident and spilled stores share one driver. Part boundaries are
+derived from predicted weights before any worker runs, so the files
+and the processing order are identical for every worker count and
+stride size. Parts are written and loaded in the calling thread: an
+I/O error surfaces where it happened, and no thread outlives a call.
 """
 
 import os
-import queue
 import struct
-import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +110,8 @@ def plan_spill(cse, budget, next_estimate=(0, 0, 0), spill_dir=None,
     about to be built. Residency charges in-memory levels their full
     vert+off payload, spilled levels their off payload when kept, plus
     the top level's predictions and the new level's predictions, plus
-    two window parts per spilled source level during replay. Levels 1
+    two parts per spilled source level during replay: a window's loaded
+    part and, while it slides, the outgoing one. Levels 1
     and 2 and prediction arrays always stay resident. Spilling is
     monotone: a level once on disk stays there, and the on-disk set is
     always a suffix ending at the newest level.
@@ -181,9 +180,8 @@ class PartWriter:
 
     feed() is called with (vert, counts) chunks in parent order; chunks
     are re-sliced at the part cuts, so the written files depend only on
-    the cuts, not on how the chunks were produced. A single writer
-    thread drains an ordered queue; producers block only on queue
-    backpressure.
+    the cuts, not on how the chunks were produced. Each part is written
+    in the caller as soon as its last parent arrives.
     """
 
     def __init__(self, spill_dir, level_index, id_dtype, parent_cuts, metrics):
@@ -193,54 +191,32 @@ class PartWriter:
         self.cuts = [int(c) for c in parent_cuts]
         self.metrics = metrics
         self.parts = []
-        self._q = queue.Queue(maxsize=4)
-        self._err = None
-        self._emit = 0         # parts enqueued so far, names follow this
         self._cur = 0          # current cut interval
         self._parent = 0       # next global parent index expected
         self._child = 0        # next global child offset
         self._acc_vert = []
         self._acc_off = [0]
         self._part_vs = 0
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def _run(self):
-        while True:
-            job = self._q.get()
-            if job is None:
-                return
-            try:
-                idx, ps, pe, vs, vert, off_seg = job
-                path = os.path.join(self.dir, part_name(self.level, idx))
-                n = write_part(path, self.level, self.id_dtype.itemsize, vert, off_seg)
-                self.parts.append(PartInfo(path, self.level, ps, pe, vs,
-                                           vs + len(vert), n))
-                self.metrics["bytes_spilled"] = self.metrics.get("bytes_spilled", 0) + n
-                self.metrics["parts_written"] = self.metrics.get("parts_written", 0) + 1
-            except Exception as e:  # surfaced on close()
-                self._err = e
-                return
 
     def _flush(self):
-        if self._err:
-            raise self._err
         vert = (np.concatenate(self._acc_vert).astype(self.id_dtype)
                 if self._acc_vert else np.array([], dtype=self.id_dtype))
         off = np.array(self._acc_off, dtype=np.int64)
         ps = self.cuts[self._cur]
         pe = self._parent
         if len(vert) or pe > ps:
-            self._q.put((self._emit, ps, pe, self._part_vs, vert, off))
-            self._emit += 1
+            path = os.path.join(self.dir, part_name(self.level, len(self.parts)))
+            n = write_part(path, self.level, self.id_dtype.itemsize, vert, off)
+            self.parts.append(PartInfo(path, self.level, ps, pe, self._part_vs,
+                                       self._child, n))
+            self.metrics["bytes_spilled"] = self.metrics.get("bytes_spilled", 0) + n
+            self.metrics["parts_written"] = self.metrics.get("parts_written", 0) + 1
         self._acc_vert = []
         self._acc_off = [self._child]
         self._part_vs = self._child
 
     def feed(self, vert, counts):
         """Append one ordered chunk covering the next len(counts) parents."""
-        if self._err:
-            raise self._err
         pos = 0  # consumed parents of this chunk
         vpos = 0
         n = len(counts)
@@ -264,13 +240,8 @@ class PartWriter:
                 self._cur += 1
 
     def close(self):
-        """Flush the tail part, stop the thread, return parts in order."""
+        """Write the tail part; returns all parts in order."""
         self._flush()
-        self._q.put(None)
-        self._thread.join()
-        if self._err:
-            raise self._err
-        self.parts.sort(key=lambda p: p.vs)
         return self.parts
 
 
@@ -309,74 +280,59 @@ def write_manifest(spill_dir, cse):
 
 
 class _Window:
-    """Sliding window over one level: one loaded part, one prefetched
-    candidate, never more. A resident level is one part spanning all
-    of its parents, backed by its in-memory arrays."""
+    """Sliding window over one level: one loaded part at a time, in
+    order. A slide reads the next part before dropping the current one,
+    so two parts are held only while it runs. A resident level is one
+    part spanning all of its parents, backed by its in-memory arrays."""
 
-    def __init__(self, level, loader, id_dtype, metrics):
+    def __init__(self, level, id_dtype, metrics):
         self.level = level
-        self.loader = loader
         self.id_dtype = id_dtype
         self.metrics = metrics
-        self.idx = 0
-        self.main = None
-        self.main_off = None
-        self.main_vert = None
-        self._cand = None
+        self.idx = -1
+        self.main = self.main_vert = self.main_off = None
         if level.residency == "mem":
             self.parts = [PartInfo(None, level.index, 0, len(level.off) - 1,
                                    0, level.count, 0)]
+            self.idx, self.main = 0, self.parts[0]
             self.main_vert, self.main_off = level.vert, level.off
         else:
             self.parts = level.parts
             if self.parts:
-                self.main_vert, self.main_off = self._load(0)
-        if self.parts:
-            self.main = self.parts[0]
-            self._prefetch()
+                self.slide()
 
-    def _load(self, i):
-        p = self.parts[i]
+    def slide(self):
+        """Load the next part in place of the current one."""
+        if self.idx + 1 >= len(self.parts):
+            raise AssertionError("window at level %d slid past its last part"
+                                 % self.level.index)
+        p = self.parts[self.idx + 1]
         vert, off, lv = read_part(p.path, self.id_dtype)
         if lv != self.level.index:
             raise CorruptPartError("%s: level %d, expected %d"
                                    % (p.path, lv, self.level.index))
         self.metrics["bytes_read"] = self.metrics.get("bytes_read", 0) + p.nbytes
         self.metrics["parts_loaded"] = self.metrics.get("parts_loaded", 0) + 1
-        return vert, off
-
-    def _prefetch(self):
-        nxt = self.idx + 1
-        self._cand = (self.loader.submit(self._load, nxt)
-                      if nxt < len(self.parts) else None)
-
-    def slide(self):
-        if self._cand is None:
-            raise AssertionError("window at level %d slid past its last part"
-                                 % self.level.index)
         self.idx += 1
-        self.main_vert, self.main_off = self._cand.result()
-        self.main = self.parts[self.idx]
-        self._prefetch()
-
-    def in_flight(self):
-        return 1 + (1 if self._cand is not None else 0)
+        self.main, self.main_vert, self.main_off = p, vert, off
 
     def slice(self):
         return LevelSlice(self.main_vert, self.main_off,
                           vbase=self.main.vs, obase=self.main.ps)
 
 
-def _chain_bound(windows_asc, top_part):
-    """Largest processable top offset bound and the binding window.
+def _chain_bound(chain):
+    """Largest processable top offset bound and the window that binds it.
 
-    Walks the spilled suffix bottom-up converting each window's offset
-    limit through the off segment one level above; clamping against
-    each part's parent range keeps every lookup inside loaded data.
+    Walks the windows bottom-up, ending at the top level's, converting
+    each window's offset limit through the off segment one level
+    above; clamping against each part's parent range keeps every lookup
+    inside loaded data. A bound at or below the current offset means
+    the binding window must slide.
     """
     bound = None
     binder = None
-    for w in windows_asc:
+    for w in chain:
         p = w.main
         if bound is None or bound >= p.pe:
             bound = p.ve
@@ -385,11 +341,7 @@ def _chain_bound(windows_asc, top_part):
             bound = p.vs
         else:
             bound = int(w.main_off[bound - p.ps])
-    if bound is None or bound >= top_part.pe:
-        return top_part.ve, binder
-    if bound <= top_part.ps:
-        return top_part.vs, binder
-    return None, (binder, bound)  # caller resolves via the loaded segment
+    return bound, binder
 
 
 def replay_top(cse, workers, fn, consume, metrics):
@@ -407,37 +359,28 @@ def replay_top(cse, workers, fn, consume, metrics):
     if spilled != cse.levels[len(cse.levels) - len(spilled):]:
         raise AssertionError("spilled levels must form a suffix")
     mem_slices = [LevelSlice.of(l) for l in cse.levels[:-1] if l.residency == "mem"]
-    loader = ThreadPoolExecutor(max_workers=1)
-    try:
-        windows = [_Window(l, loader, cse.id_dtype, metrics)
-                   for l in spilled[:-1]]
-        tw = _Window(top, loader, cse.id_dtype, metrics)
-        while tw.parts:
-            tp = tw.main
-            cur = tp.vs
-            while cur < tp.ve:
-                hi, binder = _chain_bound(windows, tp)
-                if hi is None:
-                    bw, bnd = binder
-                    hi = int(tw.main_off[bnd - tp.ps])
-                    binder = bw
-                if hi <= cur:
-                    binder.slide()
-                    continue
-                slices = mem_slices + [w.slice() for w in windows + [tw]]
-                t = max(1, workers)
-                if top.pred is None:
-                    cuts = uniform_ranges(hi - cur, t) + cur
-                else:
-                    cuts = partition_by_weight(top.pred[cur:hi], t) + cur
-                tasks = [(int(cuts[i]), int(cuts[i + 1])) for i in range(t)
-                         if cuts[i] < cuts[i + 1]]
-                runtime.set_context(slices=slices)
-                for (lo, rhi), res in zip(tasks, runtime.map_ranges(fn, tasks, workers)):
-                    consume(lo, rhi, res)
-                cur = hi
-            if tw.idx + 1 >= len(tw.parts):
-                break
-            tw.slide()
-    finally:
-        loader.shutdown(wait=True)
+    chain = [_Window(l, cse.id_dtype, metrics) for l in spilled or [top]]
+    tw = chain[-1]
+    while tw.parts:
+        tp = tw.main
+        cur = tp.vs
+        while cur < tp.ve:
+            hi, binder = _chain_bound(chain)
+            if hi <= cur:
+                binder.slide()
+                continue
+            slices = mem_slices + [w.slice() for w in chain]
+            t = max(1, workers)
+            if top.pred is None:
+                cuts = uniform_ranges(hi - cur, t) + cur
+            else:
+                cuts = partition_by_weight(top.pred[cur:hi], t) + cur
+            tasks = [(int(cuts[i]), int(cuts[i + 1])) for i in range(t)
+                     if cuts[i] < cuts[i + 1]]
+            runtime.set_context(slices=slices)
+            for (lo, rhi), res in zip(tasks, runtime.map_ranges(fn, tasks, workers)):
+                consume(lo, rhi, res)
+            cur = hi
+        if tw.idx + 1 >= len(tw.parts):
+            break
+        tw.slide()

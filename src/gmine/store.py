@@ -33,10 +33,6 @@ class Level:
     def count(self):
         return self.vert_count
 
-    @property
-    def identity(self):
-        return self.vert is None and self.residency == "mem"
-
     def size_bytes(self):
         """Exact payload footprint of vert plus off.
 
@@ -147,12 +143,6 @@ class EmbeddingStore:
         lvl.vert_count = int(vert_count)
         self.levels.append(lvl)
         return lvl
-
-    def level_size_bytes(self, index):
-        return self.level(index).size_bytes()
-
-    def total_bytes(self):
-        return sum(l.size_bytes() for l in self.levels)
 
 
 class LevelSlice:

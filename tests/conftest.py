@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -7,6 +8,17 @@ from gmine.graph import Graph
 # The 5-vertex worked example used throughout: vertices 1..5, vertex 5
 # adjacent to everything, triangle counts and level arrays known by hand.
 DEMO_EDGES = [(1, 2), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail any test that leaves more threads running than it found."""
+    before = threading.active_count()
+    yield
+    left = threading.active_count() - before
+    if left > 0:
+        pytest.fail("test left %d thread(s) running: %s"
+                    % (left, [t.name for t in threading.enumerate()]))
 
 
 @pytest.fixture

@@ -18,6 +18,46 @@ from gmine.fingerprint import (PAIR_BIT, _check_k, canonical_sort,
 from gmine.store import InvariantError
 
 
+# -- graph and store helpers -------------------------------------------------
+
+def check_link(g, u, v):
+    """True iff edge {u, v} exists; binary search in the shorter slice."""
+    if g.degree(u) > g.degree(v):
+        u, v = v, u
+    sl = g.neighbors(u)
+    i = int(np.searchsorted(sl, v))
+    return i < len(sl) and sl[i] == v
+
+
+def edge_endpoints(g, eid):
+    return int(g.edge_u[eid]), int(g.edge_v[eid])
+
+
+def write_edge_list(g, path):
+    """Write back as a sorted edge list over original ids (round-trips)."""
+    with open(path, "w") as fh:
+        for u, v in zip(g.edge_u, g.edge_v):
+            fh.write("%d %d\n" % (g.orig_ids[u], g.orig_ids[v]))
+
+
+def write_labels(g, path):
+    with open(path, "w") as fh:
+        for v in range(g.num_vertices):
+            fh.write("%d %d\n" % (g.orig_ids[v], g.labels[v]))
+
+
+def is_identity(level):
+    return level.vert is None and level.residency == "mem"
+
+
+def level_size_bytes(store, index):
+    return store.level(index).size_bytes()
+
+
+def total_bytes(store):
+    return sum(l.size_bytes() for l in store.levels)
+
+
 # -- enumeration -----------------------------------------------------------
 
 def connected_subsets_brute(adj_sets, n, k):
@@ -80,7 +120,7 @@ def connected_edge_subsets(g, k_edges):
     out = set()
 
     def neighbors_of_edge(e):
-        u, v = g.edge_endpoints(e)
+        u, v = edge_endpoints(g, e)
         return (inc[u] | inc[v]) - {e}
 
     def grow(sub, frontier):
@@ -126,12 +166,12 @@ def induced_bitmap(adj_sets, verts):
 
 def edge_subgraph_form(g, eids, labeled=True):
     """Form for the subgraph made of the given edges (not induced)."""
-    vs = sorted({x for e in eids for x in g.edge_endpoints(e)})
+    vs = sorted({x for e in eids for x in edge_endpoints(g, e)})
     pos = {v: i for i, v in enumerate(vs)}
     k = len(vs)
     a = [[0] * k for _ in range(k)]
     for e in eids:
-        u, v = g.edge_endpoints(e)
+        u, v = edge_endpoints(g, e)
         a[pos[u]][pos[v]] = 1
         a[pos[v]][pos[u]] = 1
     labels = tuple(int(g.labels[v]) if labeled else 0 for v in vs)
@@ -303,7 +343,7 @@ def ordering_is_canonical(g, seq):
 def ordering_is_canonical_edges(g, seq):
     """Direct check for an edge-id sequence (adjacency = shared endpoint)."""
     k = len(seq)
-    ends = [set(g.edge_endpoints(e)) for e in seq]
+    ends = [set(edge_endpoints(g, e)) for e in seq]
     for c in range(1, k):
         if seq[c] <= seq[0]:
             return False
@@ -326,7 +366,7 @@ def is_canonical_extension(g, emb, v):
         return False
     a0 = None
     for i, u in enumerate(emb):
-        if g.check_link(u, v):
+        if check_link(g, u, v):
             a0 = i
             break
     if a0 is None:
@@ -338,10 +378,10 @@ def is_canonical_edge_extension(g, emb, eid):
     """Edge-id analogue: emb is a list of edge ids."""
     if eid in emb or eid <= emb[0]:
         return False
-    x, y = g.edge_endpoints(eid)
+    x, y = edge_endpoints(g, eid)
     a0 = None
     for i, f in enumerate(emb):
-        u, v = g.edge_endpoints(f)
+        u, v = edge_endpoints(g, f)
         if x == u or x == v or y == u or y == v:
             a0 = i
             break
@@ -365,7 +405,7 @@ def predict_candidate_size(g, emb):
 def predict_candidate_size_edges(g, emb):
     cand = set()
     for f in emb:
-        u, v = g.edge_endpoints(f)
+        u, v = edge_endpoints(g, f)
         cand.update(incident_edges(g, u).tolist())
         cand.update(incident_edges(g, v).tolist())
     cand.difference_update(emb)

@@ -23,7 +23,7 @@ from gmine.mining import (Session, clique_discovery, fsm, motif_count,
 
 from conftest import DEMO_EDGES, make_random_graph
 from oracles import (bits_from_pairs, brute_cliques, brute_triangles,
-                     classify_triple, cofactor_charpoly,
+                     classify_triple, cofactor_charpoly, edge_endpoints,
                      enumerate_connected_subsets, incident_edges,
                      is_canonical_edge_extension, is_canonical_extension,
                      iso_oracle, min_perm_form,
@@ -255,7 +255,7 @@ def _grow_vertex_set(g, rng, k):
 def _grow_edge_set(g, rng, k):
     e0 = rng.randrange(g.num_edges)
     chosen = {e0}
-    verts = set(g.edge_endpoints(e0))
+    verts = set(edge_endpoints(g, e0))
     while len(chosen) < k:
         cand = set()
         for v in verts:
@@ -265,7 +265,7 @@ def _grow_edge_set(g, rng, k):
             return None
         e = rng.choice(sorted(cand))
         chosen.add(e)
-        verts |= set(g.edge_endpoints(e))
+        verts |= set(edge_endpoints(g, e))
     return tuple(sorted(chosen))
 
 

@@ -5,9 +5,9 @@ import sys
 import pytest
 
 from gmine.cli import main, parse_size
-from gmine.graph import write_edge_list, write_labels
 
 from conftest import DEMO_EDGES, make_random_graph
+from oracles import write_edge_list, write_labels
 
 
 @pytest.fixture
@@ -121,6 +121,14 @@ def test_bad_k_exit_1(capsys, demo_paths):
     code, _, err = run_cli(capsys, ["motif", demo_paths, "-k", "9"])
     assert code == 1
     assert "motif size" in err[0]
+
+
+def test_bad_parts_per_level_exit_1(capsys, demo_paths):
+    for bad in ("-1", "0"):
+        code, out, err = run_cli(capsys, ["motif", demo_paths, "-k", "3",
+                                          "--parts-per-level", bad])
+        assert code == 1 and not out
+        assert err[0].startswith("gmine: parts per level")
 
 
 def test_usage_error_exit_2(demo_paths):

@@ -13,9 +13,10 @@ from gmine.spill import read_part
 from gmine.store import LevelSlice
 
 from conftest import make_random_graph
-from oracles import (connected_edge_subsets, enumerate_connected_subsets,
-                     extract, is_canonical_edge_extension,
-                     is_canonical_extension, is_connected_subset,
+from oracles import (check_link, connected_edge_subsets, edge_endpoints,
+                     enumerate_connected_subsets, extract,
+                     is_canonical_edge_extension, is_canonical_extension,
+                     is_connected_subset,
                      ordering_is_canonical, ordering_is_canonical_edges,
                      predict_candidate_size, predict_candidate_size_edges,
                      reference_expand)
@@ -51,7 +52,7 @@ def test_extension_rules_demo(demo_graph):
     assert is_canonical_extension(g, [1, 4], 3)
     # members and non-neighbors are rejected
     assert not is_canonical_extension(g, [1, 2], 1)
-    assert not is_canonical_extension(g, [0, 1], 3) or g.check_link(0, 3)
+    assert not is_canonical_extension(g, [0, 1], 3) or check_link(g, 0, 3)
 
 
 def test_extension_agrees_with_ordering_oracle():
@@ -225,7 +226,7 @@ def test_predict_streamed_matches_brute_edges():
 def test_seed_preds(demo_graph):
     assert vertex_seed_preds(demo_graph).tolist() == [2, 3, 3, 2, 4]
     ep = edge_seed_preds(demo_graph)
-    u, v = demo_graph.edge_endpoints(0)
+    u, v = edge_endpoints(demo_graph, 0)
     assert ep[0] == demo_graph.degree(u) + demo_graph.degree(v) - 2
 
 

@@ -12,6 +12,7 @@ import textwrap
 from gmine import runtime
 
 from conftest import make_random_graph
+from oracles import edge_endpoints
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -58,7 +59,7 @@ def test_cli_reports_dead_worker(tmp_path):
     ep = str(tmp_path / "g.edges")
     with open(ep, "w") as fh:
         for e in range(g.num_edges):
-            fh.write("%d %d\n" % g.edge_endpoints(e))
+            fh.write("%d %d\n" % edge_endpoints(g, e))
     r = run_script("""
         import os
         import sys
@@ -73,3 +74,15 @@ def test_cli_reports_dead_worker(tmp_path):
     """ % ep)
     assert r.returncode == 1, r.stderr
     assert r.stderr.splitlines()[-1].startswith("gmine: ")
+
+
+def test_import_does_not_load_the_pool():
+    # map_ranges imports ProcessPoolExecutor on first use; nothing else
+    # may pull concurrent.futures in when gmine is imported
+    r = run_script("""
+        import sys
+        import gmine
+        print("concurrent.futures" in sys.modules)
+    """)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False"]

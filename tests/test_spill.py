@@ -2,12 +2,12 @@ import os
 import subprocess
 import sys
 import textwrap
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
 
-from gmine import runtime
+from gmine import mining, runtime, spill
 from gmine.spill import (BudgetTooSmallError, CorruptPartError, PartWriter,
                          _Window, part_name, plan_spill, read_part,
                          replay_top, spill_existing_level, write_manifest,
@@ -214,42 +214,51 @@ def test_spill_existing_roundtrip(tmp_path):
 
 # -- windows ----------------------------------------------------------------------
 
-def test_window_holds_at_most_two_parts(tmp_path):
+def test_window_loads_one_part_at_a_time(tmp_path, monkeypatch):
     g = make_random_graph(22, 16, 24)
     s = vertex_store_to(g, 3)
     spill_existing_level(s.level(3), str(tmp_path), 5, {}, keep_off=True)
     lvl = s.level(3)
     assert len(lvl.parts) > 2
-    loader = ThreadPoolExecutor(max_workers=1)
-    try:
-        w = _Window(lvl, loader, np.int32, {})
-        seen = [(w.main.vs, w.main.ve)]
-        assert w.in_flight() <= 2
-        while w.idx + 1 < len(lvl.parts):
-            w.slide()
-            assert w.in_flight() <= 2
-            seen.append((w.main.vs, w.main.ve))
-        assert seen[0][0] == 0 and seen[-1][1] == lvl.vert_count
-        assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
-        with pytest.raises(AssertionError):
-            w.slide()
-    finally:
-        loader.shutdown(wait=True)
+    loaded = []
+    real = spill.read_part
+
+    def spy(path, id_dtype):
+        loaded.append(path)
+        return real(path, id_dtype)
+
+    monkeypatch.setattr(spill, "read_part", spy)
+    m = {}
+    w = _Window(lvl, np.int32, m)
+    seen = [(w.main.vs, w.main.ve)]
+    while w.idx + 1 < len(lvl.parts):
+        w.slide()
+        seen.append((w.main.vs, w.main.ve))
+        assert loaded == [p.path for p in lvl.parts[:w.idx + 1]]
+    assert m["parts_loaded"] == len(lvl.parts)
+    assert seen[0][0] == 0 and seen[-1][1] == lvl.vert_count
+    assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+    with pytest.raises(AssertionError, match="past its last part"):
+        w.slide()
+    assert len(loaded) == len(lvl.parts)
 
 
 def test_window_rejects_level_mismatch(tmp_path):
     g = make_random_graph(23, 12, 14)
     s = vertex_store_to(g, 3)
     spill_existing_level(s.level(3), str(tmp_path), 2, {}, keep_off=True)
-    p0 = s.level(3).parts[0]
+    p0, p1 = s.level(3).parts[:2]
+    good = open(p1.path, "rb").read()
+    v, o, _ = read_part(p1.path, np.int32)
+    write_part(p1.path, 9, 4, v, o)
+    w = _Window(s.level(3), np.int32, {})
+    with pytest.raises(CorruptPartError, match="level 9, expected 3"):
+        w.slide()
+    open(p1.path, "wb").write(good)
     v, o, _ = read_part(p0.path, np.int32)
     write_part(p0.path, 9, 4, v, o)
-    loader = ThreadPoolExecutor(max_workers=1)
-    try:
-        with pytest.raises(CorruptPartError, match="level"):
-            _Window(s.level(3), loader, np.int32, {})
-    finally:
-        loader.shutdown(wait=True)
+    with pytest.raises(CorruptPartError, match="level 9, expected 3"):
+        _Window(s.level(3), np.int32, {})
 
 
 # -- replay ------------------------------------------------------------------------
@@ -338,6 +347,63 @@ def test_replay_requires_suffix_under_optimize(tmp_path):
                        text=True, timeout=60, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("raised: spilled levels must form a suffix")
+
+
+def test_write_failure_raises_instead_of_hanging(tmp_path):
+    # a slow failing write with many parts to go: the error must reach
+    # the caller, and the session must still remove its spill dir
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = textwrap.dedent("""
+        import errno
+        import time
+        from gmine import spill
+        from gmine.mining import motif_count
+        from conftest import make_random_graph
+
+        def failing_write(*args):
+            time.sleep(0.5)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        spill.write_part = failing_write
+        try:
+            motif_count(make_random_graph(2900, 30, 40), 4, memory_budget=3500,
+                        parts_per_level=32)
+        except OSError as e:
+            print("raised:", errno.errorcode[e.errno])
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, tests)),
+               GMINE_SPILL_DIR=str(tmp_path))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=60, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["raised:", "ENOSPC"]
+    assert os.listdir(str(tmp_path)) == []
+
+
+def test_failed_spilled_explore_leaves_no_thread(tmp_path, monkeypatch):
+    monkeypatch.setenv("GMINE_SPILL_DIR", str(tmp_path))
+    g = make_random_graph(2900, 30, 40)
+    writers = []
+
+    def recording_writer(*args):
+        writers.append(PartWriter(*args))
+        return writers[-1]
+
+    def failing_range(task):
+        raise RuntimeError("range worker failed")
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="range worker failed"):
+        with mining.Session(g, "vertex", memory_budget=3500,
+                            parts_per_level=3) as s:
+            s.seed_vertices()
+            s.explore()
+            monkeypatch.setattr(mining, "PartWriter", recording_writer)
+            monkeypatch.setattr(mining, "expand_vertex_range", failing_range)
+            s.explore()
+    assert len(writers) == 1  # the failed explore was writing its level
+    assert threading.active_count() == before
+    assert os.listdir(str(tmp_path)) == []
 
 
 def test_manifest_lists_parts(tmp_path, demo_graph):

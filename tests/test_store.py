@@ -3,8 +3,8 @@ import pytest
 
 from gmine.store import EmbeddingStore, InvariantError, LevelSlice, level_columns
 
-from oracles import (extract, iter_embeddings, slice_end, slice_parent_of,
-                     slice_value)
+from oracles import (extract, is_identity, iter_embeddings, level_size_bytes,
+                     slice_end, slice_parent_of, slice_value, total_bytes)
 
 # Hand-derived canonical levels for the demo graph in dense ids
 # (vertices 1..5 densify to 0..4; 4 is the hub).
@@ -30,7 +30,7 @@ def test_identity_level():
     s = EmbeddingStore("vertex")
     lvl = s.seed_identity(5)
     assert lvl.count == 5
-    assert lvl.identity
+    assert is_identity(lvl)
     assert extract(s, 1, 3) == (3,)
 
 
@@ -115,10 +115,10 @@ def test_empty_level_append():
 def test_size_bytes_exact():
     s = demo_store()
     # 32-bit ids, 64-bit offsets
-    assert s.level_size_bytes(2) == 7 * 4 + 6 * 8
-    assert s.level_size_bytes(3) == 8 * 4 + 8 * 8
-    assert s.level_size_bytes(1) == 2 * 8  # identity: off only
-    assert s.total_bytes() == sum(s.level_size_bytes(i) for i in (1, 2, 3))
+    assert level_size_bytes(s, 2) == 7 * 4 + 6 * 8
+    assert level_size_bytes(s, 3) == 8 * 4 + 8 * 8
+    assert level_size_bytes(s, 1) == 2 * 8  # identity: off only
+    assert total_bytes(s) == sum(level_size_bytes(s, i) for i in (1, 2, 3))
 
 
 def test_invariant_off_length():
