@@ -9,14 +9,25 @@ worker process), 2 usage errors.
 import argparse
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 from .fingerprint import HashCollisionError
 from .graph import GraphFormatError, load_graph
 from .mining import (clique_discovery, fsm, motif_count, result_lines,
-                     triangle_count, write_result)
+                     triangle_count)
 from .spill import BudgetTooSmallError, CorruptPartError
 from .store import InvariantError
+
+RUN_FAILURES = (BudgetTooSmallError, CorruptPartError, HashCollisionError,
+                InvariantError, ValueError, OSError)
+
+
+def run_failures():
+    """The errors that end a run with exit 1. A dead worker's
+    BrokenProcessPool is one of them once a forking run has imported its
+    module; importing it here would load concurrent.futures into every
+    run."""
+    pool = sys.modules.get("concurrent.futures.process")
+    return RUN_FAILURES + ((pool.BrokenProcessPool,) if pool else ())
 
 
 def parse_size(text):
@@ -111,8 +122,7 @@ def main(argv=None):
             items, metrics = fsm(g, args.k, args.support, **kw)
             lines = result_lines(items)
             summary = "# patterns=%d threshold=%d" % (len(items), args.support)
-    except (BrokenProcessPool, BudgetTooSmallError, CorruptPartError,
-            HashCollisionError, InvariantError, ValueError, OSError) as e:
+    except run_failures() as e:
         print("gmine: %s" % e, file=sys.stderr)
         return 1
     _emit(lines, args.output, summary)

@@ -22,8 +22,7 @@ from .explore import (CLIQUE, GATHER, chunks, edge_seed_preds, expand_vertex_ran
                       uniform_ranges, vertex_seed_preds)
 from .explore import expand_edge_range  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 1)
 from .fingerprint import PAIR_BIT, PatternHasher, check_same_pattern
-from .spill import (PartWriter, plan_spill, replay_top, spill_existing_level,
-                    write_manifest)
+from .spill import PartWriter, plan_spill, replay_top, spill_existing_level
 from .store import EmbeddingStore, level_columns
 
 
@@ -285,7 +284,9 @@ class Session:
                  spill_dir=None, parts_per_level=None, labeled=False):
         self.g = g
         self.mode = mode
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1, got %d" % self.workers)
         self.budget = int(memory_budget or 0)
         self.parts_per_level = int(self.workers if parts_per_level is None
                                    else parts_per_level)
@@ -306,15 +307,8 @@ class Session:
         self.cse.seed_identity(self.g.num_vertices, pred=vertex_seed_preds(self.g))
         self._note_level()
 
-    def seed_edges(self, ids=None):
-        """Level 1 over edge ids (all of them, or a filtered ascending set)."""
-        if ids is None:
-            ids = np.arange(self.g.num_edges, dtype=np.int32)
-            pred = edge_seed_preds(self.g)
-        else:
-            ids = np.asarray(ids, dtype=np.int32)
-            pred = edge_seed_preds(self.g)[ids]
-        self.cse.seed_level1(ids, pred=pred)
+    def seed_edges(self):
+        self.cse.seed_identity(self.g.num_edges, pred=edge_seed_preds(self.g))
         self._note_level()
 
     def _note_level(self):
@@ -360,9 +354,12 @@ class Session:
 
     # -- phases --------------------------------------------------------
 
-    def _next_estimate(self, want_pred):
+    def _next_estimate(self, alive, want_pred):
         top = self.cse.top
-        w = int(top.pred.sum()) if top.pred is not None else top.count
+        if top.pred is None:
+            w = top.count
+        else:
+            w = int(top.pred.sum(where=True if alive is None else alive))
         idw = self.cse.id_dtype.itemsize
         return (w * idw, (top.count + 1) * 8, w * 4 if want_pred else 0)
 
@@ -378,25 +375,24 @@ class Session:
             self._publish_base()
         cse = self.cse
         top = cse.top
-        plan = plan_spill(cse, self.budget, self._next_estimate(want_pred),
-                          self.spill_dir, self.parts_per_level)
+        spill_from, est = plan_spill(cse, self.budget,
+                                     self._next_estimate(alive, want_pred),
+                                     self.parts_per_level)
         self.metrics["peak_resident_estimate"] = max(
-            self.metrics.get("peak_resident_estimate", 0), plan.resident_estimate)
-        if plan.any_spill:
+            self.metrics.get("peak_resident_estimate", 0), est)
+        spill_next = spill_from <= top.index + 1
+        if spill_next:
             self._ensure_dir()
-        for idx in plan.spill_levels:
-            spill_existing_level(cse.level(idx), self.spill_dir,
-                                 self.parts_per_level, self.metrics, plan.keep_off)
-        if not plan.keep_off:
-            for lvl in cse.levels:
-                if lvl.residency == "disk":
-                    lvl.off = None
+        for lvl in cse.levels[spill_from - 1:]:
+            if lvl.residency == "mem":
+                spill_existing_level(lvl, self.spill_dir, self.parts_per_level,
+                                     self.metrics)
         runtime.set_context(filter=flt, alive=alive, want_pred=want_pred)
         counts_chunks = []
         pred_chunks = [] if want_pred else None
         writer = None
         vert_chunks = []
-        if plan.spill_next:
+        if spill_next:
             cuts = (partition_by_weight(top.pred, self.parts_per_level)
                     if top.pred is not None
                     else uniform_ranges(top.count, self.parts_per_level))
@@ -419,12 +415,7 @@ class Session:
         pred = (np.concatenate(pred_chunks) if want_pred and pred_chunks
                 else None)
         if writer is not None:
-            parts = writer.close()
-            off = None
-            if plan.keep_off:
-                off = np.zeros(len(counts) + 1, dtype=np.int64)
-                np.cumsum(counts, out=off[1:])
-            cse.append_spilled(int(counts.sum()), off, pred, parts)
+            cse.append_spilled(pred, writer.close())
         else:
             # a lone chunk (one task) is the level itself: no second copy
             vert = (vert_chunks[0] if len(vert_chunks) == 1
@@ -433,8 +424,6 @@ class Session:
             np.cumsum(counts, out=off[1:])
             cse.append_level(vert, off, pred)
         top.pred = None  # only the newest level needs its predictions
-        if any(l.residency == "disk" for l in cse.levels):
-            write_manifest(self.spill_dir, cse)
         self._note_level()
         self.metrics["explore_seconds"] = (self.metrics.get("explore_seconds", 0.0)
                                            + time.perf_counter() - t0)
@@ -517,29 +506,21 @@ def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
         raise ValueError("edge count must be 1..7")
     if support < 1:
         raise ValueError("support threshold must be positive")
+    result = {}
     with Session(g, "edge", workers, memory_budget, spill_dir,
                  parts_per_level, labeled=True) as s:
         s.seed_edges()
-        agg = s.aggregate(mni_edge_range, _merge_mni_hashes, ({}, []),
-                          {"cap": support, "want_hashes": True})
-        result, edge_alive = _frequent(agg, s.cse.top.count, support)
-        if k_edges == 1 or not result:
-            return result, s.metrics
-        keep = np.flatnonzero(edge_alive).astype(np.int32)
-        s.cse = EmbeddingStore("edge", np.int32)
-        s.seed_edges(keep)
-        edge_ok = np.zeros(g.num_edges, dtype=bool)
-        edge_ok[keep] = True
-        alive = None
-        for size in range(2, k_edges + 1):
-            s.explore(flt=edge_ok, alive=alive, want_pred=size < k_edges)
+        for size in range(1, k_edges + 1):
             agg = s.aggregate(mni_edge_range, _merge_mni_hashes, ({}, []),
                               {"cap": support, "want_hashes": size < k_edges})
             frequent, alive = _frequent(agg, s.cse.top.count, support)
             result.update(frequent)
-            if not frequent:
+            if size == k_edges or not frequent:
                 break
-        return result, s.metrics
+            if size == 1:
+                edge_ok = alive  # level 1 is the identity over edge ids
+            s.explore(flt=edge_ok, alive=alive, want_pred=size + 1 < k_edges)
+    return result, s.metrics
 
 
 def _merge_mni_hashes(acc, res):
@@ -577,10 +558,3 @@ def result_lines(items):
     rows = sorted((rec[0].serialize(), rec[1]) for rec in items.values())
     return ["%s\t%d" % (ser, val) for ser, val in rows]
 
-
-def write_result(path, items, summary):
-    lines = result_lines(items)
-    with open(path, "w") as fh:
-        for ln in lines:
-            fh.write(ln + "\n")
-        fh.write(summary + "\n")

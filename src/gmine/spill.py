@@ -2,7 +2,10 @@
 every range-parallel phase.
 
 A spilled level is cut into parts at parent-slice boundaries, so each
-part carries a self-contained (vert, off-segment) pair. Replay walks
+part carries a self-contained (vert, off-segment) pair, and the level
+keeps only its part list in memory: its ids and offsets are read back
+from the parts. The budget plan is one number, the lowest level on
+disk; levels 1 (the identity) and 2 always stay resident. Replay walks
 the top level part by part; every lower spilled level keeps a sliding
 window of one loaded part, which is enough because ancestor offsets
 grow monotonically with the top offset. A memory-resident top is the
@@ -87,85 +90,41 @@ class PartInfo:
     nbytes: int
 
 
-@dataclass
-class SpillPlan:
-    budget: int                 # 0 means unlimited
-    spill_dir: str
-    parts_per_level: int
-    spill_levels: tuple         # existing level indexes to push out now
-    spill_next: bool            # the level about to be appended goes to disk
-    keep_off: bool              # spilled levels keep their off arrays in memory
-    resident_estimate: int
+def plan_spill(cse, budget, next_estimate, parts_per_level):
+    """Choose the lowest level to keep on disk.
 
-    @property
-    def any_spill(self):
-        return bool(self.spill_levels) or self.spill_next
-
-
-def plan_spill(cse, budget, next_estimate=(0, 0, 0), spill_dir=None,
-               parts_per_level=8):
-    """Choose the cheapest suffix of levels to push to disk.
-
-    next_estimate is (vert_bytes, off_bytes, pred_bytes) for the level
-    about to be built. Residency charges in-memory levels their full
-    vert+off payload, spilled levels their off payload when kept, plus
-    the top level's predictions and the new level's predictions, plus
-    two parts per spilled source level during replay: a window's loaded
-    part and, while it slides, the outgoing one. Levels 1
-    and 2 and prediction arrays always stay resident. Spilling is
-    monotone: a level once on disk stays there, and the on-disk set is
-    always a suffix ending at the newest level.
+    Returns (spill_from, estimate): after the explore, every level from
+    spill_from up, the new one included, lives on disk; depth + 2 means
+    none does. next_estimate is (vert_bytes, off_bytes, pred_bytes) for
+    the level about to be built. The estimate charges resident levels
+    their full vert+off footprint, the top level's and the new level's
+    predictions, and two parts per spilled source level during replay:
+    a window's loaded part and, while it slides, the outgoing one. The
+    candidates are tried from none to the longest suffix, and the first
+    within budget wins (the first one when budget is 0, unlimited).
+    Levels 1 and 2 never spill, and a level once on disk stays there.
     """
     nv, no, npred = next_estimate
     k = cse.depth
-    already = [l.index for l in cse.levels if l.residency == "disk"]
+    fixed = npred + (cse.top.pred.nbytes if cse.top.pred is not None else 0)
+    lowest = min((l.index for l in cse.levels if l.residency == "disk"),
+                 default=k + 2)
 
-    def resident(spill_from, spill_next, keep_off):
-        # spill_from: lowest existing level index on disk (k+1 = none)
-        total = 0
+    def resident(spill_from):
+        total = fixed if spill_from <= k + 1 else fixed + nv + no
         for lvl in cse.levels:
-            if lvl.index >= spill_from or lvl.residency == "disk":
-                if keep_off and lvl.off is not None:
-                    total += len(lvl.off) * 8
-                total += 2 * (lvl.vert_count * lvl.id_width // max(1, parts_per_level))
-            else:
+            if lvl.index < spill_from:
                 total += lvl.size_bytes()
-        top = cse.top
-        if top.pred is not None:
-            total += top.pred.nbytes
-        total += npred
-        if spill_next:
-            if keep_off:
-                total += no
-        else:
-            total += nv + no
+            else:
+                total += 2 * (lvl.vert_count * lvl.id_width // parts_per_level)
         return total
 
-    if not budget:
-        est = resident(k + 1, False, True)
-        return SpillPlan(0, spill_dir or ".", parts_per_level, (), False, True, est)
-
-    options = []
-    if not already:
-        options.append((k + 1, False))   # nothing on disk
-    if k + 1 >= 3:                       # levels 1 and 2 always stay resident
-        options.append((k + 1, True))    # only the new level
-        lowest = min(already) if already else k + 1
-        for frm in range(min(k, lowest - 1), 2, -1):
-            options.append((frm, True))  # suffix frm..k plus the new level
-
     floor = None
-    for keep_off in (True, False):
-        for frm, nxt in options:
-            if already and not nxt:
-                continue  # suffix must include the newest level
-            est = resident(frm, nxt, keep_off)
-            if est <= budget:
-                newly = tuple(l.index for l in cse.levels
-                              if l.index >= frm and l.residency == "mem")
-                return SpillPlan(budget, spill_dir or ".", parts_per_level,
-                                 newly, nxt, keep_off, est)
-            floor = est if floor is None else min(floor, est)
+    for spill_from in range(lowest, 2, -1):
+        est = resident(spill_from)
+        if not budget or est <= budget:
+            return spill_from, est
+        floor = est if floor is None else min(floor, est)
     raise BudgetTooSmallError(
         "smallest feasible resident estimate %d exceeds budget %d"
         % (floor, budget))
@@ -245,38 +204,19 @@ class PartWriter:
         return self.parts
 
 
-def spill_existing_level(level, spill_dir, parts_per_level, metrics, keep_off):
+def spill_existing_level(level, spill_dir, parts_per_level, metrics):
     """Write an in-memory level out and drop its resident arrays."""
+    if level.vert is None:  # identity level: never spilled (levels 1-2 stay resident)
+        raise ValueError("cannot spill an identity level")
     counts = np.diff(level.off)
     cuts = partition_by_weight(counts, parts_per_level)
     w = PartWriter(spill_dir, level.index, np.dtype("i%d" % level.id_width),
                    cuts, metrics)
-    vert = level.vert
-    if vert is None:  # identity level: never spilled (levels 1-2 stay resident)
-        raise ValueError("cannot spill an identity level")
     for j in range(len(cuts) - 1):
         lo, hi = int(cuts[j]), int(cuts[j + 1])
-        w.feed(vert[level.off[lo]:level.off[hi]],
-               counts[lo:hi])
+        w.feed(level.vert[level.off[lo]:level.off[hi]], counts[lo:hi])
     level.parts = w.close()
-    level.residency = "disk"
-    level.vert = None
-    if not keep_off:
-        level.off = None
-
-
-def write_manifest(spill_dir, cse):
-    lines = []
-    for lvl in cse.levels:
-        if lvl.residency != "disk":
-            continue
-        lines.append("level=%d parts=%d count=%d" %
-                     (lvl.index, len(lvl.parts), lvl.vert_count))
-        for p in lvl.parts:
-            lines.append("  part=%s ps=%d pe=%d vs=%d ve=%d bytes=%d" %
-                         (os.path.basename(p.path), p.ps, p.pe, p.vs, p.ve, p.nbytes))
-    with open(os.path.join(spill_dir, "plan.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    level.vert = level.off = None
 
 
 class _Window:
@@ -370,12 +310,11 @@ def replay_top(cse, workers, fn, consume, metrics):
                 binder.slide()
                 continue
             slices = mem_slices + [w.slice() for w in chain]
-            t = max(1, workers)
             if top.pred is None:
-                cuts = uniform_ranges(hi - cur, t) + cur
+                cuts = uniform_ranges(hi - cur, workers) + cur
             else:
-                cuts = partition_by_weight(top.pred[cur:hi], t) + cur
-            tasks = [(int(cuts[i]), int(cuts[i + 1])) for i in range(t)
+                cuts = partition_by_weight(top.pred[cur:hi], workers) + cur
+            tasks = [(int(cuts[i]), int(cuts[i + 1])) for i in range(workers)
                      if cuts[i] < cuts[i + 1]]
             runtime.set_context(slices=slices)
             for (lo, rhi), res in zip(tasks, runtime.map_ranges(fn, tasks, workers)):

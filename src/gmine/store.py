@@ -4,8 +4,10 @@ Level l keeps one id per embedding of size l (its last element) in
 ``vert`` plus an ``off`` array mapping each parent embedding at level
 l-1 to the slice of its children, so a full embedding is recovered by
 walking offsets upward instead of storing k ids per embedding. Level 1
-may be the identity over the seed set, in which case ``vert`` is not
-materialized.
+is always the identity over the seed ids 0..n-1, so its ``vert`` is
+never materialized. A level is either resident (its arrays) or spilled
+(its part files only): a spilled level holds its part list, its
+embedding count and its predictions, and neither ids nor offsets.
 """
 
 import numpy as np
@@ -16,33 +18,42 @@ class InvariantError(ValueError):
 
 
 class Level:
-    __slots__ = ("index", "vert", "off", "pred", "residency", "parts",
-                 "vert_count", "id_width")
+    __slots__ = ("index", "vert", "off", "pred", "parts", "vert_count",
+                 "id_width")
 
-    def __init__(self, index, vert, off, pred=None, id_width=4):
+    def __init__(self, index, vert, off, pred, id_width, parts=None):
         self.index = index          # 1-based size of embeddings here
-        self.vert = vert            # last-id array, or None for identity
+        self.vert = vert            # last-id array, or None (identity or spilled)
         self.off = off              # int64 child-slice boundaries, or None if spilled
         self.pred = pred            # predicted candidate count per embedding
-        self.residency = "mem"
-        self.parts = None           # spill part metadata once written out
+        self.parts = parts          # PartInfo list of a spilled level, else None
         self.id_width = id_width
-        self.vert_count = int(off[-1]) if off is not None else 0
+        if parts is None:
+            self.vert_count = int(off[-1])
+        else:
+            self.vert_count = parts[-1].ve if parts else 0
+
+    @property
+    def residency(self):
+        return "mem" if self.parts is None else "disk"
 
     @property
     def count(self):
         return self.vert_count
 
     def size_bytes(self):
-        """Exact payload footprint of vert plus off.
+        """Footprint of vert plus off, resident or spilled.
 
-        Offsets are 64-bit regardless of id width, so a level of v vert
-        entries and o off entries occupies v * id_width + o * 8 bytes;
-        an identity level contributes only its off bytes.
+        Offsets are 64-bit regardless of id width, so a level of v ids
+        over p parents occupies v * id_width + (p + 1) * 8 bytes; the
+        identity level 1 contributes only its off bytes.
         """
-        vb = 0 if self.vert is None else self.vert_count * self.id_width
-        ob = 0 if self.off is None else len(self.off) * 8
-        return vb + ob
+        if self.parts is None:
+            parents = len(self.off) - 1
+        else:
+            parents = self.parts[-1].pe if self.parts else 0
+        vb = 0 if self.index == 1 else self.vert_count * self.id_width
+        return vb + (parents + 1) * 8
 
 
 class EmbeddingStore:
@@ -79,18 +90,6 @@ class EmbeddingStore:
         self.levels.append(lvl)
         return lvl
 
-    def seed_level1(self, ids, pred=None):
-        """Level 1 over an explicit (filtered) ascending seed array."""
-        if self.levels:
-            raise InvariantError("store already seeded")
-        ids = np.asarray(ids, dtype=self.id_dtype)
-        if len(ids) > 1 and not (np.diff(ids) > 0).all():
-            raise InvariantError("level 1 seeds must be strictly ascending")
-        off = np.array([0, len(ids)], dtype=np.int64)
-        lvl = Level(1, ids, off, pred, self.id_dtype.itemsize)
-        self.levels.append(lvl)
-        return lvl
-
     def append_level(self, vert, off, pred=None):
         """Push level depth+1; validates the structural invariants."""
         if not self.levels:
@@ -121,26 +120,27 @@ class EmbeddingStore:
         self.levels.append(lvl)
         return lvl
 
-    def append_spilled(self, vert_count, off, pred, parts):
-        """Push a level whose vert payload already lives in part files.
+    def append_spilled(self, pred, parts):
+        """Push a level whose ids and offsets live only in part files.
 
-        off may be None when the plan dropped offsets from memory; the
-        part files carry their own off segments for replay.
+        The parts must cover the parents 0..top.count and their child
+        offsets contiguously, in order; the level's count is where the
+        last part's children end.
         """
         if not self.levels:
             raise InvariantError("seed level 1 first")
-        if off is not None:
-            off = np.asarray(off, dtype=np.int64)
-            if len(off) != self.top.count + 1:
-                raise InvariantError("off must have %d entries, got %d"
-                                     % (self.top.count + 1, len(off)))
-            if int(off[-1]) != vert_count:
-                raise InvariantError("off[-1]=%d does not match vert count %d"
-                                     % (int(off[-1]), vert_count))
-        lvl = Level(self.depth + 1, None, off, pred, self.id_dtype.itemsize)
-        lvl.residency = "disk"
-        lvl.parts = parts
-        lvl.vert_count = int(vert_count)
+        ps = vs = 0
+        for p in parts:
+            if p.ps != ps or p.vs != vs or p.pe < p.ps or p.ve < p.vs:
+                raise InvariantError(
+                    "part parents [%d, %d) children [%d, %d) do not continue "
+                    "at parent %d, child %d" % (p.ps, p.pe, p.vs, p.ve, ps, vs))
+            ps, vs = p.pe, p.ve
+        if ps != self.top.count:
+            raise InvariantError("parts cover parents 0..%d, not 0..%d"
+                                 % (ps, self.top.count))
+        lvl = Level(self.depth + 1, None, None, pred, self.id_dtype.itemsize,
+                    parts)
         self.levels.append(lvl)
         return lvl
 

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: exhaustive enumeration,
 permutation search, Laplace expansion. Nothing imports engine internals
-beyond the Graph container and the store's error type, so an engine bug
-cannot hide in its oracle. The one exception is the fingerprint section:
+beyond the Graph container, the store's error type and the result-line
+format, so an engine bug cannot hide in its oracle. The one exception is the fingerprint section:
 classify_triple chains the engine's own fingerprint steps without the
 hasher's cache, for tests that pin those steps down one at a time.
 """
@@ -15,6 +15,7 @@ import numpy as np
 
 from gmine.fingerprint import (PAIR_BIT, _check_k, canonical_sort,
                                char_polynomial, weighted_matrix)
+from gmine.mining import result_lines
 from gmine.store import InvariantError
 
 
@@ -44,6 +45,14 @@ def write_labels(g, path):
     with open(path, "w") as fh:
         for v in range(g.num_vertices):
             fh.write("%d %d\n" % (g.orig_ids[v], g.labels[v]))
+
+
+def write_result(path, items, summary):
+    """Result lines as the CLI's --output writes them, then summary."""
+    with open(path, "w") as fh:
+        for ln in result_lines(items):
+            fh.write(ln + "\n")
+        fh.write(summary + "\n")
 
 
 def is_identity(level):

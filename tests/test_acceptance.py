@@ -19,7 +19,7 @@ from gmine.fingerprint import (PAIR_BIT, PatternHasher, char_polynomial,
                                degrees_from_bits, weighted_matrix)
 from gmine.graph import Graph
 from gmine.mining import (Session, clique_discovery, fsm, motif_count,
-                          result_lines, triangle_count, write_result)
+                          result_lines, triangle_count)
 
 from conftest import DEMO_EDGES, make_random_graph
 from oracles import (bits_from_pairs, brute_cliques, brute_triangles,
@@ -28,7 +28,7 @@ from oracles import (bits_from_pairs, brute_cliques, brute_triangles,
                      is_canonical_edge_extension, is_canonical_extension,
                      iso_oracle, min_perm_form,
                      ordering_is_canonical, ordering_is_canonical_edges,
-                     subgraph_form)
+                     subgraph_form, write_result)
 
 
 def _rows(k, bits):

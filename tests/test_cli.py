@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from gmine import mining
 from gmine.cli import main, parse_size
 
 from conftest import DEMO_EDGES, make_random_graph
@@ -129,6 +130,23 @@ def test_bad_parts_per_level_exit_1(capsys, demo_paths):
                                           "--parts-per-level", bad])
         assert code == 1 and not out
         assert err[0].startswith("gmine: parts per level")
+
+
+def test_bad_workers_exit_1(capsys, demo_paths):
+    for bad in ("0", "-4"):
+        code, out, err = run_cli(capsys, ["tc", demo_paths, "--workers", bad])
+        assert code == 1 and not out
+        assert err[0].startswith("gmine: workers must be at least 1")
+
+
+def test_assertion_error_is_not_caught(demo_paths, monkeypatch):
+    # a broken internal claim surfaces as a traceback, not as exit 1
+    def broken(task):
+        raise AssertionError("broken claim")
+
+    monkeypatch.setattr(mining, "expand_vertex_range", broken)
+    with pytest.raises(AssertionError, match="broken claim"):
+        main(["tc", demo_paths])
 
 
 def test_usage_error_exit_2(demo_paths):

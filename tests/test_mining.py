@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,14 +12,14 @@ from gmine.fingerprint import PAIR_BIT, HashCollisionError, Pattern
 from gmine.graph import Graph
 from gmine.mining import (Session, clique_discovery, fsm, merge_counts,
                           merge_mni, motif_count, result_lines,
-                          triangle_count, write_result)
+                          triangle_count)
 from gmine.spill import BudgetTooSmallError
 from gmine.store import LevelSlice, level_columns
 
 from conftest import make_random_graph
 from oracles import (brute_cliques, brute_mni, brute_motif_counts,
                      brute_triangles, iter_embeddings, min_perm_form,
-                     random_connected_edges)
+                     random_connected_edges, write_result)
 
 
 def pattern_rows(pat):
@@ -330,13 +331,19 @@ def run_variants(tmp_path, fn, req_spill=True):
             continue
         if out[1].get("bytes_spilled"):
             spilled += 1
-            assert os.path.exists(os.path.join(d, "plan.txt"))
+            assert only_part_files(d)
         outs.append(out)
     if req_spill:
         assert spilled >= 1, "no budget case exercised the disk path"
     lines0 = result_lines_of(outs[0])
     for out in outs[1:]:
         assert result_lines_of(out) == lines0
+
+
+def only_part_files(d):
+    """True when d holds spill parts and nothing else."""
+    names = os.listdir(d)
+    return bool(names) and all(re.fullmatch(r"L\d+_P\d+\.cse", n) for n in names)
 
 
 def result_lines_of(out):
@@ -461,7 +468,26 @@ def test_session_keeps_caller_spill_dir(tmp_path):
     g = make_random_graph(2900, 30, 40)
     d = str(tmp_path / "mine")
     motif_count(g, 4, memory_budget=3500, spill_dir=d, parts_per_level=3)
-    assert "plan.txt" in os.listdir(d)
+    assert only_part_files(d)
+
+
+def test_level_bytes_do_not_depend_on_the_budget(tmp_path):
+    # a spilled level reports the footprint of its ids and offsets, as it
+    # would in memory
+    g = make_random_graph(2900, 30, 40)
+    _, base = motif_count(g, 4, parts_per_level=3)
+    _, spilled = motif_count(g, 4, memory_budget=3500, spill_dir=str(tmp_path),
+                             parts_per_level=3)
+    assert spilled["bytes_spilled"] > 0
+    keys = [k for k in base if k.startswith("level_")]
+    assert len(keys) == 8
+    assert {k: spilled[k] for k in keys} == {k: base[k] for k in keys}
+
+
+def test_session_rejects_non_positive_workers(demo_graph):
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            Session(demo_graph, workers=bad)
 
 
 def test_sessions_clear_the_worker_context():

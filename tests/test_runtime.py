@@ -78,11 +78,13 @@ def test_cli_reports_dead_worker(tmp_path):
 
 def test_import_does_not_load_the_pool():
     # map_ranges imports ProcessPoolExecutor on first use; nothing else
-    # may pull concurrent.futures in when gmine is imported
+    # may pull concurrent.futures in when gmine or its CLI is imported
     r = run_script("""
         import sys
         import gmine
         print("concurrent.futures" in sys.modules)
+        import gmine.cli
+        print("concurrent.futures" in sys.modules)
     """)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["False"]
+    assert r.stdout.split() == ["False", "False"]

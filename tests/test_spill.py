@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from gmine import mining, runtime, spill
-from gmine.spill import (BudgetTooSmallError, CorruptPartError, PartWriter,
-                         _Window, part_name, plan_spill, read_part,
-                         replay_top, spill_existing_level, write_manifest,
-                         write_part)
+from gmine.spill import (BudgetTooSmallError, CorruptPartError, PartInfo,
+                         PartWriter, _Window, part_name, plan_spill, read_part,
+                         replay_top, spill_existing_level, write_part)
 from gmine.store import EmbeddingStore, InvariantError, level_columns
 
 from conftest import make_random_graph
@@ -90,57 +89,59 @@ def test_part_swapped_ids_detected(tmp_path):
 
 # -- planning -------------------------------------------------------------------
 
-def test_plan_unlimited_never_spills(demo_graph, tmp_path):
+def test_plan_unlimited_never_spills(demo_graph):
     s = vertex_store_to(demo_graph, 3)
-    plan = plan_spill(s, 0, NEXT_EST, str(tmp_path))
-    assert not plan.any_spill and plan.keep_off
-    assert plan.resident_estimate > 0
+    spill_from, est = plan_spill(s, 0, NEXT_EST, 2)
+    assert spill_from == s.depth + 2
+    assert est > 0
 
 
-def test_plan_progression(demo_graph, tmp_path):
+def test_plan_progression(demo_graph):
+    # depth 3: nothing on disk, then the new level 4, then levels 3-4
     s = vertex_store_to(demo_graph, 3)
-    d = str(tmp_path)
     plans = []
-    budget = plan_spill(s, 0, NEXT_EST, d).resident_estimate
+    budget = plan_spill(s, 0, NEXT_EST, 2)[1]
     while True:
         try:
-            p = plan_spill(s, budget, NEXT_EST, d)
+            p = plan_spill(s, budget, NEXT_EST, 2)
         except BudgetTooSmallError:
             break
+        assert p[1] <= budget
         plans.append(p)
-        budget = p.resident_estimate - 1
-    assert not plans[0].any_spill
-    last = plans[-1]
-    assert last.spill_next and not last.keep_off
-    assert last.spill_levels == (3,)
-    for p in plans:
-        assert 1 not in p.spill_levels and 2 not in p.spill_levels
-        if p.spill_levels:
-            assert p.spill_levels == tuple(range(p.spill_levels[0], 4))
-            assert p.spill_next  # on-disk set is a suffix ending at the newest
-        assert p.resident_estimate <= p.budget
+        budget = p[1] - 1
+    assert [frm for frm, _ in plans] == [5, 4, 3]
+    # each plan charges only what stays resident: levels below spill_from
+    # in full, two parts of each spilled source level, the predictions
+    # of the top and the new level, and the new level's arrays if it
+    # stays in memory
+    nv, no, npred = NEXT_EST
+    l1, l2, l3 = s.levels
+    fixed = l1.size_bytes() + l2.size_bytes() + l3.pred.nbytes + npred
+    assert [est for _, est in plans] == [
+        fixed + l3.size_bytes() + nv + no,
+        fixed + l3.size_bytes(),
+        fixed + 2 * (l3.count * 4 // 2)]
 
 
 def test_plan_once_spilled_stays_spilled(demo_graph, tmp_path):
     s = vertex_store_to(demo_graph, 3)
-    spill_existing_level(s.level(3), str(tmp_path), 2, {}, keep_off=True)
-    plan = plan_spill(s, 10 ** 12, NEXT_EST, str(tmp_path))
-    assert plan.spill_next
-    assert 3 not in plan.spill_levels
+    spill_existing_level(s.level(3), str(tmp_path), 2, {})
+    assert plan_spill(s, 10 ** 12, NEXT_EST, 2)[0] == 3
+    assert plan_spill(s, 0, NEXT_EST, 2)[0] == 3
 
 
-def test_plan_shallow_store_cannot_spill(demo_graph, tmp_path):
+def test_plan_shallow_store_cannot_spill():
     s = EmbeddingStore("vertex")
     s.seed_identity(5)
     with pytest.raises(BudgetTooSmallError):
-        plan_spill(s, 8, (10 ** 6, 10 ** 6, 0), str(tmp_path))
+        plan_spill(s, 8, (10 ** 6, 10 ** 6, 0), 2)
 
 
 def test_spill_refuses_identity(demo_graph, tmp_path):
     s = EmbeddingStore("vertex")
     s.seed_identity(5)
     with pytest.raises(ValueError):
-        spill_existing_level(s.level(1), str(tmp_path), 2, {}, True)
+        spill_existing_level(s.level(1), str(tmp_path), 2, {})
 
 
 # -- part writer -------------------------------------------------------------------
@@ -198,10 +199,12 @@ def test_spill_existing_roundtrip(tmp_path):
     lvl = s.level(3)
     orig_vert = lvl.vert.copy()
     orig_off = lvl.off.copy()
+    footprint = lvl.size_bytes()
     m = {}
-    spill_existing_level(lvl, str(tmp_path), 4, m, keep_off=True)
-    assert lvl.residency == "disk" and lvl.vert is None
-    assert lvl.off is not None and lvl.vert_count == len(orig_vert)
+    spill_existing_level(lvl, str(tmp_path), 4, m)
+    assert lvl.residency == "disk" and lvl.vert is None and lvl.off is None
+    assert lvl.vert_count == len(orig_vert)
+    assert lvl.size_bytes() == footprint
     assert m["bytes_spilled"] > 0
     rv, ro = rebuild_from_parts(lvl.parts, np.int32)
     assert rv.tolist() == orig_vert.tolist()
@@ -212,12 +215,39 @@ def test_spill_existing_roundtrip(tmp_path):
         extract(s, 3, 0)
 
 
+def test_append_spilled_checks_part_coverage():
+    s = EmbeddingStore("vertex")
+    s.seed_identity(5)
+    s.append_level([1, 4, 2, 4, 3, 4, 4], [0, 2, 4, 6, 7, 7])
+
+    def parts(*spans):
+        return [PartInfo("L3_P%d.cse" % i, 3, ps, pe, vs, ve, 0)
+                for i, (ps, pe, vs, ve) in enumerate(spans)]
+
+    bad = {
+        "parent gap": parts((0, 3, 0, 4), (4, 7, 4, 8)),
+        "parent overlap": parts((0, 3, 0, 4), (2, 7, 4, 8)),
+        "child gap": parts((0, 3, 0, 4), (3, 7, 5, 8)),
+        "child overlap": parts((0, 3, 0, 4), (3, 7, 3, 8)),
+        "short coverage": parts((0, 3, 0, 4), (3, 6, 4, 8)),
+        "no parts": [],
+    }
+    for name, spans in bad.items():
+        with pytest.raises(InvariantError):
+            s.append_spilled(None, spans)
+        assert s.depth == 2, name
+    lvl = s.append_spilled(None, parts((0, 3, 0, 4), (3, 3, 4, 4), (3, 7, 4, 8)))
+    assert lvl.residency == "disk" and lvl.count == 8
+    assert lvl.vert is None and lvl.off is None
+    assert lvl.size_bytes() == 8 * 4 + 8 * 8
+
+
 # -- windows ----------------------------------------------------------------------
 
 def test_window_loads_one_part_at_a_time(tmp_path, monkeypatch):
     g = make_random_graph(22, 16, 24)
     s = vertex_store_to(g, 3)
-    spill_existing_level(s.level(3), str(tmp_path), 5, {}, keep_off=True)
+    spill_existing_level(s.level(3), str(tmp_path), 5, {})
     lvl = s.level(3)
     assert len(lvl.parts) > 2
     loaded = []
@@ -246,7 +276,7 @@ def test_window_loads_one_part_at_a_time(tmp_path, monkeypatch):
 def test_window_rejects_level_mismatch(tmp_path):
     g = make_random_graph(23, 12, 14)
     s = vertex_store_to(g, 3)
-    spill_existing_level(s.level(3), str(tmp_path), 2, {}, keep_off=True)
+    spill_existing_level(s.level(3), str(tmp_path), 2, {})
     p0, p1 = s.level(3).parts[:2]
     good = open(p1.path, "rb").read()
     v, o, _ = read_part(p1.path, np.int32)
@@ -268,11 +298,11 @@ def expected_embeddings(g, depth):
     return [(o, extract(s, depth, o)) for o in range(s.top.count)]
 
 
-def run_replay(g, depth, spill_from, parts, keep_off, workers, tmp_path):
+def run_replay(g, depth, spill_from, parts, workers, tmp_path):
     s = vertex_store_to(g, depth)
     m = {}
     for li in range(spill_from, depth + 1):
-        spill_existing_level(s.level(li), str(tmp_path), parts, m, keep_off)
+        spill_existing_level(s.level(li), str(tmp_path), parts, m)
     got = []
 
     def consume(lo, hi, res):
@@ -282,29 +312,30 @@ def run_replay(g, depth, spill_from, parts, keep_off, workers, tmp_path):
     return got, m
 
 
-@pytest.mark.parametrize("spill_from,parts,keep_off", [
-    (4, 3, True),     # top level only
-    (3, 3, True),     # two-level window chain
-    (3, 2, False),    # offsets dropped from memory entirely
-    (3, 7, True),     # more parts than some levels have slices
+@pytest.mark.parametrize("spill_from,parts", [
+    (4, 3),     # top level only
+    (3, 3),     # two-level window chain
+    (3, 2),     # two parts per level
+    (3, 7),     # more parts than some levels have slices
 ])
-def test_replay_matches_memory(tmp_path, spill_from, parts, keep_off):
+def test_replay_matches_memory(tmp_path, spill_from, parts):
     g = make_random_graph(31, 14, 18)
     want = expected_embeddings(g, 4)
-    got, m = run_replay(g, 4, spill_from, parts, keep_off, 1, tmp_path)
+    got, m = run_replay(g, 4, spill_from, parts, 1, tmp_path)
     assert got == want
     assert m["parts_loaded"] >= parts
     assert m["bytes_read"] > 0
 
 
-@pytest.mark.parametrize("keep_off", [True, False])
-def test_level_columns_match_replay_windows(tmp_path, keep_off):
+@pytest.mark.parametrize("spill_lower", [True, False])
+def test_level_columns_match_replay_windows(tmp_path, spill_lower):
+    # the top's windows alone, or chained to a spilled level 3
     g = make_random_graph(34, 16, 22)
     s = vertex_store_to(g, 4)
     assert (np.diff(s.level(4).off) == 0).any()  # childless parents
     want = expected_embeddings(g, 4)
-    for li in (3, 4):
-        spill_existing_level(s.level(li), str(tmp_path), 9, {}, keep_off)
+    for li in (3, 4) if spill_lower else (4,):
+        spill_existing_level(s.level(li), str(tmp_path), 9, {})
     assert len(s.level(4).parts) > 4
     got = []
     replay_top(s, 1, columns_range, lambda lo, hi, res: got.extend(res), {})
@@ -314,14 +345,14 @@ def test_level_columns_match_replay_windows(tmp_path, keep_off):
 def test_replay_multiprocess_matches(tmp_path):
     g = make_random_graph(32, 14, 18)
     want = expected_embeddings(g, 4)
-    got, _ = run_replay(g, 4, 3, 3, True, 3, tmp_path)
+    got, _ = run_replay(g, 4, 3, 3, 3, tmp_path)
     assert got == want
 
 
 def test_replay_requires_suffix(tmp_path):
     g = make_random_graph(33, 12, 14)
     s = vertex_store_to(g, 4)
-    spill_existing_level(s.level(3), str(tmp_path), 2, {}, True)
+    spill_existing_level(s.level(3), str(tmp_path), 2, {})
     with pytest.raises(AssertionError):
         replay_top(s, 1, collect_range, lambda *a: None, {})
 
@@ -336,7 +367,7 @@ def test_replay_requires_suffix_under_optimize(tmp_path):
         from test_explore import vertex_store_to
         from test_spill import collect_range
         s = vertex_store_to(make_random_graph(33, 12, 14), 4)
-        spill_existing_level(s.level(3), %r, 2, {}, True)
+        spill_existing_level(s.level(3), %r, 2, {})
         try:
             replay_top(s, 1, collect_range, lambda *a: None, {})
         except AssertionError as e:
@@ -405,12 +436,3 @@ def test_failed_spilled_explore_leaves_no_thread(tmp_path, monkeypatch):
     assert threading.active_count() == before
     assert os.listdir(str(tmp_path)) == []
 
-
-def test_manifest_lists_parts(tmp_path, demo_graph):
-    s = vertex_store_to(demo_graph, 3)
-    spill_existing_level(s.level(3), str(tmp_path), 2, {}, True)
-    write_manifest(str(tmp_path), s)
-    text = open(str(tmp_path / "plan.txt")).read()
-    assert "level=3" in text
-    for p in s.level(3).parts:
-        assert os.path.basename(p.path) in text

@@ -86,8 +86,8 @@ def test_level_columns_match_iteration():
 
 def test_level_columns_explicit_seeds_and_windows():
     s = EmbeddingStore("edge")
-    s.seed_level1([1, 3, 4, 6, 9])
-    s.append_level([3, 6, 9, 4, 9], [0, 3, 3, 5, 5, 5])
+    s.seed_identity(5)
+    s.append_level([1, 3, 4, 3, 4], [0, 3, 3, 5, 5, 5])
     slices = [LevelSlice.of(l) for l in s.levels]
     want = [tuple(e) for _, e in iter_embeddings(slices, 0, 5)]
     assert columns_as_rows(slices, 0, 5) == want
@@ -156,15 +156,6 @@ def test_seed_twice_rejected():
     s.seed_identity(3)
     with pytest.raises(InvariantError):
         s.seed_identity(3)
-
-
-def test_filtered_seed():
-    s = EmbeddingStore("edge")
-    s.seed_level1([0, 2, 5])
-    assert s.top.count == 3
-    assert extract(s, 1, 1) == (2,)
-    with pytest.raises(InvariantError):
-        EmbeddingStore("edge").seed_level1([3, 1])
 
 
 def test_level_slice_windows():
