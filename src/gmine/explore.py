@@ -9,13 +9,15 @@ k to k+1 visits each subgraph exactly once with no duplicate checks.
 
 The edge-induced variant orders edges by their id in the sorted edge
 table and applies the same head/attachment rules to edge ids. One
-array kernel expands both. Each member id touches ascending candidate
-lists in a CSR: its neighbor slice for a vertex, the incident-edge
-slices of both endpoints for an edge. The kernel reads blocks of
-parents as id columns, gathers every member's lists tagged with the
-member's position, and sorts the (parent, candidate, position) keys:
-the first key of each run is the candidate's earliest attachment, and
-the rules, the filters and the predictions become array compares.
+array kernel expands both, over whatever CSR the session publishes.
+Each member id touches ascending candidate lists in it: a vertex its
+own row (its neighbors, or for cliques its out-neighbors in the rank
+DAG, whose ids are ranks), an edge the incident-edge rows of both
+endpoints. The kernel reads blocks of parents as id columns, gathers
+every member's lists tagged with the member's position, and sorts the
+(parent, candidate, position) keys: the first key of each run is the
+candidate's earliest attachment, and the rules, the filters and the
+predictions become array compares.
 """
 
 import numpy as np
@@ -29,13 +31,10 @@ from .store import level_columns
 BLOCK = 1 << 13
 GATHER = 1 << 13
 
-# Filter that keeps a vertex candidate only when it is adjacent to every
-# member of its parent: in vertex mode that is a run of length k.
+# Filter that keeps a vertex candidate only when it is in every member's
+# list, a run of length k: adjacent to every member over the adjacency,
+# and also ranked above every member over the rank DAG.
 CLIQUE = "clique"
-
-
-def vertex_seed_preds(g):
-    return g.degrees.astype(np.int32)
 
 
 def edge_seed_preds(g):

@@ -35,6 +35,7 @@ class Graph:
         self._edge_u = None
         self._edge_v = None
         self._inc_ids = None
+        self._dag = None
 
     # -- construction -------------------------------------------------
 
@@ -157,6 +158,28 @@ class Graph:
         off = self.offsets.view()
         off.flags.writeable = False
         return off, self._inc_ids
+
+    @property
+    def rank_dag(self):
+        """(offsets, ids), read-only: the graph oriented by rank, where
+        vertices rank by (degree, id). Row r holds, ascending, the ranks
+        above r among the neighbors of the vertex ranked r, so each edge
+        appears once (Chiba and Nishizeki, 1985)."""
+        if self._dag is None:
+            n = self.num_vertices
+            rank = np.empty(n, dtype=self.neighbor_ids.dtype)
+            rank[np.argsort(self.degrees, kind="stable")] = np.arange(n)
+            src = np.repeat(rank, self.degrees)
+            dst = rank[self.neighbor_ids]
+            up = src < dst
+            src, dst = src[up], dst[up]
+            del up
+            ids = dst[np.argsort(src * np.int64(n) + dst, kind="stable")]
+            off = np.zeros(n + 1, dtype=_dtype_for(self.num_edges))
+            np.cumsum(np.bincount(src, minlength=n), out=off[1:])
+            off.flags.writeable = ids.flags.writeable = False
+            self._dag = off, ids
+        return self._dag
 
     @property
     def edge_u(self):

@@ -19,7 +19,7 @@ import numpy as np
 from . import runtime
 from .explore import (CLIQUE, GATHER, chunks, edge_seed_preds, expand_vertex_range,
                       in_sorted, partition_by_weight, ragged, run_heads,
-                      uniform_ranges, vertex_seed_preds)
+                      uniform_ranges)
 from .explore import expand_edge_range  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 1)
 from .fingerprint import PAIR_BIT, PatternHasher, check_same_pattern
 from .spill import PartWriter, plan_spill, replay_top, spill_existing_level
@@ -288,6 +288,9 @@ class Session:
         if self.workers < 1:
             raise ValueError("workers must be at least 1, got %d" % self.workers)
         self.budget = int(memory_budget or 0)
+        if self.budget < 0:
+            raise ValueError("memory budget must not be negative, got %d"
+                             % self.budget)
         self.parts_per_level = int(self.workers if parts_per_level is None
                                    else parts_per_level)
         if self.parts_per_level < 1:
@@ -303,8 +306,13 @@ class Session:
 
     # -- seeding -----------------------------------------------------
 
-    def seed_vertices(self):
-        self.cse.seed_identity(self.g.num_vertices, pred=vertex_seed_preds(self.g))
+    def seed_vertices(self, csr=None):
+        """Seed level 1 as the identity over the rows of csr, by default
+        the graph's adjacency, each predicting its row length, and
+        expand every level over csr."""
+        self.csr = (self.g.offsets, self.g.neighbor_ids) if csr is None else csr
+        self.cse.seed_identity(len(self.csr[0]) - 1,
+                               pred=np.diff(self.csr[0]).astype(np.int32))
         self._note_level()
 
     def seed_edges(self):
@@ -321,8 +329,7 @@ class Session:
     def _publish_base(self):
         g = self.g
         if self.mode == "vertex":
-            runtime.set_context(csr=(g.offsets, g.neighbor_ids), ends=None,
-                                num_ids=g.num_vertices)
+            runtime.set_context(csr=self.csr, ends=None, num_ids=g.num_vertices)
         else:
             runtime.set_context(graph=g, vertex_ids=list(range(g.num_vertices)),
                                 csr=g.incident_csr, ends=(g.edge_u, g.edge_v),
@@ -367,8 +374,9 @@ class Session:
         """Grow the store by one level, spilling per the plan.
 
         flt keeps a candidate id c only where the boolean id mask flt[c]
-        is true, or, as explore.CLIQUE, only where c is adjacent to every
-        member; alive keeps a top-level parent only where alive[parent].
+        is true, or, as explore.CLIQUE, only where c is in every member's
+        list of the published CSR; alive keeps a top-level parent only
+        where alive[parent].
         """
         t0 = time.perf_counter()
         if not self._base_ctx_set:
@@ -469,12 +477,20 @@ def motif_count(g, k, workers=1, memory_budget=0, spill_dir=None,
 
 def clique_discovery(g, k, workers=1, memory_budget=0, spill_dir=None,
                      parts_per_level=None):
-    """Count k-cliques, 3 <= k <= 8, by filtered exploration."""
+    """Count k-cliques, 3 <= k <= 8, over the graph's rank DAG.
+
+    Level 1 holds the ranks of Graph.rank_dag and every level expands
+    over its out-lists with the CLIQUE filter. A candidate in all of a
+    clique's out-lists is adjacent to and ranked above every member, so
+    level j holds each j-clique once, as its ascending rank sequence,
+    and a clique touches only the out-lists, which skip the lower ranks
+    of its hub members.
+    """
     if not 3 <= k <= 8:
         raise ValueError("clique size must be 3..8")
     with Session(g, "vertex", workers, memory_budget, spill_dir,
                  parts_per_level, labeled=False) as s:
-        s.seed_vertices()
+        s.seed_vertices(g.rank_dag)
         for size in range(2, k + 1):
             s.explore(flt=CLIQUE, want_pred=size < k)
     return s.cse.top.count, s.metrics

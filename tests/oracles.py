@@ -299,6 +299,16 @@ def brute_cliques(g, k):
     return total
 
 
+def rank_dag_lists(g):
+    """Per rank, the ascending ranks of the higher-ranked neighbors of
+    the vertex of that rank, vertices ranked by (degree, id): the plain
+    form of Graph.rank_dag."""
+    order = sorted(range(g.num_vertices), key=lambda v: (g.degree(v), v))
+    rank = {v: r for r, v in enumerate(order)}
+    return [sorted(rank[w] for w in g.neighbors(v).tolist() if rank[w] > r)
+            for r, v in enumerate(order)]
+
+
 def brute_mni(g, k_edges):
     """Exact minimum-image supports for every connected k-edge pattern.
 

@@ -6,7 +6,7 @@ import pytest
 
 from gmine import explore
 from gmine.explore import (CLIQUE, edge_seed_preds, partition_by_weight,
-                           uniform_ranges, vertex_seed_preds)
+                           uniform_ranges)
 from gmine.graph import Graph
 from gmine.mining import Session
 from gmine.spill import read_part
@@ -224,7 +224,9 @@ def test_predict_streamed_matches_brute_edges():
 
 
 def test_seed_preds(demo_graph):
-    assert vertex_seed_preds(demo_graph).tolist() == [2, 3, 3, 2, 4]
+    with Session(demo_graph, "vertex") as s:
+        s.seed_vertices()
+        assert s.cse.top.pred.tolist() == [2, 3, 3, 2, 4]
     ep = edge_seed_preds(demo_graph)
     u, v = edge_endpoints(demo_graph, 0)
     assert ep[0] == demo_graph.degree(u) + demo_graph.degree(v) - 2

@@ -6,8 +6,8 @@ import pytest
 from gmine.graph import Graph, GraphFormatError, load_graph
 
 from conftest import DEMO_EDGES, make_random_graph
-from oracles import (check_link, edge_endpoints, incident_edges, write_edge_list,
-                     write_labels)
+from oracles import (check_link, edge_endpoints, incident_edges, rank_dag_lists,
+                     write_edge_list, write_labels)
 
 
 def test_demo_graph_shape(demo_graph):
@@ -144,3 +144,31 @@ def test_incident_csr_matches_plain_construction():
         off, ids = g.incident_csr
         assert not off.flags.writeable and not ids.flags.writeable
         assert [ids[off[v]:off[v + 1]].tolist() for v in range(n)] == inc
+
+
+def test_rank_dag_matches_plain_construction():
+    for trial in range(20):
+        g = make_random_graph(3700 + trial, 18, 3 * trial)
+        n = g.num_vertices
+        # isolated vertices: a self-loop adds its vertex and no edge
+        g = Graph.from_edges([(u, v) for u in range(n) for v in g.neighbors(u).tolist()]
+                             + [(n + i, n + i) for i in range(trial % 4)])
+        off, ids = g.rank_dag
+        assert off.dtype == ids.dtype == np.int32
+        assert not off.flags.writeable and not ids.flags.writeable
+        rows = [ids[off[r]:off[r + 1]].tolist() for r in range(g.num_vertices)]
+        assert rows == rank_dag_lists(g)
+        # each edge once, from the lower rank to the higher, rows ascending
+        assert len(ids) == g.num_edges
+        assert all(a < b for r, row in enumerate(rows) for a, b in zip([r] + row, row))
+
+
+def test_rank_dag_ties_and_empty():
+    # a 6-cycle ties every degree, so ranks follow ids
+    cyc = Graph.from_edges([(i, (i + 1) % 6) for i in range(6)])
+    off, ids = cyc.rank_dag
+    assert [ids[off[r]:off[r + 1]].tolist() for r in range(6)] == \
+        [[1, 5], [2], [3], [4], [5], []]
+    for g in (Graph.from_edges([(0, 0), (1, 1)]), Graph.from_edges([])):
+        off, ids = g.rank_dag
+        assert off.tolist() == [0] * (g.num_vertices + 1) and len(ids) == 0

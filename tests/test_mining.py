@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gmine import fingerprint, mining, runtime
-from gmine.explore import partition_by_weight, uniform_ranges
+from gmine.explore import CLIQUE, partition_by_weight, uniform_ranges
 from gmine.fingerprint import PAIR_BIT, HashCollisionError, Pattern
 from gmine.graph import Graph
 from gmine.mining import (Session, clique_discovery, fsm, merge_counts,
@@ -18,8 +18,8 @@ from gmine.store import LevelSlice, level_columns
 
 from conftest import make_random_graph
 from oracles import (brute_cliques, brute_mni, brute_motif_counts,
-                     brute_triangles, iter_embeddings, min_perm_form,
-                     random_connected_edges, write_result)
+                     brute_triangles, extract, iter_embeddings, min_perm_form,
+                     random_connected_edges, rank_dag_lists, write_result)
 
 
 def pattern_rows(pat):
@@ -105,11 +105,52 @@ def test_cliques_demo_and_complete(demo_graph):
             assert clique_discovery(g, k)[0] == math.comb(n, k)
 
 
-def test_cliques_match_brute():
-    for trial in range(8):
-        g = make_random_graph(2200 + trial, 16, 40)
-        for k in (3, 4, 5):
-            assert clique_discovery(g, k)[0] == brute_cliques(g, k)
+def clique_gate_graphs():
+    """Random graphs, a star joined to a 6-clique (one hub), a circulant
+    graph whose ties on degree leave the rank to the id, and an edgeless
+    graph."""
+    graphs = [make_random_graph(3800 + t, 14, 20 + 5 * t) for t in range(12)]
+    graphs.append(Graph.from_edges([(0, i) for i in range(1, 12)]
+                                   + [(a, b) for a in range(6, 12)
+                                      for b in range(a + 1, 12)]))
+    graphs.append(Graph.from_edges([(i, (i + d) % 14) for i in range(14)
+                                    for d in (1, 2, 3)]))
+    graphs.append(Graph.from_edges([(i, i) for i in range(5)]))
+    return graphs
+
+
+def test_cliques_match_brute(tmp_path):
+    for i, g in enumerate(clique_gate_graphs()):
+        for k in range(3, 9):
+            want = brute_cliques(g, k)
+            got, m = clique_discovery(g, k)
+            assert got == want, (i, k)
+            assert clique_discovery(g, k, workers=2)[0] == want, (i, k)
+            if g.num_edges == 0:
+                continue  # no level holds an id, so nothing can spill
+            # one byte below the peak forces the plan onto disk
+            got, sm = clique_discovery(g, k, memory_budget=m["peak_resident_estimate"] - 1,
+                                       spill_dir=str(tmp_path / ("%d_%d" % (i, k))),
+                                       parts_per_level=3)
+            assert sm["bytes_spilled"] > 0, (i, k)
+            assert got == want, (i, k)
+
+
+def test_clique_levels_predict_their_out_list_unions():
+    for trial in range(6):
+        g = make_random_graph(3900 + trial, 16, 30 + 6 * trial)
+        dag = rank_dag_lists(g)
+        with Session(g, "vertex") as s:
+            s.seed_vertices(g.rank_dag)
+            assert s.cse.top.pred.tolist() == [len(row) for row in dag]
+            for size in range(2, 6):
+                s.explore(flt=CLIQUE)
+                top = s.cse.top
+                for o in range(top.count):
+                    emb = extract(s.cse, top.index, o)
+                    union = set().union(*(dag[r] for r in emb))
+                    assert list(emb) == sorted(emb)
+                    assert top.pred[o] == len(union - set(emb)), (trial, size, o)
 
 
 def test_clique_rejects_bad_k(demo_graph):
@@ -482,6 +523,13 @@ def test_level_bytes_do_not_depend_on_the_budget(tmp_path):
     keys = [k for k in base if k.startswith("level_")]
     assert len(keys) == 8
     assert {k: spilled[k] for k in keys} == {k: base[k] for k in keys}
+
+
+def test_session_rejects_a_negative_budget(demo_graph):
+    with pytest.raises(ValueError, match="memory budget must not be negative"):
+        Session(demo_graph, memory_budget=-5)
+    with pytest.raises(ValueError, match="memory budget must not be negative"):
+        clique_discovery(demo_graph, 3, memory_budget=-5)
 
 
 def test_session_rejects_non_positive_workers(demo_graph):
