@@ -17,8 +17,8 @@ from .mining import (clique_discovery, fsm, motif_count, result_lines,
 from .spill import BudgetTooSmallError, CorruptPartError
 from .store import InvariantError
 
-RUN_FAILURES = (BudgetTooSmallError, CorruptPartError, HashCollisionError,
-                InvariantError, ValueError, OSError)
+RUN_FAILURES = (BudgetTooSmallError, CorruptPartError, GraphFormatError,
+                HashCollisionError, InvariantError, ValueError, OSError)
 
 
 def run_failures():
@@ -95,16 +95,12 @@ def _emit(lines, out_path, summary):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    t0 = time.perf_counter()
-    try:
-        g = load_graph(args.graph, args.labels)
-    except GraphFormatError as e:
-        print("gmine: %s" % e, file=sys.stderr)
-        return 1
-    load_s = time.perf_counter() - t0
     kw = dict(workers=args.workers, memory_budget=args.memory_budget,
               spill_dir=args.spill_dir, parts_per_level=args.parts_per_level)
     try:
+        t0 = time.perf_counter()
+        g = load_graph(args.graph, args.labels)
+        load_s = time.perf_counter() - t0
         if args.cmd == "motif":
             items, metrics = motif_count(g, args.k, **kw)
             lines = result_lines(items)

@@ -2,14 +2,36 @@
 
 import numpy as np
 
+from .explore import run_heads
+
+ID_MAX = 2 ** 63 - 1      # input vertex ids are int64
+LABEL_MAX = 2 ** 31 - 1   # labels are int32
+
 
 class GraphFormatError(ValueError):
-    """Malformed graph or label file (message carries a 1-based line number)."""
+    """Malformed graph or label input (from a file: path and 1-based line)."""
 
 
 def _dtype_for(n):
     # 32-bit ids unless the id space outgrows them
     return np.int32 if n <= 0x7FFFFFFF else np.int64
+
+
+def _out_of_range(what, value, top):
+    return ("negative %s %d" % (what, value) if value < 0
+            else "%s %d out of range 0..%d" % (what, value, top))
+
+
+def _int64_array(values, what, top):
+    """values as an int64 array, each checked to lie in 0..top."""
+    try:
+        a = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise GraphFormatError("%s out of range 0..%d" % (what, top)) from None
+    if a.size and not 0 <= a.min() <= a.max() <= top:
+        bad = a.min() if a.min() < 0 else a.max()
+        raise GraphFormatError(_out_of_range(what, int(bad), top))
+    return a
 
 
 class Graph:
@@ -41,55 +63,32 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges, labels=None):
-        """Build from an iterable of (u, v) pairs with arbitrary ids.
+        """Build from an iterable of (u, v) pairs with ids in 0..2^63-1.
 
-        ``labels`` is an optional {orig_id: label} mapping; vertices it
-        does not cover get label 0.
+        ``labels`` is an optional {orig_id: label} mapping with labels in
+        0..2^31-1; vertices it does not cover get label 0, and ids that
+        are not in the graph are ignored.
         """
-        pairs = set()
-        ids = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u < 0 or v < 0:
-                raise GraphFormatError("negative vertex id %d" % min(u, v))
-            ids.add(u)
-            ids.add(v)
-            if u == v:
-                continue
-            pairs.add((u, v) if u < v else (v, u))
-        orig = np.array(sorted(ids), dtype=np.int64)
+        e = _int64_array(list(edges), "vertex id", ID_MAX)
+        if e.size and e.shape[1:] != (2,):
+            raise GraphFormatError("edges must be (u, v) pairs")
+        orig, inv = np.unique(e, return_inverse=True)
         n = len(orig)
-        remap = {int(o): i for i, o in enumerate(orig)}
-        dt = _dtype_for(n)
-        deg = np.zeros(n, dtype=np.int64)
-        ulist = np.empty(len(pairs), dtype=dt)
-        vlist = np.empty(len(pairs), dtype=dt)
-        for i, (a, b) in enumerate(pairs):
-            a, b = remap[a], remap[b]
-            ulist[i] = a
-            vlist[i] = b
-            deg[a] += 1
-            deg[b] += 1
+        # the inverse's shape changed across numpy 2.0.x; fix it to (m, 2)
+        a, b = inv.reshape(-1, 2).T
+        keep = a != b  # drop self-loops; each other pair goes in both directions
+        a, b = a[keep], b[keep]
+        keys = np.sort(np.concatenate((a * n + b, b * n + a)))
+        keys = keys[run_heads(keys)]
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=offsets[1:])
-        fill = offsets[:-1].copy()
-        nbr = np.empty(len(pairs) * 2, dtype=dt)
-        for a, b in zip(ulist, vlist):
-            nbr[fill[a]] = b
-            fill[a] += 1
-            nbr[fill[b]] = a
-            fill[b] += 1
-        for i in range(n):  # per-slice sort keeps slices strictly ascending
-            nbr[offsets[i]:offsets[i + 1]].sort()
+        np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
+        nbr = (keys % n).astype(_dtype_for(n))
         lab = np.zeros(n, dtype=np.int32)
         if labels:
-            for o, l in labels.items():
-                l = int(l)
-                if l < 0:
-                    raise GraphFormatError("negative label %d for vertex %d" % (l, o))
-                i = remap.get(int(o))
-                if i is not None:
-                    lab[i] = l
+            ids = _int64_array(list(labels), "vertex id", ID_MAX)
+            vals = _int64_array(list(labels.values()), "label", LABEL_MAX)
+            hit = np.isin(ids, orig)
+            lab[np.searchsorted(orig, ids[hit])] = vals[hit]
         return cls(offsets, nbr, lab, orig)
 
     # -- queries ------------------------------------------------------
@@ -205,38 +204,38 @@ class Graph:
             self.num_vertices, self.num_edges, self.max_label + 1)
 
 
-def _parse_pairs(path):
-    with open(path) as fh:
-        for no, line in enumerate(fh, 1):
-            s = line.strip()
-            if not s or s[0] in "#%":
-                continue
-            parts = s.split()
-            if len(parts) < 2:
-                raise GraphFormatError("%s:%d: expected two ids, got %r" % (path, no, s))
-            try:
-                yield no, int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError("%s:%d: non-integer field in %r" % (path, no, s)) from None
+def _read_pairs(path, what="vertex id", top=ID_MAX):
+    """The (vertex id, second column) int pairs of path's data lines,
+    each checked against its range; errors name path:line."""
+    pairs = []
+    try:
+        with open(path) as fh:
+            for no, line in enumerate(fh, 1):
+                parts = line.split()
+                if not parts or parts[0][0] in "#%":
+                    continue
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except (IndexError, ValueError):
+                    raise GraphFormatError("%s:%d: expected two integers, got %r"
+                                           % (path, no, line.strip())) from None
+                if not (0 <= u <= ID_MAX and 0 <= v <= top):
+                    bad = (what, v, top) if 0 <= u <= ID_MAX else ("vertex id", u, ID_MAX)
+                    raise GraphFormatError("%s:%d: %s" % (path, no, _out_of_range(*bad)))
+                pairs.append((u, v))
+    except (OSError, UnicodeDecodeError) as e:
+        raise GraphFormatError("cannot read %s: %s" % (path, e)) from None
+    return pairs
 
 
 def load_graph(edge_path, label_path=None):
     """Load an undirected graph from a whitespace edge list.
 
-    Lines starting with '#' or '%' and blank lines are skipped. Each data
-    line is "u v". The optional label file holds "vertex_id label_id"
-    lines in the same format; original ids are matched before
+    Blank lines and lines starting with '#' or '%' are skipped. Each data
+    line is "u v"; further columns are ignored. The optional label file
+    holds "vertex_id label" lines in the same format, and a later line for
+    an id overrides an earlier one. Original ids are matched before
     densification and ids unseen in the edge list are ignored.
     """
-    try:
-        edges = [(u, v) for _, u, v in _parse_pairs(edge_path)]
-    except GraphFormatError:
-        raise
-    except OSError as e:
-        raise GraphFormatError("cannot read %s: %s" % (edge_path, e)) from None
-    labels = None
-    if label_path is not None:
-        labels = {}
-        for _, vid, lab in _parse_pairs(label_path):
-            labels[vid] = lab
-    return Graph.from_edges(edges, labels)
+    labels = None if label_path is None else dict(_read_pairs(label_path, "label", LABEL_MAX))
+    return Graph.from_edges(_read_pairs(edge_path), labels)

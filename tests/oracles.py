@@ -34,6 +34,24 @@ def edge_endpoints(g, eid):
     return int(g.edge_u[eid]), int(g.edge_v[eid])
 
 
+def reference_graph_arrays(edges, labels=None):
+    """Graph.from_edges' (offsets, neighbor_ids, labels, orig_ids) built
+    the plain way: a sorted set of dense directed pairs without
+    self-loops, a dict of neighbor lists, one label lookup per vertex."""
+    edges = [(int(u), int(v)) for u, v in edges]
+    ids = sorted({x for e in edges for x in e})
+    dense = {o: i for i, o in enumerate(ids)}
+    pairs = sorted({(dense[u], dense[v]) for u, v in edges if u != v}
+                   | {(dense[v], dense[u]) for u, v in edges if u != v})
+    adj = {i: [] for i in range(len(ids))}
+    for a, b in pairs:
+        adj[a].append(b)
+    offsets = np.array([0] + [len(adj[i]) for i in range(len(ids))], dtype=np.int64).cumsum()
+    nbr = np.array([w for i in range(len(ids)) for w in adj[i]], dtype=np.int32)
+    lab = np.array([(labels or {}).get(o, 0) for o in ids], dtype=np.int32)
+    return offsets, nbr, lab, np.array(ids, dtype=np.int64)
+
+
 def write_edge_list(g, path):
     """Write back as a sorted edge list over original ids (round-trips)."""
     with open(path, "w") as fh:

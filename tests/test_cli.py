@@ -97,18 +97,29 @@ def test_cli_deterministic_across_options(capsys, tmp_path):
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_missing_file_exit_1(capsys, tmp_path):
-    code, out, err = run_cli(capsys, ["tc", str(tmp_path / "absent.edges")])
-    assert code == 1 and not out
-    assert err and err[0].startswith("gmine:")
+def test_missing_file_exit_1(capsys, tmp_path, demo_paths):
+    for argv in (["tc", str(tmp_path / "absent.edges")],
+                 ["tc", demo_paths, "--labels", str(tmp_path / "absent.labels")]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and not out
+        assert len(err) == 1 and err[0].startswith("gmine: cannot read %s:" % argv[-1])
 
 
 def test_malformed_graph_exit_1(capsys, tmp_path):
+    # one "gmine: path:line: ..." line and no traceback for each bad input
     ep = str(tmp_path / "bad.edges")
-    open(ep, "w").write("1 2\n3\n")
-    code, _, err = run_cli(capsys, ["tc", ep])
-    assert code == 1
-    assert "bad.edges:2" in err[0]
+    lp = str(tmp_path / "bad.labels")
+    for edge_text, label_text, expect in (
+            ("1 2\n3\n", "", "bad.edges:2: expected two integers"),
+            ("# ids\n1 -3\n", "", "bad.edges:2: negative vertex id -3"),
+            ("1 2\n%d 1\n" % 2 ** 63, "", "bad.edges:2: vertex id %d out of range" % 2 ** 63),
+            ("1 2\n", "1 -2\n", "bad.labels:1: negative label -2"),
+            ("1 2\n", "1 0\n1 2147483648\n", "bad.labels:2: label 2147483648 out of range")):
+        open(ep, "w").write(edge_text)
+        open(lp, "w").write(label_text)
+        code, out, err = run_cli(capsys, ["tc", ep, "--labels", lp])
+        assert code == 1 and not out
+        assert len(err) == 1 and err[0].startswith("gmine: ") and expect in err[0]
 
 
 def test_budget_too_small_exit_1(capsys, demo_paths):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from gmine.graph import Graph, GraphFormatError, load_graph
 
 from conftest import DEMO_EDGES, make_random_graph
 from oracles import (check_link, edge_endpoints, incident_edges, rank_dag_lists,
-                     write_edge_list, write_labels)
+                     reference_graph_arrays, write_edge_list, write_labels)
 
 
 def test_demo_graph_shape(demo_graph):
@@ -44,9 +45,24 @@ def test_duplicates_and_self_loops_dropped():
     assert g.degree(2) == 0 or g.orig_ids.tolist() == [1, 2, 3]
 
 
-def test_negative_ids_rejected():
-    with pytest.raises(GraphFormatError):
-        Graph.from_edges([(0, -1)])
+def test_negative_ids_rejected(tmp_path):
+    for edges, labels, msg in (([(0, -1)], None, "negative vertex id -1"),
+                               ([(2 ** 63, 1)], None, "vertex id out of range"),
+                               ([(1, -2 ** 70)], None, "vertex id out of range"),
+                               ([(0, 1)], {-5: 1}, "negative vertex id -5")):
+        with pytest.raises(GraphFormatError, match=msg):
+            Graph.from_edges(edges, labels)
+    ep = tmp_path / "g.txt"
+    lp = tmp_path / "l.txt"
+    for edge_text, label_text, msg in (
+            ("0 1\n1 -3\n", "0 1\n", "g.txt:2: negative vertex id -3"),
+            ("0 1\n%d 1\n" % 2 ** 63, "0 1\n",
+             "g.txt:2: vertex id %d out of range 0..%d" % (2 ** 63, 2 ** 63 - 1)),
+            ("0 1\n", "0 1\n-4 1\n", "l.txt:2: negative vertex id -4")):
+        ep.write_text(edge_text)
+        lp.write_text(label_text)
+        with pytest.raises(GraphFormatError, match=re.escape(msg)):
+            load_graph(str(ep), str(lp))
 
 
 def test_adjacency_symmetric_random():
@@ -102,17 +118,53 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     p2.write_text("1 2\n3\n")
     with pytest.raises(GraphFormatError, match=":2:"):
         load_graph(str(p2))
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match="cannot read"):
         load_graph(str(tmp_path / "missing.txt"))
+    p3 = tmp_path / "binary.txt"
+    p3.write_bytes(b"1 2\n\xff\xfe 3\n")
+    with pytest.raises(GraphFormatError, match="cannot read"):
+        load_graph(str(p3))
 
 
 def test_negative_label_rejected(tmp_path):
     ep = tmp_path / "g.txt"
     lp = tmp_path / "l.txt"
     ep.write_text("0 1\n")
-    lp.write_text("0 -3\n")
-    with pytest.raises(GraphFormatError):
-        load_graph(str(ep), str(lp))
+    for line, msg in (("0 -3", "l.txt:1: negative label -3"),
+                      ("0 %d" % 2 ** 31, "l.txt:1: label 2147483648 out of range 0..2147483647")):
+        lp.write_text(line + "\n")
+        with pytest.raises(GraphFormatError, match=re.escape(msg)):
+            load_graph(str(ep), str(lp))
+    # in-memory labels are checked too, also for ids outside the graph
+    for labels, msg in (({0: -3}, "negative label -3"),
+                        ({7: 2 ** 31}, "label 2147483648 out of range"),
+                        ({0: 2 ** 70}, "label out of range")):
+        with pytest.raises(GraphFormatError, match=msg):
+            Graph.from_edges([(0, 1)], labels)
+
+
+def test_from_edges_matches_reference_build():
+    rng = random.Random(11)
+    for trial in range(60):
+        pool = [rng.randrange(2 ** 40) for _ in range(rng.randrange(1, 30))]
+        pool += [0] if trial % 5 == 0 else []
+        m = rng.randrange(60) if trial else 0  # trial 0 is the empty input
+        edges = [(rng.choice(pool), rng.choice(pool)) for _ in range(m)]
+        # duplicates as repeats and reversals, self-loops on otherwise isolated ids
+        edges += rng.sample(edges, len(edges) // 4)
+        edges += [(v, u) for u, v in rng.sample(edges, len(edges) // 3)]
+        edges += [(x, x) for x in (rng.randrange(2 ** 40) for _ in range(trial % 3))]
+        rng.shuffle(edges)
+        labels = None
+        if trial % 4:
+            # a label for an id that is not in the graph is ignored
+            labels = {x: rng.randrange(2 ** 31) for x in rng.sample(pool, len(pool) // 2)}
+            labels[2 ** 40 + trial] = 3
+        g = Graph.from_edges(iter(edges) if trial % 2 else edges, labels)
+        got = (g.offsets, g.neighbor_ids, g.labels, g.orig_ids)
+        for have, want in zip(got, reference_graph_arrays(edges, labels)):
+            assert have.dtype == want.dtype
+            assert np.array_equal(have, want)
 
 
 def test_edge_table_order(demo_graph):
