@@ -13,6 +13,7 @@ import os
 import shutil
 import tempfile
 import time
+from functools import partial
 
 import numpy as np
 
@@ -70,9 +71,9 @@ def count_patterns_range(task):
 
 
 # Edge embeddings per chunk of mni_edge_range. Its temporaries (columns,
-# key rows, domain codes) grow the peak RSS with the chunk: on the
-# fsm3-labeled benchmark input 2^12 stays below the peak of a
-# per-embedding loop, and 2^14 adds about 6.5 MiB.
+# key rows, domain codes) grow the peak RSS with the chunk: fsm(g, 3, 180)
+# on the seed-1 fsm3-labeled input 0 grows ru_maxrss by 8.5 MiB at 2^12,
+# 9.2 at 2^11 and 14.8 at 2^14, with no clear time gain (2-vCPU x86 VM).
 MNI_CHUNK = 1 << 12
 
 
@@ -173,6 +174,8 @@ class _RawKeyTable:
         self.group = np.concatenate((self.group, np.array(gs, dtype=np.int64)))
 
     def results(self, domains):
+        """{hash: [Pattern, its orbits' domains]}, given the domain of
+        every group in group order."""
         return {h: [pat, domains[g:g + c]]
                 for h, (pat, g, c) in self.patterns.items()}
 
@@ -186,16 +189,16 @@ def mni_edge_range(task):
     bitmap) key once. The domains are one sorted, deduplicated array of
     (domain group, vertex) codes per range, one int64 per distinct pair,
     that each chunk's codes merge into. When the range returns, each
-    group becomes one set of its lowest cap vertex ids: the reported
-    support min(|domain|, cap) is then independent of visit order and
-    worker count. Optionally records each embedding's pattern hash so
-    the caller can keep only embeddings of frequent patterns alive.
+    group becomes the sorted int64 array of its lowest cap vertex ids:
+    the reported support min(|domain|, cap) is then independent of
+    visit order and worker count. Optionally records each embedding's
+    pattern hash so the caller can keep only embeddings of frequent
+    patterns alive.
     """
     lo, hi = task
     ctx = runtime.get_context()
     slices = ctx["slices"]
     g = ctx["graph"]
-    vid = ctx["vertex_ids"]  # shared int objects for the domain sets
     cap = ctx["cap"]
     n = g.num_vertices
     table = _RawKeyTable(ctx["hasher"], len(slices) + 1)
@@ -210,13 +213,10 @@ def mni_edge_range(task):
             hashes[a - lo:b - lo] = h
         new = np.sort((groups * n + verts)[verts >= 0])
         codes = np.concatenate((codes, new[run_heads(new)]))
-        codes.sort(kind="stable")  # timsort: merges the two sorted runs in one pass
-        codes = codes[run_heads(codes)]
-    grp, codes = np.divmod(codes, n)
-    starts = np.flatnonzero(run_heads(grp)).tolist()
-    doms = [set() for _ in range(table.groups)]
-    for gi, s, e in zip(grp[starts].tolist(), starts, starts[1:] + [len(codes)]):
-        doms[gi] = set(map(vid.__getitem__, codes[s:min(e, s + cap)].tolist()))
+        codes = _sorted_unique(codes)  # its own step: the old codes are freed first
+    starts = np.searchsorted(codes, np.arange(table.groups + 1) * n).tolist()
+    doms = [codes[s:min(e, s + cap)] - gi * n
+            for gi, (s, e) in enumerate(zip(starts, starts[1:]))]
     return table.results(doms), hashes
 
 
@@ -259,16 +259,25 @@ def merge_counts(acc, part):
     return acc
 
 
-def merge_mni(acc, part):
+def merge_mni(acc, part, cap):
+    """Fold part's per-orbit domains into acc's. Each orbit keeps the
+    lowest cap ids of the union, so of its whole domain for any split."""
     for h, (pat, doms) in part.items():
         rec = acc.get(h)
         if rec is None:
             acc[h] = [pat, doms]
         else:
             check_same_pattern(h, rec[0], pat)
-            for mine, theirs in zip(rec[1], doms):
-                mine |= theirs
+            rec[1] = [_sorted_unique(np.concatenate(pair))[:cap]
+                      for pair in zip(rec[1], doms)]
     return acc
+
+
+def _sorted_unique(a):
+    """The distinct values of a, ascending; sorts a in place. On two
+    concatenated sorted runs the sort is one timsort merge pass."""
+    a.sort(kind="stable")
+    return a[run_heads(a)]
 
 
 def mni_support(doms, cap):
@@ -331,8 +340,7 @@ class Session:
         if self.mode == "vertex":
             runtime.set_context(csr=self.csr, ends=None, num_ids=g.num_vertices)
         else:
-            runtime.set_context(graph=g, vertex_ids=list(range(g.num_vertices)),
-                                csr=g.incident_csr, ends=(g.edge_u, g.edge_v),
+            runtime.set_context(graph=g, csr=g.incident_csr, ends=(g.edge_u, g.edge_v),
                                 num_ids=g.num_edges)
         runtime.set_context(hasher=self.hasher, id_dtype=self.cse.id_dtype)
         self._base_ctx_set = True
@@ -527,8 +535,8 @@ def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
                  parts_per_level, labeled=True) as s:
         s.seed_edges()
         for size in range(1, k_edges + 1):
-            agg = s.aggregate(mni_edge_range, _merge_mni_hashes, ({}, []),
-                              {"cap": support, "want_hashes": size < k_edges})
+            agg = s.aggregate(mni_edge_range, partial(_merge_mni_hashes, cap=support),
+                              ({}, []), {"cap": support, "want_hashes": size < k_edges})
             frequent, alive = _frequent(agg, s.cse.top.count, support)
             result.update(frequent)
             if size == k_edges or not frequent:
@@ -539,10 +547,10 @@ def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
     return result, s.metrics
 
 
-def _merge_mni_hashes(acc, res):
+def _merge_mni_hashes(acc, res, cap):
     pats, hashes = acc
     part, h = res
-    merge_mni(pats, part)
+    merge_mni(pats, part, cap)
     if h is not None:
         hashes.append(h)
     return pats, hashes

@@ -265,7 +265,8 @@ def test_mni_edge_range_matches_per_embedding_reference(monkeypatch):
                 for v, o in zip(vs, e.position_orbits()):
                     rec[1][o].add(v)
             assert hashes.tolist() == want_hashes
-            assert got == want
+            assert {h: [pat, [set(d.tolist()) for d in doms]]
+                    for h, (pat, doms) in got.items()} == want
 
 
 @pytest.mark.parametrize("trial", range(3))
@@ -329,7 +330,11 @@ def test_mni_edge_range_caps_each_domain_when_the_range_returns(tmp_path, cap):
     for h, (pat, doms) in got.items():
         assert pat == full[h][0]
         for d, whole in zip(doms, full[h][1], strict=True):
-            assert d <= whole and len(d) == min(cap, len(whole))
+            assert isinstance(d, np.ndarray) and d.dtype.kind == "i"
+            assert np.all(d[1:] > d[:-1])
+            ids, whole_ids = set(d.tolist()), set(whole.tolist())
+            assert ids <= whole_ids and len(ids) == min(cap, len(whole_ids))
+            assert d.tolist() == sorted(whole_ids)[:cap]
     # a larger graph keeps a spilling budget feasible for every cap
     g = make_random_graph(2810, 20, 24, n_labels=3)
     base, metrics = fsm(g, 3, cap)
@@ -339,6 +344,32 @@ def test_mni_edge_range_caps_each_domain_when_the_range_returns(tmp_path, cap):
                      parts_per_level=3)
     assert m["bytes_spilled"] > 0
     assert result_lines(spilled) == result_lines(base)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 10 ** 9])
+def test_merge_mni_of_split_ranges_equals_the_whole_range(monkeypatch, cap):
+    # the halves' domains are capped on return and merged as aggregate
+    # folds them, so the merge must recover the whole range's lowest ids
+    monkeypatch.setattr(mining, "MNI_CHUNK", 5)
+    g = make_random_graph(2811, 14, 14, n_labels=2)
+    with Session(g, "edge", labeled=True) as s:
+        s.seed_edges()
+        s.explore()
+        s.explore()
+        runtime.set_context(slices=[LevelSlice.of(l) for l in s.cse.levels],
+                            cap=cap, want_hashes=False)
+        count = s.cse.top.count
+        whole, _ = mining.mni_edge_range((0, count))
+        for cut in (0, 1, 7, count // 3, count // 2, count - 1, count):
+            got = {}
+            for part in ((0, cut), (cut, count)):
+                merge_mni(got, mining.mni_edge_range(part)[0], cap)
+            assert got.keys() == whole.keys(), cut
+            for h, (pat, doms) in got.items():
+                assert pat == whole[h][0]
+                for d, w in zip(doms, whole[h][1], strict=True):
+                    assert len(d) <= cap
+                    assert d.tolist() == w.tolist(), (cut, h)
 
 
 def test_fsm_exact_with_labels_past_a_packed_key():
@@ -562,7 +593,8 @@ def test_merges_raise_on_hash_collision():
     with pytest.raises(HashCollisionError):
         merge_counts({7: [path, 1]}, {7: [tri, 2]})
     with pytest.raises(HashCollisionError):
-        merge_mni({7: [path, [set()]]}, {7: [tri, [set()]]})
+        merge_mni({7: [path, [np.zeros(0, np.int64)]]},
+                  {7: [tri, [np.zeros(0, np.int64)]]}, 1)
 
 
 # -- output -------------------------------------------------------------------------
