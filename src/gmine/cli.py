@@ -2,8 +2,8 @@
 
 One subcommand per mining application. Result lines go to stdout (and
 to --output when given); counters and timings go to stderr. Exit codes:
-0 success, 1 runtime failure (unreadable input, budget too small, a dead
-worker process), 2 usage errors.
+0 success, 1 runtime failure (unreadable input, budget too small, a
+corrupt part file), 2 usage errors.
 """
 
 import argparse
@@ -19,15 +19,6 @@ from .store import InvariantError
 
 RUN_FAILURES = (BudgetTooSmallError, CorruptPartError, GraphFormatError,
                 HashCollisionError, InvariantError, ValueError, OSError)
-
-
-def run_failures():
-    """The errors that end a run with exit 1. A dead worker's
-    BrokenProcessPool is one of them once a forking run has imported its
-    module; importing it here would load concurrent.futures into every
-    run."""
-    pool = sys.modules.get("concurrent.futures.process")
-    return RUN_FAILURES + ((pool.BrokenProcessPool,) if pool else ())
 
 
 def parse_size(text):
@@ -56,7 +47,7 @@ def _common(p, k_help=None, k_range=None, needs_support=False):
         p.add_argument("--support", type=int, required=True,
                        help="minimum-image support threshold")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel ranges, on at most one process per CPU (default 1)")
+                   help="parallel ranges, on at most one thread per CPU (default 1)")
     p.add_argument("--memory-budget", type=parse_size, default=0,
                    metavar="BYTES", help="level-array budget, e.g. 64M; "
                    "0 = unlimited (default)")
@@ -118,7 +109,7 @@ def main(argv=None):
             items, metrics = fsm(g, args.k, args.support, **kw)
             lines = result_lines(items)
             summary = "# patterns=%d threshold=%d" % (len(items), args.support)
-    except run_failures() as e:
+    except RUN_FAILURES as e:
         print("gmine: %s" % e, file=sys.stderr)
         return 1
     _emit(lines, args.output, summary)

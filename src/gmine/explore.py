@@ -157,6 +157,7 @@ def expand_vertex_range(task):
             idx, owner = ragged(off[src[:, s0:s1]].ravel(), lens[:, s0:s1].ravel())
             row, par = np.divmod(owner, p)
             keys = (par * n + ids[idx]) * 8 + row % k
+            del idx, owner, row, par  # not kept through the growth gathers
             keys.sort()
             first = np.flatnonzero(run_heads(keys >> 3))
             head = keys[first]  # each run's earliest attachment

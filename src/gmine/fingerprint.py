@@ -252,7 +252,9 @@ class PatternHasher:
     """Caches the full classification pipeline per raw (labels, bitmap) key.
 
     weight_base is fixed per graph (max label + 2) so all embeddings of a
-    run share the weight encoding.
+    run share the weight encoding. Range threads share one hasher: two
+    of them may classify the same new key at once, which stores equal
+    entries, and every hash is still checked against its pattern.
     """
 
     def __init__(self, weight_base):

@@ -27,7 +27,7 @@ from .spill import PartWriter, plan_spill, replay_top, spill_existing_level
 from .store import EmbeddingStore, level_columns
 
 
-# -- aggregation workers (module level so pools can address them) -------
+# -- aggregation workers (range functions for runtime.map_ranges) -------
 
 # Embeddings classified per chunk of the range: bounds the column and
 # bitmap arrays to a few hundred KiB whatever the range length.

@@ -1,16 +1,22 @@
-"""Process-pool plumbing for range-parallel phases.
+"""Thread plumbing for range-parallel phases.
 
-Workers are forked, so the heavy shared state (graph, level slices,
-filters) is published to module globals before the pool is created and
-inherited copy-on-write; only small (lo, hi) tasks and per-range result
-arrays cross the pipe. Results are consumed in task order, which makes
-every phase's output independent of the worker count.
+Ranges run on threads of the calling process. The heavy shared state
+(graph, level slices, filters, the pattern hasher) is published to a
+module-global context before a phase and read by every thread; the
+kernels spend their time in numpy sorts, searches and gathers, which
+release the GIL. Results come back in task order, which makes every
+phase's output independent of the worker count.
 """
 
-import multiprocessing
+import ctypes
 import os
+import threading
 
 _WORK = {}
+
+# glibc's mallopt parameter for the number of malloc arenas
+M_ARENA_MAX = -8
+_arenas_bounded = False
 
 
 def set_context(**kw):
@@ -25,24 +31,72 @@ def clear_context():
     _WORK.clear()
 
 
-def map_ranges(fn, tasks, workers):
-    """Run fn over tasks, in order, optionally on a fork pool.
-
-    fn must be a module-level function reading its big inputs from the
-    published context. Falls back to in-process execution for a single
-    worker or a single task. The pool has at most one process per usable
-    CPU: more only add fork and switching cost, while the tasks still
-    balance over the processes it has. A worker that dies raises
-    BrokenProcessPool instead of leaving the run waiting for its result.
-    """
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    # imported on first use: the import alone adds about 0.5 MiB to the
-    # peak RSS of runs that never fork
-    from concurrent.futures import ProcessPoolExecutor
-    ctx = multiprocessing.get_context("fork")
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+def usable_cpus():
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    with ProcessPoolExecutor(min(workers, len(tasks), cpus), mp_context=ctx) as pool:
-        return list(pool.map(fn, tasks))
 
+
+def bound_malloc_arenas():
+    """Keep glibc malloc to one arena, once per process.
+
+    glibc gives each thread that allocates an arena of its own, and
+    memory freed in an arena stays with it. On the clique4-powerlaw
+    benchmark's seed-1 input 0 (2 CPUs), one clique_discovery(g, 4,
+    workers=2) grew ru_maxrss after the load by 0.9-2.9 MiB with an
+    arena per thread and by 0.2-0.3 MiB with one. Skipped where the C
+    library has no mallopt.
+    """
+    global _arenas_bounded
+    if _arenas_bounded:
+        return
+    _arenas_bounded = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_ARENA_MAX, 1)
+
+
+def map_ranges(fn, tasks, workers):
+    """Run fn over tasks and return the results in task order.
+
+    fn must read its big inputs from the published context. A single
+    worker or a single task runs in the calling thread. Otherwise the
+    caller and up to min(workers, tasks, usable CPUs) - 1 threads claim
+    tasks one at a time: more threads than CPUs would only add
+    switching. fn then runs concurrently with itself, so shared state it
+    writes must allow that, as the PatternHasher caches do. An exception
+    in any task stops further claims and is raised here once every
+    thread has joined.
+    """
+    n = min(workers, len(tasks), usable_cpus())
+    if n <= 1:
+        return [fn(t) for t in tasks]
+    bound_malloc_arenas()
+    results = [None] * len(tasks)
+    errors = []
+    claim = iter(range(len(tasks)))
+    lock = threading.Lock()
+
+    def run():
+        try:
+            while not errors:
+                with lock:
+                    i = next(claim, None)
+                if i is None:
+                    return
+                results[i] = fn(tasks[i])
+        except BaseException as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=run) for _ in range(n - 1)]
+    for t in threads:
+        t.start()
+    run()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results

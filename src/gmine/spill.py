@@ -289,8 +289,8 @@ def replay_top(cse, workers, fn, consume, metrics):
 
     The one range driver for resident and spilled tops alike: a
     resident top is a single window, so it runs as one map over all of
-    its offsets. fn is a module-level worker reading slices from the
-    runtime context; consume(lo, hi, result) is called in global offset
+    its offsets. fn is a range function reading slices from the runtime
+    context; consume(lo, hi, result) is called in global offset
     order. Ranges are cut by the top level's predictions when it has
     them, else uniformly.
     """

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -191,3 +193,43 @@ def test_canonical_pattern_stable_across_variants():
         pairs = [(perm.index(a), perm.index(b)) for a, b in cyc]
         pats.add(h.classify((0,) * 4, bits_from_pairs(4, pairs)).pattern)
     assert len(pats) == 1
+
+
+def test_hasher_shared_by_threads_matches_a_serial_one():
+    # range threads share one hasher: its caches may classify a key twice
+    # at once, and every thread must still get the serial hasher's entry
+    labels = (0, 0, 1, 1, 2)
+    keys = range(1 << 10)  # every bitmap over 5 positions
+    serial = PatternHasher(4)
+    want = {b: serial.classify(labels, b) for b in keys}
+    shared = PatternHasher(4)
+    start = threading.Barrier(4, timeout=10)
+    got = [{} for _ in range(4)]
+    errors = []
+
+    def classify_all(i):
+        try:
+            start.wait()
+            for b in itertools.islice(itertools.cycle(keys), 256 * i, 256 * i + len(keys)):
+                got[i][b] = shared.classify(labels, b)
+        except Exception as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=classify_all, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside _classify too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for seen in got:
+        assert seen.keys() == want.keys()
+        for b, e in seen.items():
+            w = want[b]
+            assert (e.hash, e.pattern, e.position_orbits()) == (
+                w.hash, w.pattern, w.position_orbits()), b

@@ -228,8 +228,9 @@ def test_fsm_chunked_kernel_matches_brute(tmp_path, monkeypatch, trial):
     for k_edges in range(1, 5):
         base, metrics = fsm(g, k_edges, 2)
         assert fsm_forms(base) == expected_frequent(g, k_edges, 2), (trial, k_edges)
-        two, _ = fsm(g, k_edges, 2, workers=2)
-        assert result_lines(two) == result_lines(base)
+        for workers in (2, 3):
+            more, _ = fsm(g, k_edges, 2, workers=workers)
+            assert result_lines(more) == result_lines(base), (trial, k_edges, workers)
     budget = int(metrics["peak_resident_estimate"] * 0.4)
     spilled, m = fsm(g, 4, 2, workers=2, memory_budget=budget,
                      spill_dir=str(tmp_path), parts_per_level=3)
