@@ -113,7 +113,7 @@ def _sources(ids, ends):
 
 # -- range expansion ---------------------------------------------------
 
-def expand_vertex_range(task):
+def expand_vertex_range(task, fold=None):
     """Expand top-level offsets [lo, hi) by one id.
 
     Reads the CSR, slices, filter and alive mask from the published
@@ -123,6 +123,13 @@ def expand_vertex_range(task):
     candidate count minus one plus the ids its lists add to the
     parent's touched set; lists of a member's vertex add none, so an
     edge's old endpoint is not gathered.
+
+    With a fold, no child is stored: each gather chunk calls
+    fold(emb, cp, cv, mask) with its parents' (k, p) id columns, the
+    kept children as parent column cp and id cv, and each child's mask
+    of attach positions, the OR of 1 << attach over its key run (in
+    vertex mode, the members adjacent to the new vertex), and the range
+    returns None.
     """
     lo, hi = task
     ctx = runtime.get_context()
@@ -175,6 +182,10 @@ def expand_vertex_range(task):
                 keep &= flt[rw]
             cp = rp[keep]
             cv = rw[keep]
+            if fold is not None:
+                mask = np.bitwise_or.reduceat(1 << (keys & 7), first)[keep]
+                fold(emb, cp, cv, mask)
+                continue
             counts[b0 - lo + live[s0:s1]] = np.bincount(cp, minlength=p)
             out_vert.append(cv.astype(id_dtype))
             if want_pred:
@@ -185,6 +196,8 @@ def expand_vertex_range(task):
                 seen.sort()
                 grow = _growth(cp, cv, src[:, s0:s1], seen, off, ids, deg, ends, n)
                 out_pred.append((base[cp] + grow).astype(np.int32))
+    if fold is not None:
+        return None
     return (np.concatenate(out_vert), counts,
             np.concatenate(out_pred) if want_pred else None)
 

@@ -6,7 +6,10 @@ configuration, and the metrics dict. Exploration and aggregation both
 run range-parallel over the top level through one driver, the windowed
 replay: a memory-resident top is a replay with one window, so the same
 worker functions see the same offsets in the same order and results
-are identical for any worker count, budget, or part layout.
+are identical for any worker count, budget, or part layout. The motif
+census stores levels up to k-1 only: its aggregation runs the explore
+kernel over the top in fold mode and classifies the children as the
+kernel makes them.
 """
 
 import os
@@ -29,44 +32,45 @@ from .store import EmbeddingStore, level_columns
 
 # -- aggregation workers (range functions for runtime.map_ranges) -------
 
-# Embeddings classified per chunk of the range: bounds the column and
-# bitmap arrays to a few hundred KiB whatever the range length.
+# 2-embeddings per chunk of triangle_range: bounds its column arrays
+# to a few hundred KiB whatever the range length.
 CHUNK = 1 << 14
 
 
 def count_patterns_range(task):
-    """Classify vertex embeddings in [lo, hi) and count per pattern.
+    """Fold the motif census over the children of top-level offsets
+    [lo, hi) without storing them; returns {hash: [Pattern, count]}.
 
-    Works on chunks of id columns: each position pair is tested for
-    adjacency in one binary search over the graph's sorted edge keys,
-    the hits form one adjacency bitmap per embedding, and the hasher
-    sees each distinct bitmap once.
+    The kernel expands the range in fold mode. Per gather chunk, every
+    pair of parent positions is tested for adjacency in one binary
+    search over the graph's sorted edge keys, a child's bitmap is its
+    parent's ORed with the pair bits of the members its new vertex is
+    adjacent to (the kernel's attach mask), and one bincount tallies
+    the bitmaps. The hasher sees each distinct bitmap of the range once.
     """
-    lo, hi = task
     ctx = runtime.get_context()
-    slices = ctx["slices"]
     keys = ctx["edge_keys"]
     n = ctx["num_ids"]
     hasher = ctx["hasher"]
-    k = len(slices)
+    k = len(ctx["slices"]) + 1
     tab = PAIR_BIT[k]
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    pi, pj = np.triu_indices(k - 1, 1)
+    shift = np.array([tab[i][j] for i, j in zip(pi, pj)], dtype=np.int64)[:, None]
+    new = np.array([sum(1 << tab[i][k - 1] for i in range(k - 1) if m >> i & 1)
+                    for m in range(1 << (k - 1))], dtype=np.int64)
+    tally = np.zeros(1 << k * (k - 1) // 2, dtype=np.int64)
+
+    def fold(emb, cp, cv, mask):
+        hit = in_sorted(keys, emb[pi] * n + emb[pj]).astype(np.int64)
+        bits = np.bitwise_or.reduce(hit << shift, axis=0)
+        np.add(tally, np.bincount(bits[cp] | new[mask], minlength=len(tally)), out=tally)
+
+    expand_vertex_range(task, fold)
     zeros = (0,) * k
     out = {}
-    for a in range(lo, hi, CHUNK):
-        cols = level_columns(slices, a, min(a + CHUNK, hi))
-        bits = np.zeros(cols.shape[1], dtype=np.int64)
-        for i, j in pairs:
-            hit = in_sorted(keys, cols[i] * n + cols[j])
-            bits |= hit.astype(np.int64) << tab[i][j]
-        uniq, cnt = np.unique(bits, return_counts=True)
-        for b, c in zip(uniq.tolist(), cnt.tolist()):
-            e = hasher.classify(zeros, b)
-            rec = out.get(e.hash)
-            if rec is None:
-                out[e.hash] = [e.pattern, c]
-            else:
-                rec[1] += c
+    for b in np.flatnonzero(tally).tolist():
+        e = hasher.classify(zeros, b)
+        out.setdefault(e.hash, [e.pattern, 0])[1] += int(tally[b])
     return out
 
 
@@ -378,6 +382,25 @@ class Session:
         idw = self.cse.id_dtype.itemsize
         return (w * idw, (top.count + 1) * 8, w * 4 if want_pred else 0)
 
+    def plan(self, next_estimate):
+        """Plan a phase that builds a level of next_estimate bytes, spill
+        what the plan puts on disk, and say whether the new level goes
+        there too. A fold phase builds no level: (0, 0, 0) charges its
+        windows and the top's predictions."""
+        cse = self.cse
+        spill_from, est = plan_spill(cse, self.budget, next_estimate,
+                                     self.parts_per_level)
+        self.metrics["peak_resident_estimate"] = max(
+            self.metrics.get("peak_resident_estimate", 0), est)
+        spill_next = spill_from <= cse.depth + 1
+        if spill_next:
+            self._ensure_dir()
+        for lvl in cse.levels[spill_from - 1:]:
+            if lvl.residency == "mem":
+                spill_existing_level(lvl, self.spill_dir, self.parts_per_level,
+                                     self.metrics)
+        return spill_next
+
     def explore(self, flt=None, alive=None, want_pred=True):
         """Grow the store by one level, spilling per the plan.
 
@@ -391,18 +414,7 @@ class Session:
             self._publish_base()
         cse = self.cse
         top = cse.top
-        spill_from, est = plan_spill(cse, self.budget,
-                                     self._next_estimate(alive, want_pred),
-                                     self.parts_per_level)
-        self.metrics["peak_resident_estimate"] = max(
-            self.metrics.get("peak_resident_estimate", 0), est)
-        spill_next = spill_from <= top.index + 1
-        if spill_next:
-            self._ensure_dir()
-        for lvl in cse.levels[spill_from - 1:]:
-            if lvl.residency == "mem":
-                spill_existing_level(lvl, self.spill_dir, self.parts_per_level,
-                                     self.metrics)
+        spill_next = self.plan(self._next_estimate(alive, want_pred))
         runtime.set_context(filter=flt, alive=alive, want_pred=want_pred)
         counts_chunks = []
         pred_chunks = [] if want_pred else None
@@ -468,18 +480,23 @@ def motif_count(g, k, workers=1, memory_budget=0, spill_dir=None,
                 parts_per_level=None):
     """Count induced connected k-vertex patterns, 3 <= k <= 5.
 
-    Labels are ignored: motif classes are structural. Returns
-    ({hash: [Pattern, count]}, metrics).
+    Labels are ignored: motif classes are structural. Level k is folded
+    into count_patterns_range, never stored; its metrics keep its count
+    and report 0 bytes. Returns ({hash: [Pattern, count]}, metrics).
     """
     if not 3 <= k <= 5:
         raise ValueError("motif size must be 3..5")
     with Session(g, "vertex", workers, memory_budget, spill_dir,
                  parts_per_level, labeled=False) as s:
         s.seed_vertices()
-        for size in range(2, k + 1):
-            s.explore(want_pred=size < k)
+        for _ in range(2, k):
+            s.explore()
+        s.plan((0, 0, 0))
         counts = s.aggregate(count_patterns_range, merge_counts, {},
                              {"edge_keys": g.edge_keys})
+    # every child of the top falls in exactly one pattern's count
+    s.metrics["level_%d_embeddings" % k] = sum(c for _, c in counts.values())
+    s.metrics["level_%d_bytes" % k] = 0
     return counts, s.metrics
 
 

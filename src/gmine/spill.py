@@ -90,6 +90,19 @@ class PartInfo:
     nbytes: int
 
 
+def window_bytes(level, parts_per_level):
+    """What a window over level holds at most: two of its part files,
+    while a slide reads the next one. A resident level is charged the
+    parts that spill_existing_level would cut it into."""
+    if level.parts is not None:
+        sizes = [p.nbytes for p in level.parts]
+    else:
+        cuts = partition_by_weight(np.diff(level.off), parts_per_level)
+        sizes = (_HEADER.size + 8 + np.diff(level.off[cuts]) * level.id_width
+                 + (np.diff(cuts) + 1) * 8)
+    return 2 * int(max(sizes, default=0))
+
+
 def plan_spill(cse, budget, next_estimate, parts_per_level):
     """Choose the lowest level to keep on disk.
 
@@ -98,11 +111,11 @@ def plan_spill(cse, budget, next_estimate, parts_per_level):
     none does. next_estimate is (vert_bytes, off_bytes, pred_bytes) for
     the level about to be built. The estimate charges resident levels
     their full vert+off footprint, the top level's and the new level's
-    predictions, and two parts per spilled source level during replay:
-    a window's loaded part and, while it slides, the outgoing one. The
-    candidates are tried from none to the longest suffix, and the first
-    within budget wins (the first one when budget is 0, unlimited).
-    Levels 1 and 2 never spill, and a level once on disk stays there.
+    predictions, and each spilled source level its window_bytes during
+    replay. The candidates are tried from none to the longest suffix,
+    and the first within budget wins (the first one when budget is 0,
+    unlimited). Levels 1 and 2 never spill, and a level once on disk
+    stays there.
     """
     nv, no, npred = next_estimate
     k = cse.depth
@@ -116,7 +129,7 @@ def plan_spill(cse, budget, next_estimate, parts_per_level):
             if lvl.index < spill_from:
                 total += lvl.size_bytes()
             else:
-                total += 2 * (lvl.vert_count * lvl.id_width // parts_per_level)
+                total += window_bytes(lvl, parts_per_level)
         return total
 
     floor = None

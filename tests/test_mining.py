@@ -459,21 +459,74 @@ def test_triangle_budget_invariance(tmp_path):
 
 
 def test_spilled_motif_matches_brute(tmp_path):
+    # the unlimited peak is 4,408 bytes and the smallest feasible plan
+    # 2,312: level 4 is folded, never stored
     g = make_random_graph(2800, 24, 30)
-    counts, metrics = motif_count(g, 4, memory_budget=6000,
+    counts, metrics = motif_count(g, 4, memory_budget=3300,
                                   spill_dir=str(tmp_path), parts_per_level=3)
     assert metrics.get("bytes_spilled", 0) > 0
     assert motif_forms(counts) == brute_motif_counts(g, 4)
+
+
+def motif_budget(peak, k):
+    """A budget between the smallest feasible plan of a k-motif run and
+    its unlimited peak. The fold phase keeps the top's predictions
+    resident, which puts that plan near half the peak; at k = 3 the top
+    is level 2, which never spills, so only the peak itself fits."""
+    return peak if k == 3 else peak * 3 // 4
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_spilled_two_worker_motif_matches_brute(tmp_path, k):
     g = make_random_graph(2900, 30, 40)
     peak = motif_count(g, k)[1]["peak_resident_estimate"]
-    counts, metrics = motif_count(g, k, workers=2, memory_budget=peak // 2,
+    counts, metrics = motif_count(g, k, workers=2, memory_budget=motif_budget(peak, k),
                                   spill_dir=str(tmp_path), parts_per_level=3)
-    assert metrics["bytes_spilled"] > 0
+    assert metrics.get("bytes_spilled", 0) > 0 or k == 3
     assert motif_forms(counts) == brute_motif_counts(g, k)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_folded_level_keeps_its_count(tmp_path, monkeypatch, k, workers):
+    """The motif census folds level k into its aggregation: the metrics
+    still count level k's embeddings, charge it no bytes, and the store
+    ends at level k - 1, with and without spilling."""
+    g = make_random_graph(2905, 30, 40)
+    with Session(g, "vertex") as s:
+        s.seed_vertices()
+        for _ in range(2, k + 1):
+            s.explore()
+    stored = s.cse.top.count
+    sessions = []
+    plans = []
+    real_aggregate = Session.aggregate
+    real_plan = mining.plan_spill
+
+    def spy_aggregate(self, *a):
+        sessions.append(self)
+        return real_aggregate(self, *a)
+
+    def spy_plan(cse, budget, next_estimate, parts):
+        plans.append((next_estimate, real_plan(cse, budget, next_estimate, parts)))
+        return plans[-1][1]
+
+    monkeypatch.setattr(Session, "aggregate", spy_aggregate)
+    monkeypatch.setattr(mining, "plan_spill", spy_plan)
+    base, m = motif_count(g, k, workers=workers)
+    peak = m["peak_resident_estimate"]
+    for i, budget in enumerate((0, motif_budget(peak, k))):
+        plans.clear()
+        counts, m = motif_count(g, k, workers=workers, memory_budget=budget,
+                                spill_dir=str(tmp_path / str(i)), parts_per_level=3)
+        assert m["level_%d_embeddings" % k] == stored
+        assert m["level_%d_bytes" % k] == 0
+        assert sessions[-1].cse.depth == k - 1
+        assert (m.get("bytes_spilled", 0) > 0) == (budget > 0 and k > 3)
+        assert result_lines(counts) == result_lines(base)
+        # the fold phase is planned as an explore of a 0-byte level
+        assert [est for est, _ in plans[k - 2:]] == [(0, 0, 0)]
+        assert m["peak_resident_estimate"] == max(est for _, (_, est) in plans)
 
 
 @pytest.mark.parametrize("app", [

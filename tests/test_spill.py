@@ -10,7 +10,8 @@ import pytest
 from gmine import mining, runtime, spill
 from gmine.spill import (BudgetTooSmallError, CorruptPartError, PartInfo,
                          PartWriter, _Window, part_name, plan_spill, read_part,
-                         replay_top, spill_existing_level, write_part)
+                         replay_top, spill_existing_level, window_bytes,
+                         write_part)
 from gmine.store import EmbeddingStore, InvariantError, level_columns
 
 from conftest import make_random_graph
@@ -96,14 +97,14 @@ def test_plan_unlimited_never_spills(demo_graph):
     assert est > 0
 
 
-def test_plan_progression(demo_graph):
+def test_plan_progression():
     # depth 3: nothing on disk, then the new level 4, then levels 3-4
-    s = vertex_store_to(demo_graph, 3)
+    s = vertex_store_to(make_random_graph(2950, 30, 40), 3)
     plans = []
-    budget = plan_spill(s, 0, NEXT_EST, 2)[1]
+    budget = plan_spill(s, 0, NEXT_EST, 4)[1]
     while True:
         try:
-            p = plan_spill(s, budget, NEXT_EST, 2)
+            p = plan_spill(s, budget, NEXT_EST, 4)
         except BudgetTooSmallError:
             break
         assert p[1] <= budget
@@ -111,16 +112,45 @@ def test_plan_progression(demo_graph):
         budget = p[1] - 1
     assert [frm for frm, _ in plans] == [5, 4, 3]
     # each plan charges only what stays resident: levels below spill_from
-    # in full, two parts of each spilled source level, the predictions
-    # of the top and the new level, and the new level's arrays if it
-    # stays in memory
+    # in full, two part files of each spilled source level, the
+    # predictions of the top and the new level, and the new level's
+    # arrays if it stays in memory
     nv, no, npred = NEXT_EST
     l1, l2, l3 = s.levels
     fixed = l1.size_bytes() + l2.size_bytes() + l3.pred.nbytes + npred
     assert [est for _, est in plans] == [
         fixed + l3.size_bytes() + nv + no,
         fixed + l3.size_bytes(),
-        fixed + 2 * (l3.count * 4 // 2)]
+        fixed + window_bytes(l3, 4)]
+
+
+@pytest.mark.parametrize("parts", [1, 3, 8])
+def test_plan_charges_a_spilled_level_its_largest_part_twice(tmp_path, parts):
+    """A window holds one part file and, while it slides, the next: the
+    plan charges a spilled level twice its largest part file, and a
+    resident level twice the largest part it would be cut into."""
+    g = make_random_graph(2951, 40, 70)
+    with mining.Session(g, "vertex", spill_dir=str(tmp_path),
+                        parts_per_level=parts) as s:
+        s.seed_vertices()
+        for _ in range(2):
+            s.explore()
+        l3 = s.cse.level(3)
+        ahead = window_bytes(l3, parts)
+        spill_existing_level(l3, str(tmp_path), parts, {})
+        assert ahead == 2 * max(p.nbytes for p in l3.parts)
+        # level 3 is on disk, so level 4 is written as it is explored,
+        # cut by predicted weight
+        s.explore()
+        l4 = s.cse.level(4)
+        assert l4.residency == "disk"
+        _, est = plan_spill(s.cse, 0, (0, 0, 0), parts)
+        fixed = s.cse.level(1).size_bytes() + s.cse.level(2).size_bytes() + l4.pred.nbytes
+        assert est == fixed + window_bytes(l3, parts) + window_bytes(l4, parts)
+        for lvl in (l3, l4):
+            largest = max(os.path.getsize(p.path) for p in lvl.parts)
+            assert largest == max(p.nbytes for p in lvl.parts)
+            assert window_bytes(lvl, parts) == 2 * largest
 
 
 def test_plan_once_spilled_stays_spilled(demo_graph, tmp_path):
