@@ -18,7 +18,7 @@ from .spill import BudgetTooSmallError, CorruptPartError
 from .store import InvariantError
 
 RUN_FAILURES = (BudgetTooSmallError, CorruptPartError, GraphFormatError,
-                HashCollisionError, InvariantError, ValueError, OSError)
+                HashCollisionError, InvariantError, OverflowError, ValueError, OSError)
 
 
 def parse_size(text):

@@ -37,10 +37,20 @@ GATHER = 1 << 13
 CLIQUE = "clique"
 
 
+PRED_MAX = np.iinfo(np.int32).max
+
+
+def pred32(volumes):
+    """int64 gather volumes as int32 predictions; raises, never wraps."""
+    if len(volumes) and volumes.max() > PRED_MAX:
+        raise OverflowError("a gather volume of %d does not fit an int32 "
+                            "prediction" % volumes.max())
+    return volumes.astype(np.int32)
+
+
 def edge_seed_preds(g):
-    du = g.degrees[g.edge_u]
-    dv = g.degrees[g.edge_v]
-    return (du + dv - 2).astype(np.int32)
+    """Each edge's gather volume, the sum of its endpoints' degrees."""
+    return pred32(g.degrees[g.edge_u] + g.degrees[g.edge_v])
 
 
 # -- weight-balanced range partition ------------------------------------
@@ -60,7 +70,6 @@ def partition_by_weight(weights, t):
     total = int(prefix[-1])
     cuts = np.searchsorted(prefix * t, np.arange(t + 1, dtype=np.int64) * total,
                            side="left").astype(np.int64)
-    cuts[0] = 0
     cuts[-1] = n  # zero-weight tails still belong to the last part
     return cuts
 
@@ -116,13 +125,13 @@ def _sources(ids, ends):
 def expand_vertex_range(task, fold=None):
     """Expand top-level offsets [lo, hi) by one id.
 
-    Reads the CSR, slices, filter and alive mask from the published
-    worker context and returns (vert, counts, preds) arrays for the
-    range, children ascending per parent. The filter is None, a boolean
-    mask over ids, or CLIQUE. A child's prediction is its parent's
-    candidate count minus one plus the ids its lists add to the
-    parent's touched set; lists of a member's vertex add none, so an
-    edge's old endpoint is not gathered.
+    Reads the CSR, slices, filter, alive mask and the top's predictions
+    from the published worker context and returns (vert, counts, preds)
+    arrays for the range, children ascending per parent. The filter is
+    None, a boolean mask over ids, or CLIQUE. A prediction is the gather
+    volume the next explore reads, which bounds the children: the list
+    lengths of an embedding's distinct sources. A child's is its
+    parent's plus those of its sources no member has, with no gather.
 
     With a fold, no child is stored: each gather chunk calls
     fold(emb, cp, cv, mask) with its parents' (k, p) id columns, the
@@ -164,12 +173,11 @@ def expand_vertex_range(task, fold=None):
             idx, owner = ragged(off[src[:, s0:s1]].ravel(), lens[:, s0:s1].ravel())
             row, par = np.divmod(owner, p)
             keys = (par * n + ids[idx]) * 8 + row % k
-            del idx, owner, row, par  # not kept through the growth gathers
+            del idx, owner, row, par  # not held through the sort
             keys.sort()
             first = np.flatnonzero(run_heads(keys >> 3))
             head = keys[first]  # each run's earliest attachment
-            run = head >> 3
-            rp, rw = np.divmod(run, n)
+            rp, rw = np.divmod(head >> 3, n)
             # a child attached at i exceeds the head and every member after
             # i, so no member passes (a later one attaches before itself)
             lim = np.empty_like(emb)
@@ -189,35 +197,14 @@ def expand_vertex_range(task, fold=None):
             counts[b0 - lo + live[s0:s1]] = np.bincount(cp, minlength=p)
             out_vert.append(cv.astype(id_dtype))
             if want_pred:
-                member = (emb[:, rp] == rw).any(axis=0)
-                base = (np.bincount(rp, minlength=p)
-                        - np.bincount(rp[member], minlength=p) - 1)
-                seen = np.concatenate((run, (np.arange(p) * n + emb).ravel()))
-                seen.sort()
-                grow = _growth(cp, cv, src[:, s0:s1], seen, off, ids, deg, ends, n)
-                out_pred.append((base[cp] + grow).astype(np.int32))
+                csrc = _sources(cv, ends)
+                new = ~(src[:, s0:s1][:, cp] == csrc[:, None]).any(axis=1)
+                vol = ctx["pred"][b0 + live[s0:s1]][cp] + (deg[csrc] * new).sum(axis=0)
+                out_pred.append(pred32(vol))
     if fold is not None:
         return None
     return (np.concatenate(out_vert), counts,
             np.concatenate(out_pred) if want_pred else None)
-
-
-def _growth(cp, cv, msrc, seen, off, ids, deg, ends, n):
-    """Per child (parent cp, id cv): entries of its lists whose key
-    parent * n + entry is not in sorted seen, in gathers of at most
-    GATHER entries. Lists of the parent's member sources are skipped."""
-    src = _sources(cv, ends)
-    lens = deg[src]
-    lens[(msrc[:, cp] == src[:, None]).any(axis=1)] = 0
-    total = lens.sum(axis=0)
-    grow = np.empty(len(cv), dtype=np.int64)
-    for c0, c1 in chunks(total, GATHER):
-        idx, owner = ragged(off[src[:, c0:c1]].ravel(), lens[:, c0:c1].ravel())
-        j = owner % (c1 - c0)
-        q = cp[c0:c1][j] * n + ids[idx]
-        grow[c0:c1] = total[c0:c1] - np.bincount(j[in_sorted(seen, q)],
-                                                 minlength=c1 - c0)
-    return grow
 
 
 # The one kernel expands edge embeddings too; this name stays only

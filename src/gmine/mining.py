@@ -22,8 +22,7 @@ import numpy as np
 
 from . import runtime
 from .explore import (CLIQUE, GATHER, chunks, edge_seed_preds, expand_vertex_range,
-                      in_sorted, partition_by_weight, ragged, run_heads,
-                      uniform_ranges)
+                      in_sorted, partition_by_weight, pred32, ragged, run_heads)
 from .explore import expand_edge_range  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 1)
 from .fingerprint import PAIR_BIT, PatternHasher, check_same_pattern
 from .spill import PartWriter, plan_spill, replay_top, spill_existing_level
@@ -192,12 +191,12 @@ def mni_edge_range(task):
     arrays, and a per-range table classifies each distinct (labels,
     bitmap) key once. The domains are one sorted, deduplicated array of
     (domain group, vertex) codes per range, one int64 per distinct pair,
-    that each chunk's codes merge into. When the range returns, each
-    group becomes the sorted int64 array of its lowest cap vertex ids:
-    the reported support min(|domain|, cap) is then independent of
-    visit order and worker count. Optionally records each embedding's
-    pattern hash so the caller can keep only embeddings of frequent
-    patterns alive.
+    that the codes each chunk adds merge into in batches. When the range
+    returns, each group becomes the sorted int64 array of its lowest cap
+    vertex ids: the reported support min(|domain|, cap) is then
+    independent of visit order and worker count. Optionally records
+    each embedding's pattern hash so the caller can keep only
+    embeddings of frequent patterns alive.
     """
     lo, hi = task
     ctx = runtime.get_context()
@@ -208,6 +207,8 @@ def mni_edge_range(task):
     table = _RawKeyTable(ctx["hasher"], len(slices) + 1)
     hashes = np.zeros(hi - lo, dtype=np.uint64) if ctx.get("want_hashes") else None
     codes = np.zeros(0, dtype=np.int64)
+    fresh = []  # sorted chunk codes waiting to merge into codes
+    queued = 0
     for a in range(lo, hi, MNI_CHUNK):
         b = min(a + MNI_CHUNK, hi)
         verts, rows = _edge_rows(level_columns(slices, a, b), g.edge_u, g.edge_v,
@@ -216,8 +217,18 @@ def mni_edge_range(task):
         if hashes is not None:
             hashes[a - lo:b - lo] = h
         new = np.sort((groups * n + verts)[verts >= 0])
-        codes = np.concatenate((codes, new[run_heads(new)]))
-        codes = _sorted_unique(codes)  # its own step: the old codes are freed first
+        new = new[run_heads(new)]
+        # merged once they reach 1/8 of codes: fsm(g, 3, 2500) on test_09's
+        # graph took 45 s with a merge per chunk, 10 s batched (2-vCPU x86 VM)
+        if 8 * (queued + len(new)) >= len(codes) or b == hi:
+            fresh += [new, codes]
+            codes = np.concatenate(fresh)
+            fresh = []  # frees the old codes before the merged ones are built
+            codes = _sorted_unique(codes)
+            queued = 0
+        else:  # only the codes that codes lacks wait
+            fresh.append(new[~in_sorted(codes, new)])
+            queued += len(fresh[-1])
     starts = np.searchsorted(codes, np.arange(table.groups + 1) * n).tolist()
     doms = [codes[s:min(e, s + cap)] - gi * n
             for gi, (s, e) in enumerate(zip(starts, starts[1:]))]
@@ -321,11 +332,10 @@ class Session:
 
     def seed_vertices(self, csr=None):
         """Seed level 1 as the identity over the rows of csr, by default
-        the graph's adjacency, each predicting its row length, and
-        expand every level over csr."""
+        the graph's adjacency, each predicting its gather volume, its row
+        length, and expand every level over csr."""
         self.csr = (self.g.offsets, self.g.neighbor_ids) if csr is None else csr
-        self.cse.seed_identity(len(self.csr[0]) - 1,
-                               pred=np.diff(self.csr[0]).astype(np.int32))
+        self.cse.seed_identity(len(self.csr[0]) - 1, pred=pred32(np.diff(self.csr[0])))
         self._note_level()
 
     def seed_edges(self):
@@ -374,11 +384,12 @@ class Session:
     # -- phases --------------------------------------------------------
 
     def _next_estimate(self, alive, want_pred):
+        """(vert, off, pred) bytes of the next level, whose count the
+        alive parents' summed gather volumes bound."""
         top = self.cse.top
         if top.pred is None:
-            w = top.count
-        else:
-            w = int(top.pred.sum(where=True if alive is None else alive))
+            raise ValueError("level %d has no predictions to plan from" % top.index)
+        w = int(top.pred.sum(dtype=np.int64, where=True if alive is None else alive))
         idw = self.cse.id_dtype.itemsize
         return (w * idw, (top.count + 1) * 8, w * 4 if want_pred else 0)
 
@@ -414,34 +425,31 @@ class Session:
             self._publish_base()
         cse = self.cse
         top = cse.top
-        spill_next = self.plan(self._next_estimate(alive, want_pred))
-        runtime.set_context(filter=flt, alive=alive, want_pred=want_pred)
-        counts_chunks = []
-        pred_chunks = [] if want_pred else None
-        writer = None
+        est = self._next_estimate(alive, want_pred)
+        spill_next = self.plan(est)
+        runtime.set_context(filter=flt, alive=alive, want_pred=want_pred, pred=top.pred)
+        counts_chunks = [np.zeros(0, np.int32)]
+        pred_chunks = [np.zeros(0, np.int32)]
         vert_chunks = []
+        writer = None
         if spill_next:
-            cuts = (partition_by_weight(top.pred, self.parts_per_level)
-                    if top.pred is not None
-                    else uniform_ranges(top.count, self.parts_per_level))
             writer = PartWriter(self.spill_dir, top.index + 1, cse.id_dtype,
-                                cuts, self.metrics)
+                                partition_by_weight(top.pred, self.parts_per_level),
+                                self.metrics)
 
         def consume(lo, hi, res):
             vert, counts, pred = res
             counts_chunks.append(counts)
-            if want_pred:
-                pred_chunks.append(pred)
+            pred_chunks.append(pred)
             if writer is not None:
                 writer.feed(vert, counts)
             else:
                 vert_chunks.append(vert)
 
         replay_top(cse, self.workers, expand_vertex_range, consume, self.metrics)
-        counts = (np.concatenate(counts_chunks) if counts_chunks
-                  else np.zeros(0, np.int32))
-        pred = (np.concatenate(pred_chunks) if want_pred and pred_chunks
-                else None)
+        runtime.set_context(alive=None, pred=None)  # the old top's arrays can go
+        counts = np.concatenate(counts_chunks)
+        pred = np.concatenate(pred_chunks) if want_pred else None
         if writer is not None:
             cse.append_spilled(pred, writer.close())
         else:
@@ -452,6 +460,10 @@ class Session:
             np.cumsum(counts, out=off[1:])
             cse.append_level(vert, off, pred)
         top.pred = None  # only the newest level needs its predictions
+        bound = est[0] // cse.id_dtype.itemsize
+        if cse.top.count > bound:
+            raise AssertionError("level %d holds %d embeddings, more than the %d its "
+                                 "plan charged" % (cse.top.index, cse.top.count, bound))
         self._note_level()
         self.metrics["explore_seconds"] = (self.metrics.get("explore_seconds", 0.0)
                                            + time.perf_counter() - t0)

@@ -25,7 +25,7 @@ class Level:
         self.index = index          # 1-based size of embeddings here
         self.vert = vert            # last-id array, or None (identity or spilled)
         self.off = off              # int64 child-slice boundaries, or None if spilled
-        self.pred = pred            # predicted candidate count per embedding
+        self.pred = pred            # int32 gather volume per embedding, or None
         self.parts = parts          # PartInfo list of a spilled level, else None
         self.id_width = id_width
         if parts is None:

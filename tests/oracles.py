@@ -449,6 +449,22 @@ def predict_candidate_size_edges(g, emb):
     return len(cand)
 
 
+def gather_volume(g, emb, rows=None):
+    """Entries the explore kernel gathers for vertex embedding emb: the
+    summed lengths of its members' rows, by default their neighbor
+    lists. Every candidate is one of them, so the volume bounds
+    predict_candidate_size."""
+    rows = g.adj if rows is None else rows
+    return sum(len(rows[u]) for u in emb)
+
+
+def gather_volume_edges(g, emb):
+    """The edge analogue: the summed incident-list lengths of the
+    distinct endpoints of emb's edges."""
+    ends = {x for f in emb for x in edge_endpoints(g, f)}
+    return sum(len(incident_edges(g, x)) for x in ends)
+
+
 # -- store walks -----------------------------------------------------------------
 
 def slice_value(sl, i):
@@ -550,9 +566,9 @@ def reference_expand(g, mode, slices, lo, hi, flt=None, alive=None,
     expand_vertex_range does. flt(emb, v) is a per-candidate callback.
     Candidates are gathered into one dict per parent keyed first-touch,
     which records the earliest attachment index; embedding members
-    carry a sentinel. A candidate's prediction counts the ids its lists
-    add to the parent's.
+    carry a sentinel. A child's prediction is its gather volume.
     """
+    volume = gather_volume if mode == "vertex" else gather_volume_edges
     touch = touch_lists(g, mode)
     out_vert = []
     counts = np.zeros(hi - lo, dtype=np.int32)
@@ -570,7 +586,6 @@ def reference_expand(g, mode, slices, lo, hi, flt=None, alive=None,
                 for w in lst:
                     if w not in seen:
                         seen[w] = i
-        base = len(seen) - k - 1  # parent candidates minus the one consumed
         sm = [-1] * k  # sm[i] = max of emb[i+1:]
         m = -1
         for i in range(k - 1, -1, -1):
@@ -587,12 +602,7 @@ def reference_expand(g, mode, slices, lo, hi, flt=None, alive=None,
             out_vert.append(v)
             produced += 1
             if want_pred:
-                grow = 0
-                for lst in touch[v]:
-                    for w in lst:
-                        if w not in seen:
-                            grow += 1
-                out_pred.append(base + grow)
+                out_pred.append(volume(g, emb + [v]))
         counts[off - lo] = produced
     vert = np.array(out_vert, dtype=id_dtype)
     pred = np.array(out_pred, dtype=np.int32) if want_pred else None

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gmine import mining
+from gmine import explore, mining
 from gmine.cli import main, parse_size
 
 from conftest import DEMO_EDGES, make_random_graph
@@ -148,6 +148,13 @@ def test_bad_workers_exit_1(capsys, demo_paths):
         code, out, err = run_cli(capsys, ["tc", demo_paths, "--workers", bad])
         assert code == 1 and not out
         assert err[0].startswith("gmine: workers must be at least 1")
+
+
+def test_prediction_overflow_exit_1(capsys, demo_paths, monkeypatch):
+    monkeypatch.setattr(explore, "PRED_MAX", 4)  # demo 2-embeddings sum two degrees
+    code, out, err = run_cli(capsys, ["motif", demo_paths, "-k", "3"])
+    assert code == 1 and not out
+    assert err[0].startswith("gmine: a gather volume of")
 
 
 def test_assertion_error_is_not_caught(demo_paths, monkeypatch):

@@ -13,10 +13,10 @@ from gmine.spill import read_part
 from gmine.store import LevelSlice
 
 from conftest import make_random_graph
-from oracles import (check_link, connected_edge_subsets, edge_endpoints,
-                     enumerate_connected_subsets, extract,
-                     is_canonical_edge_extension, is_canonical_extension,
-                     is_connected_subset,
+from oracles import (check_link, connected_edge_subsets,
+                     enumerate_connected_subsets, extract, gather_volume,
+                     gather_volume_edges, is_canonical_edge_extension,
+                     is_canonical_extension, is_connected_subset, iter_embeddings,
                      ordering_is_canonical, ordering_is_canonical_edges,
                      predict_candidate_size, predict_candidate_size_edges,
                      reference_expand)
@@ -199,12 +199,16 @@ def test_predict_equals_brute_union():
 
 
 def test_predict_streamed_matches_brute(demo_graph):
+    # a prediction is the gather volume, which bounds the distinct
+    # candidates, which bound the children
     g = demo_graph
     s = vertex_store_to(g, 3)
     pred = s.level(3).pred
+    children = np.diff(vertex_store_to(g, 4).level(4).off)
     for o in range(s.level(3).count):
         emb = list(extract(s, 3, o))
-        assert pred[o] == predict_candidate_size(g, emb)
+        assert pred[o] == gather_volume(g, emb)
+        assert children[o] <= predict_candidate_size(g, emb) <= pred[o]
 
 
 def test_predict_streamed_matches_brute_edges():
@@ -218,18 +222,51 @@ def test_predict_streamed_matches_brute_edges():
         for li in levels:
             s = edge_store_to(g, li)
             pred = s.level(li).pred
+            children = np.diff(edge_store_to(g, li + 1).level(li + 1).off)
             for o in range(s.level(li).count):
                 emb = list(extract(s, li, o))
-                assert pred[o] == predict_candidate_size_edges(g, emb)
+                assert pred[o] == gather_volume_edges(g, emb)
+                assert children[o] <= predict_candidate_size_edges(g, emb) <= pred[o]
 
 
 def test_seed_preds(demo_graph):
     with Session(demo_graph, "vertex") as s:
         s.seed_vertices()
-        assert s.cse.top.pred.tolist() == [2, 3, 3, 2, 4]
-    ep = edge_seed_preds(demo_graph)
-    u, v = edge_endpoints(demo_graph, 0)
-    assert ep[0] == demo_graph.degree(u) + demo_graph.degree(v) - 2
+        assert s.cse.top.pred.tolist() == [gather_volume(demo_graph, [v])
+                                           for v in range(demo_graph.num_vertices)]
+    assert edge_seed_preds(demo_graph).tolist() == [
+        gather_volume_edges(demo_graph, [e]) for e in range(demo_graph.num_edges)]
+
+
+def test_explore_checks_its_level_against_the_charged_bound(demo_graph):
+    # the plan charges the alive parents' summed predictions; a level
+    # with more embeddings raises instead of passing as planned
+    with Session(demo_graph, "vertex") as s:
+        s.seed_vertices()
+        s.explore()
+        s.cse.top.pred[:] = 1
+        with pytest.raises(AssertionError, match="more than the 7 its plan charged"):
+            s.explore()
+    with Session(demo_graph, "vertex") as s:
+        s.seed_vertices()
+        s.explore(want_pred=False)
+        with pytest.raises(ValueError, match="no predictions"):
+            s.explore()
+
+
+def test_predictions_raise_before_they_overflow_int32(demo_graph, monkeypatch):
+    big = np.array([3, explore.PRED_MAX + 1], dtype=np.int64)
+    with pytest.raises(OverflowError, match="does not fit an int32"):
+        explore.pred32(big)
+    assert explore.pred32(big - 1).tolist() == [2, explore.PRED_MAX]
+    # demo degrees are at most 4, and a 2-embedding sums two of them
+    monkeypatch.setattr(explore, "PRED_MAX", 4)
+    with Session(demo_graph, "vertex") as s:
+        s.seed_vertices()
+        with pytest.raises(OverflowError, match="does not fit an int32"):
+            s.explore()
+    with pytest.raises(OverflowError):
+        edge_seed_preds(demo_graph)
 
 
 # -- partitioning ----------------------------------------------------------------
@@ -322,6 +359,8 @@ def explore_checked(g, mode, depth, flt=None, alive_p=None, seed=0, **kw):
     level's vert/off/pred against reference_expand. Returns each new
     top's (vert, off, pred) and the session metrics."""
     rng = np.random.default_rng(seed)
+    candidates = (predict_candidate_size if mode == "vertex"
+                  else predict_candidate_size_edges)
     tops = []
     with Session(g, mode, **kw) as s:
         s.seed_vertices() if mode == "vertex" else s.seed_edges()
@@ -334,6 +373,7 @@ def explore_checked(g, mode, depth, flt=None, alive_p=None, seed=0, **kw):
                 slices = [LevelSlice.of(l) for l in s.cse.levels]
                 want = reference_expand(g, mode, slices, 0, top.count,
                                         reference_filter(g, flt), alive, want_pred)
+                top_pred = top.pred.tolist()
             s.explore(flt, alive, want_pred)
             got = level_arrays(s.cse.top)
             if resident:
@@ -342,6 +382,8 @@ def explore_checked(g, mode, depth, flt=None, alive_p=None, seed=0, **kw):
                 assert got[1] == [0] + np.cumsum(counts).tolist()
                 # an empty parent level maps no ranges and keeps no pred
                 assert (got[2] or []) == (pred.tolist() if want_pred else [])
+                for o, emb in iter_embeddings(slices, 0, top.count):
+                    assert counts[o] <= candidates(g, emb) <= top_pred[o]
             tops.append(got)
     return tops, s.metrics
 

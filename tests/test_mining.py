@@ -18,8 +18,8 @@ from gmine.store import LevelSlice, level_columns
 
 from conftest import make_random_graph
 from oracles import (brute_cliques, brute_mni, brute_motif_counts,
-                     brute_triangles, extract, iter_embeddings, min_perm_form,
-                     random_connected_edges, rank_dag_lists, write_result)
+                     brute_triangles, extract, gather_volume, iter_embeddings,
+                     min_perm_form, random_connected_edges, rank_dag_lists, write_result)
 
 
 def pattern_rows(pat):
@@ -142,15 +142,22 @@ def test_clique_levels_predict_their_out_list_unions():
         dag = rank_dag_lists(g)
         with Session(g, "vertex") as s:
             s.seed_vertices(g.rank_dag)
-            assert s.cse.top.pred.tolist() == [len(row) for row in dag]
+            assert s.cse.top.pred.tolist() == [gather_volume(g, [r], dag)
+                                               for r in range(len(dag))]
+            unions = [len(row) for row in dag]  # distinct candidates per parent
             for size in range(2, 6):
                 s.explore(flt=CLIQUE)
                 top = s.cse.top
+                children = np.diff(top.off)
+                assert all(c <= u for c, u in zip(children, unions)), (trial, size)
+                unions = []
                 for o in range(top.count):
                     emb = extract(s.cse, top.index, o)
-                    union = set().union(*(dag[r] for r in emb))
+                    union = len(set().union(*(dag[r] for r in emb)) - set(emb))
                     assert list(emb) == sorted(emb)
-                    assert top.pred[o] == len(union - set(emb)), (trial, size, o)
+                    assert top.pred[o] == gather_volume(g, emb, dag), (trial, size, o)
+                    assert union <= top.pred[o], (trial, size, o)
+                    unions.append(union)
 
 
 def test_clique_rejects_bad_k(demo_graph):
@@ -573,10 +580,16 @@ def test_resident_phases_map_once_each(monkeypatch):
 
 # -- spill directory lifetime ----------------------------------------------------
 
+def below_peak(g, parts):
+    """One byte below the unbudgeted 4-motif run's peak estimate: a
+    budget that forces the plan onto disk."""
+    return motif_count(g, 4, parts_per_level=parts)[1]["peak_resident_estimate"] - 1
+
+
 def test_session_removes_its_own_spill_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("GMINE_SPILL_DIR", str(tmp_path))
     g = make_random_graph(2900, 30, 40)
-    _, metrics = motif_count(g, 4, memory_budget=3500, parts_per_level=3)
+    _, metrics = motif_count(g, 4, memory_budget=below_peak(g, 3), parts_per_level=3)
     assert metrics["bytes_spilled"] > 0
     assert os.listdir(str(tmp_path)) == []
 
@@ -593,7 +606,7 @@ def test_session_removes_its_own_spill_dir_on_error(tmp_path, monkeypatch):
 def test_session_keeps_caller_spill_dir(tmp_path):
     g = make_random_graph(2900, 30, 40)
     d = str(tmp_path / "mine")
-    motif_count(g, 4, memory_budget=3500, spill_dir=d, parts_per_level=3)
+    motif_count(g, 4, memory_budget=below_peak(g, 3), spill_dir=d, parts_per_level=3)
     assert only_part_files(d)
 
 
@@ -602,8 +615,8 @@ def test_level_bytes_do_not_depend_on_the_budget(tmp_path):
     # would in memory
     g = make_random_graph(2900, 30, 40)
     _, base = motif_count(g, 4, parts_per_level=3)
-    _, spilled = motif_count(g, 4, memory_budget=3500, spill_dir=str(tmp_path),
-                             parts_per_level=3)
+    _, spilled = motif_count(g, 4, memory_budget=base["peak_resident_estimate"] - 1,
+                             spill_dir=str(tmp_path), parts_per_level=3)
     assert spilled["bytes_spilled"] > 0
     keys = [k for k in base if k.startswith("level_")]
     assert len(keys) == 8

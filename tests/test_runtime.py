@@ -1,5 +1,6 @@
 """The range threads: task order, the thread cap, a raising range
-surfacing as its exception, and the malloc arena bound.
+surfacing as its exception, the move off the caller's CPU, and the
+malloc arena bound.
 
 The autouse no_leaked_threads fixture fails any test here that returns
 while one of map_ranges' threads still runs.
@@ -103,6 +104,30 @@ def test_cli_reports_failing_range(tmp_path, monkeypatch, capsys):
     assert main(["clique", ep, "-k", "3", "--workers", "2"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("gmine: range ")
+
+
+@pytest.mark.skipif(runtime.current_cpu() < 0, reason="no sched_getcpu")
+def test_range_threads_leave_the_callers_cpu_and_keep_its_affinity(monkeypatch):
+    allowed = os.sched_getaffinity(0)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: 2)
+    seen = []
+
+    def fn(task):
+        seen.append(os.sched_getaffinity(0))
+        return task
+
+    assert runtime.map_ranges(fn, list(range(6)), 2) == list(range(6))
+    assert seen == [allowed] * 6
+    for cpu in (-1, runtime.current_cpu()):
+        runtime.leave_cpu(cpu)
+        assert os.sched_getaffinity(0) == allowed
+
+    def refuse(pid, mask):
+        raise OSError("refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    runtime.leave_cpu(runtime.current_cpu())  # a refused move is ignored
+    assert runtime.map_ranges(fn, [0, 1], 2) == [0, 1]
 
 
 def test_single_worker_runs_leave_the_allocator_alone(monkeypatch):

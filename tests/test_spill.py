@@ -425,9 +425,12 @@ def test_write_failure_raises_instead_of_hanging(tmp_path):
             time.sleep(0.5)
             raise OSError(errno.ENOSPC, "No space left on device")
 
+        g = make_random_graph(2900, 30, 40)
+        _, m = motif_count(g, 4, parts_per_level=32)
         spill.write_part = failing_write
         try:
-            motif_count(make_random_graph(2900, 30, 40), 4, memory_budget=3500,
+            # one byte below the peak forces the plan onto disk
+            motif_count(g, 4, memory_budget=m["peak_resident_estimate"] - 1,
                         parts_per_level=32)
         except OSError as e:
             print("raised:", errno.errorcode[e.errno])
@@ -453,9 +456,15 @@ def test_failed_spilled_explore_leaves_no_thread(tmp_path, monkeypatch):
     def failing_range(task):
         raise RuntimeError("range worker failed")
 
+    with mining.Session(g, "vertex", parts_per_level=3) as s:
+        s.seed_vertices()
+        s.explore()
+        s.explore()
+    # one byte below the peak: the second explore writes its level
+    budget = s.metrics["peak_resident_estimate"] - 1
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="range worker failed"):
-        with mining.Session(g, "vertex", memory_budget=3500,
+        with mining.Session(g, "vertex", memory_budget=budget,
                             parts_per_level=3) as s:
             s.seed_vertices()
             s.explore()
