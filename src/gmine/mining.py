@@ -24,7 +24,7 @@ from . import runtime
 from .explore import (CLIQUE, GATHER, chunks, edge_seed_preds, expand_vertex_range,
                       in_sorted, partition_by_weight, pred32, ragged, run_heads)
 from .explore import expand_edge_range  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 1)
-from .fingerprint import PAIR_BIT, PatternHasher, check_same_pattern
+from .fingerprint import MAX_K, PAIR_BIT, PatternHasher, check_same_pattern
 from .spill import PartWriter, plan_spill, replay_top, spill_existing_level
 from .store import EmbeddingStore, level_columns
 
@@ -75,9 +75,26 @@ def count_patterns_range(task):
 
 # Edge embeddings per chunk of mni_edge_range. Its temporaries (columns,
 # key rows, domain codes) grow the peak RSS with the chunk: fsm(g, 3, 180)
-# on the seed-1 fsm3-labeled input 0 grows ru_maxrss by 8.5 MiB at 2^12,
-# 9.2 at 2^11 and 14.8 at 2^14, with no clear time gain (2-vCPU x86 VM).
+# on the seed-1 fsm3-labeled input 0 grows ru_maxrss by 7.3 MiB in 0.31 s
+# at 2^12, 6.5 MiB in 0.36 s at 2^11 and 13.1 MiB in 0.27 s at 2^14
+# (medians of 5 fresh processes, 2-vCPU x86 VM).
 MNI_CHUNK = 1 << 12
+
+_NO_VERTEX = np.iinfo(np.int64).max
+
+
+# odd-even transposition networks, one per row count (2k end rows for
+# k <= MAX_K - 1 edges): r rounds of compare-exchanges on the row pairs
+# (i, i+1), i of the round's parity, sort r rows
+_NETWORKS = [[(i, i + 1) for t in range(r) for i in range(t % 2, r - 1, 2)]
+             for r in range(2 * MAX_K - 1)]
+
+
+def _sort_rows(rows):
+    """Sort the columns of a list of equal-length int64 rows in place."""
+    for i, j in _NETWORKS[len(rows)]:
+        rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
+    return rows
 
 
 def _edge_rows(cols, eu, ev, labels):
@@ -91,52 +108,74 @@ def _edge_rows(cols, eu, ev, labels):
     pairs. Listings of a pattern that differ only inside its tied
     (label, degree) blocks share one key, and the hasher never has to
     reorder a key.
+
+    Each of the 2k ends gets the int64 key (label*(k+1) + degree)*n +
+    vertex, with its degree counted by comparing the end rows. A sorting
+    network orders the keys per column, so a vertex's ends sit side by
+    side; every repeat becomes the int64 maximum, and a second pass of
+    the network moves the repeats after the distinct keys, whose first
+    k+1 rows are then the canonical order.
     """
     k, m = cols.shape
+    n = len(labels)
+    if (int(labels.max()) + 1) * (k + 1) * n >= 1 << 63:
+        raise OverflowError("labels up to %d on %d vertices overflow the int64 "
+                            "key of a %d-edge embedding" % (labels.max(), n, k))
     ends = np.concatenate((eu[cols], ev[cols]))
-    order = np.argsort(ends, axis=0)
-    srt = np.take_along_axis(ends, order, axis=0)
-    first = np.ones(srt.shape, dtype=bool)
-    np.not_equal(srt[1:], srt[:-1], out=first[1:])
-    rank = np.cumsum(first, axis=0) - 1  # id-order position of each sorted end
-    nv = rank[-1] + 1
-    verts = np.full((k + 1, m), -1, dtype=ends.dtype)
-    verts[rank[first], np.nonzero(first)[1]] = srt[first]
-    lab = np.where(verts >= 0, labels[verts], -1)
-    # a position's degree is how often its vertex occurs among the ends;
-    # label * (k+1) + degree is exact in int64 for any int32 label, and
-    # padding sorts last
-    deg = np.bincount((rank * m + np.arange(m)).ravel(), minlength=(k + 1) * m)
-    key = np.where(verts >= 0, lab * np.int64(k + 1) + deg.reshape(k + 1, m),
-                   np.iinfo(np.int64).max)
-    slot = np.argsort(key, axis=0, kind="stable")  # canonical slot -> id position
-    place = np.empty_like(slot)                     # id position -> canonical slot
-    np.put_along_axis(place, slot, np.arange(k + 1)[:, None], axis=0)
-    pos = np.empty_like(rank)
-    np.put_along_axis(pos, order, np.take_along_axis(place, rank, axis=0), axis=0)
-    i = np.minimum(pos[:k], pos[k:])
-    j = np.maximum(pos[:k], pos[k:])
-    bit = i * nv - i * (i + 1) // 2 + (j - i - 1)  # PAIR_BIT[nv][i][j]
+    key = labels[ends].astype(np.int64, copy=False)
+    key *= k + 1
+    key += (ends[:, None] == ends[None]).sum(axis=1, dtype=np.int8)
+    key *= n
+    key += ends
+    srt = np.array(_sort_rows(list(key)))
+    srt[1:][srt[1:] == srt[:-1]] = _NO_VERTEX
+    canon = np.array(_sort_rows(list(srt))[:k + 1])
+    pad = canon == _NO_VERTEX
+    q = canon // n
+    verts = (canon - q * n).astype(ends.dtype)
+    verts[pad] = -1
     rows = np.empty((k + 2, m), dtype=labels.dtype)  # a bitmap has at most 28 bits
-    rows[:-1] = np.take_along_axis(lab, slot, axis=0)
-    rows[-1] = np.bitwise_or.reduce(1 << bit, axis=0)
-    return np.take_along_axis(verts, slot, axis=0), rows
+    np.floor_divide(q, k + 1, out=rows[:-1], casting="unsafe")
+    rows[:-1][pad] = -1
+    # an end's slot is the number of distinct keys below its own
+    slot = (key[:, None] > canon[None]).sum(axis=1, dtype=np.int8)
+    nv = k + 1 - pad.sum(axis=0, dtype=np.int8)
+    i = np.minimum(slot[:k], slot[k:])
+    j = np.maximum(slot[:k], slot[k:])
+    bit = i * nv - i * (i + 1) // 2 + (j - i - 1)  # PAIR_BIT[nv][i][j]
+    rows[-1] = np.bitwise_or.reduce(1 << bit.astype(np.int64), axis=0)
+    return verts, rows
 
 
 class _RawKeyTable:
-    """Per-range map from (labels, bitmap) key rows to the pattern hash
-    and one MNI domain group per position, classifying each key once.
+    """Per-range map from (label ranks, bitmap) key rows to the pattern
+    hash and one MNI domain group per position, classifying each key
+    once.
 
-    A chunk's rows are deduplicated by one lexsort, so only its distinct
-    rows become bytes keys and probe the dict; a row's bytes are its
-    exact key whatever the label values, and only keys new to the range
-    reach the hasher.
+    A key row packs into as few int64 words as hold it: width fields of
+    rank + 1 (0 for padding), bit_length(#labels) bits each, then the
+    bitmap's width*(width-1)/2 bits, no field straddling two words. A
+    chunk's keys are deduplicated by one lexsort over the words, so only
+    its distinct keys become bytes and probe the dict, and only keys new
+    to the range reach the hasher, with their ranks mapped back to the
+    labels.
     """
 
-    def __init__(self, hasher, width):
+    def __init__(self, hasher, width, label_values):
         self.hasher = hasher
         self.width = width                     # positions: edges + 1
-        self.index = {}                        # row bytes -> entry
+        self.label_values = label_values       # label of each rank
+        self.fields = []                       # (word, shift) per key row
+        words = used = 0
+        for size in ([len(label_values).bit_length()] * width
+                     + [width * (width - 1) // 2]):
+            if not words or used + size > 63:
+                words += 1
+                used = 0
+            self.fields.append((words - 1, used))
+            used += size
+        self.words = words
+        self.index = {}                        # packed key bytes -> entry
         self.hash = np.zeros(0, dtype=np.uint64)
         self.group = np.zeros((0, width), dtype=np.int64)
         self.patterns = {}                     # hash -> (Pattern, first group, orbit count)
@@ -144,29 +183,34 @@ class _RawKeyTable:
 
     def lookup(self, rows):
         """Hash per column of rows, and its groups as a (width, m) array."""
-        order = np.lexsort(rows)
-        srt = rows[:, order]
-        head = np.ones(len(order), dtype=bool)
+        m = rows.shape[1]
+        packed = np.zeros((self.words, m), dtype=np.int64)
+        for f, (w, s) in enumerate(self.fields):  # rank + 1, then the bitmap
+            packed[w] |= np.left_shift(rows[f] + (f < self.width), s, dtype=np.int64)
+        order = np.lexsort(packed)
+        srt = packed[:, order]
+        head = np.ones(m, dtype=bool)
         np.any(srt[:, 1:] != srt[:, :-1], axis=0, out=head[1:])
-        inv = np.empty(len(order), dtype=np.int64)
+        inv = np.empty(m, dtype=np.int64)
         inv[order] = np.cumsum(head) - 1
         uniq = np.ascontiguousarray(srt[:, head].T)
-        keys = uniq.view(np.dtype((np.void, uniq.itemsize * len(rows)))).ravel().tolist()
-        new = [key for key in keys if key not in self.index]
+        keys = uniq.view(np.dtype((np.void, 8 * self.words))).ravel().tolist()
+        new = [u for u, key in enumerate(keys) if key not in self.index]
         if new:
-            self._add(new, rows.dtype)
+            # each new key's row from a column that holds it
+            self._add([keys[u] for u in new], rows[:, order[head][new]])
         e = np.fromiter(map(self.index.__getitem__, keys), dtype=np.int64,
                         count=len(keys))[inv]
         return self.hash[e], self.group[e].T
 
-    def _add(self, keys, dtype):
+    def _add(self, keys, reps):
         hs = []
         gs = []
-        for key in keys:
+        labels = self.label_values[reps[:-1]].T.tolist()  # padding cut below
+        sizes = (reps[:-1] >= 0).sum(axis=0).tolist()
+        for key, lab, nv, bits in zip(keys, labels, sizes, reps[-1].tolist()):
             self.index[key] = len(self.index)
-            row = np.frombuffer(key, dtype=dtype).tolist()
-            nv = row.index(-1) if row[-2] < 0 else self.width
-            e = self.hasher.classify(tuple(row[:nv]), row[-1])
+            e = self.hasher.classify(tuple(lab[:nv]), bits)
             rec = self.patterns.get(e.hash)
             if rec is None:
                 rec = self.patterns[e.hash] = (e.pattern, self.groups, e.orbit_count)
@@ -187,8 +231,8 @@ def mni_edge_range(task):
     """Classify edge embeddings and collect per-orbit vertex domains.
 
     Works on chunks of id columns: the endpoints give each embedding's
-    canonically ordered vertex list, label row and adjacency bitmap as
-    arrays, and a per-range table classifies each distinct (labels,
+    canonically ordered vertex list, label-rank row and adjacency bitmap
+    as arrays, and a per-range table classifies each distinct (ranks,
     bitmap) key once. The domains are one sorted, deduplicated array of
     (domain group, vertex) codes per range, one int64 per distinct pair,
     that the codes each chunk adds merge into in batches. When the range
@@ -204,7 +248,7 @@ def mni_edge_range(task):
     g = ctx["graph"]
     cap = ctx["cap"]
     n = g.num_vertices
-    table = _RawKeyTable(ctx["hasher"], len(slices) + 1)
+    table = _RawKeyTable(ctx["hasher"], len(slices) + 1, ctx["label_values"])
     hashes = np.zeros(hi - lo, dtype=np.uint64) if ctx.get("want_hashes") else None
     codes = np.zeros(0, dtype=np.int64)
     fresh = []  # sorted chunk codes waiting to merge into codes
@@ -212,7 +256,7 @@ def mni_edge_range(task):
     for a in range(lo, hi, MNI_CHUNK):
         b = min(a + MNI_CHUNK, hi)
         verts, rows = _edge_rows(level_columns(slices, a, b), g.edge_u, g.edge_v,
-                                 g.labels)
+                                 ctx["label_ranks"])
         h, groups = table.lookup(rows)
         if hashes is not None:
             hashes[a - lo:b - lo] = h
@@ -354,8 +398,10 @@ class Session:
         if self.mode == "vertex":
             runtime.set_context(csr=self.csr, ends=None, num_ids=g.num_vertices)
         else:
+            values, ranks = np.unique(g.labels, return_inverse=True)
             runtime.set_context(graph=g, csr=g.incident_csr, ends=(g.edge_u, g.edge_v),
-                                num_ids=g.num_edges)
+                                num_ids=g.num_edges, label_values=values,
+                                label_ranks=ranks)
         runtime.set_context(hasher=self.hasher, id_dtype=self.cse.id_dtype)
         self._base_ctx_set = True
 

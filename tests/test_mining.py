@@ -277,18 +277,29 @@ def test_mni_edge_range_matches_per_embedding_reference(monkeypatch):
                     for h, (pat, doms) in got.items()} == want
 
 
-@pytest.mark.parametrize("trial", range(3))
+SIXTEEN_LABELS = (0, 2 ** 31 - 1) + tuple(range(5, 5 + 14 * 7919, 7919))
+
+
+@pytest.mark.parametrize("trial", range(4))
 def test_edge_rows_are_in_canonical_order(monkeypatch, trial):
     # positions sorted by (label, degree), ties by vertex id, so every key
     # the hasher caches is already in its canonical order; the labels
-    # include the int32 maximum and repeat, which makes ties
+    # include 0 and the int32 maximum and repeat, which makes ties. Up to
+    # 7 edges, every sorting network from 2 to 14 end rows runs; the
+    # 16-label input carries every pool label on a matching of its own,
+    # so its packed keys take 5-bit label fields and two words at 7 edges
     monkeypatch.setattr(mining, "MNI_CHUNK", 3)
+    pool, top = ((0, 700, 1400, 2 ** 31 - 1), 4) if trial < 3 else (SIXTEEN_LABELS, 7)
     rng = random.Random(2830 + trial)
-    edges = random_connected_edges(rng, 10, 8)
-    g = Graph.from_edges(edges, {v: rng.choice((0, 700, 1400, 2 ** 31 - 1))
-                                 for v in range(10)})
+    n = 10 if top < 7 else 8  # brute_mni stays quick at 7 edges
+    edges = random_connected_edges(rng, n, 8 if top < 7 else 1)
+    labels = {v: rng.choice(pool) for v in range(n)}
+    if top == 7:
+        edges += [(n + 2 * i, n + 2 * i + 1) for i in range(len(pool) // 2)]
+        labels.update((n + i, x) for i, x in enumerate(pool))
+    g = Graph.from_edges(edges, labels)
     eu, ev, lab = g.edge_u.tolist(), g.edge_v.tolist(), g.labels.tolist()
-    for k_edges in range(1, 5):
+    for k_edges in range(1, top + 1):
         with Session(g, "edge", labeled=True) as s:
             s.seed_edges()
             for _ in range(k_edges - 1):
@@ -320,6 +331,14 @@ def test_edge_rows_are_in_canonical_order(monkeypatch, trial):
                 perm = fingerprint.canonical_sort(labels, degrees, bits)[3]
                 assert perm == list(range(len(labels)))
             assert len(s.hasher._poly) == len(brute_mni(g, k_edges))
+    big = np.full(g.num_vertices, 1 << 58)  # (2^58 + 1) * 8 * n passes 2^63
+    with pytest.raises(OverflowError, match="int64"):
+        mining._edge_rows(np.zeros((7, 1), np.int64), g.edge_u, g.edge_v, big)
+    if top == 7:  # by the 0-1 principle, each network sorts any column
+        for r in range(2, 15):
+            bits = list(np.arange(1 << r) >> np.arange(r)[:, None] & 1)
+            srt = np.array(mining._sort_rows(bits))
+            assert np.all(srt[1:] >= srt[:-1]), r
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5])
@@ -380,16 +399,30 @@ def test_merge_mni_of_split_ranges_equals_the_whole_range(monkeypatch, cap):
                     assert d.tolist() == w.tolist(), (cut, h)
 
 
-def test_fsm_exact_with_labels_past_a_packed_key():
-    # (max label + 2)^8 * 2^28 overflows 63 bits, so a key packing labels
-    # and bitmap into one int64 would wrap at 8 vertices
-    rng = random.Random(2820)
-    edges = random_connected_edges(rng, 8, 1)
-    g = Graph.from_edges(edges, {v: 700 * rng.randrange(3) for v in range(8)})
-    assert (g.max_label + 2) ** 8 << 28 >= 1 << 63
-    result, _ = fsm(g, 7, 1)
-    assert max(p.k for p, _ in result.values()) == 8
-    assert fsm_forms(result) == expected_frequent(g, 7, 1)
+def test_fsm_exact_with_labels_past_a_packed_key(tmp_path):
+    # keys pack label ranks: at 8 vertices, 3 labels take 8 fields of 2
+    # bits and the 28-bit bitmap, one int64 word; 16 labels take 5-bit
+    # fields, so the bitmap moves to a second word. The 16 labels sit on
+    # a matching beside the 8-vertex component, which draws from them
+    for pool, words in (((0, 700, 1400), 1), (SIXTEEN_LABELS, 2)):
+        rng = random.Random(2820)
+        edges = random_connected_edges(rng, 8, 1)
+        labels = {v: rng.choice(pool) for v in range(8)}
+        if len(pool) > 8:
+            edges += [(8 + 2 * i, 9 + 2 * i) for i in range(len(pool) // 2)]
+            labels.update((8 + i, x) for i, x in enumerate(pool))
+        g = Graph.from_edges(edges, labels)
+        assert mining._RawKeyTable(None, 8, np.unique(g.labels)).words == words
+        result, metrics = fsm(g, 7, 1)
+        assert max(p.k for p, _ in result.values()) == 8
+        assert fsm_forms(result) == expected_frequent(g, 7, 1)
+        lines = result_lines(result)
+        assert result_lines(fsm(g, 7, 1, workers=2)[0]) == lines
+        budget = int(metrics["peak_resident_estimate"] * 0.75)
+        spilled, m = fsm(g, 7, 1, workers=2, memory_budget=budget,
+                         spill_dir=str(tmp_path / str(words)), parts_per_level=3)
+        assert m["bytes_spilled"] > 0
+        assert result_lines(spilled) == lines
 
 
 # -- determinism across workers and budgets ------------------------------------------
