@@ -74,14 +74,15 @@ def build_parser():
 
 
 def _emit(lines, out_path, summary):
-    for ln in lines:
-        print(ln)
+    """Write --output first, so a failed write prints no result."""
     if out_path:
         with open(out_path, "w") as fh:
             for ln in lines:
                 fh.write(ln + "\n")
             if summary:
                 fh.write(summary + "\n")
+    for ln in lines:
+        print(ln)
 
 
 def main(argv=None):
@@ -109,10 +110,10 @@ def main(argv=None):
             items, metrics = fsm(g, args.k, args.support, **kw)
             lines = result_lines(items)
             summary = "# patterns=%d threshold=%d" % (len(items), args.support)
+        _emit(lines, args.output, summary)
     except RUN_FAILURES as e:
         print("gmine: %s" % e, file=sys.stderr)
         return 1
-    _emit(lines, args.output, summary)
     print("load_seconds=%.3f" % load_s, file=sys.stderr)
     print("graph_vertices=%d graph_edges=%d" % (g.num_vertices, g.num_edges),
           file=sys.stderr)

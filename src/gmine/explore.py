@@ -9,7 +9,7 @@ k to k+1 visits each subgraph exactly once with no duplicate checks.
 
 The edge-induced variant orders edges by their id in the sorted edge
 table and applies the same head/attachment rules to edge ids. One
-array kernel expands both, over whatever CSR the session publishes.
+array kernel expands both, over whatever CSR the session's context holds.
 Each member id touches ascending candidate lists in it: a vertex its
 own row (its neighbors, or for cliques its out-neighbors in the rank
 DAG, whose ids are ranks), an edge the incident-edge rows of both
@@ -22,7 +22,6 @@ predictions become array compares.
 
 import numpy as np
 
-from . import runtime
 from .store import level_columns
 
 # Parents read as one block of id columns, and list entries per gather.
@@ -122,18 +121,18 @@ def _sources(ids, ends):
 
 # -- range expansion ---------------------------------------------------
 
-def expand_vertex_range(task, fold=None):
+def expand_vertex_range(task, ctx):
     """Expand top-level offsets [lo, hi) by one id.
 
     Reads the CSR, slices, filter, alive mask and the top's predictions
-    from the published worker context and returns (vert, counts, preds)
-    arrays for the range, children ascending per parent. The filter is
-    None, a boolean mask over ids, or CLIQUE. A prediction is the gather
-    volume the next explore reads, which bounds the children: the list
-    lengths of an embedding's distinct sources. A child's is its
-    parent's plus those of its sources no member has, with no gather.
+    from the phase context ctx and returns (vert, counts, preds) arrays
+    for the range, children ascending per parent. The filter is None, a
+    boolean mask over ids, or CLIQUE. A prediction is the gather volume
+    the next explore reads, which bounds the children: the list lengths
+    of an embedding's distinct sources. A child's is its parent's plus
+    those of its sources no member has, with no gather.
 
-    With a fold, no child is stored: each gather chunk calls
+    With ctx["fold"], no child is stored: each gather chunk calls
     fold(emb, cp, cv, mask) with its parents' (k, p) id columns, the
     kept children as parent column cp and id cv, and each child's mask
     of attach positions, the OR of 1 << attach over its key run (in
@@ -141,13 +140,13 @@ def expand_vertex_range(task, fold=None):
     returns None.
     """
     lo, hi = task
-    ctx = runtime.get_context()
     slices = ctx["slices"]
     off, ids = ctx["csr"]
     ends = ctx["ends"]
     n = ctx["num_ids"]
     flt = ctx.get("filter")
     alive = ctx.get("alive")
+    fold = ctx.get("fold")
     want_pred = ctx.get("want_pred", True)
     k = len(slices)
     if k > 8:
@@ -208,5 +207,5 @@ def expand_vertex_range(task, fold=None):
 
 
 # The one kernel expands edge embeddings too; this name stays only
-# because the benchmark tracer wraps it (ROADMAP item 1).
+# because the benchmark tracer wraps it (ROADMAP item 3).
 expand_edge_range = expand_vertex_range

@@ -20,10 +20,9 @@ from functools import partial
 
 import numpy as np
 
-from . import runtime
 from .explore import (CLIQUE, GATHER, chunks, edge_seed_preds, expand_vertex_range,
                       in_sorted, partition_by_weight, pred32, ragged, run_heads)
-from .explore import expand_edge_range  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 1)
+from .explore import expand_edge_range  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 3)
 from .fingerprint import MAX_K, PAIR_BIT, PatternHasher, check_same_pattern
 from .spill import PartWriter, plan_spill, replay_top, spill_existing_level
 from .store import EmbeddingStore, level_columns
@@ -36,7 +35,7 @@ from .store import EmbeddingStore, level_columns
 CHUNK = 1 << 14
 
 
-def count_patterns_range(task):
+def count_patterns_range(task, ctx):
     """Fold the motif census over the children of top-level offsets
     [lo, hi) without storing them; returns {hash: [Pattern, count]}.
 
@@ -47,7 +46,6 @@ def count_patterns_range(task):
     adjacent to (the kernel's attach mask), and one bincount tallies
     the bitmaps. The hasher sees each distinct bitmap of the range once.
     """
-    ctx = runtime.get_context()
     keys = ctx["edge_keys"]
     n = ctx["num_ids"]
     hasher = ctx["hasher"]
@@ -64,7 +62,7 @@ def count_patterns_range(task):
         bits = np.bitwise_or.reduce(hit << shift, axis=0)
         np.add(tally, np.bincount(bits[cp] | new[mask], minlength=len(tally)), out=tally)
 
-    expand_vertex_range(task, fold)
+    expand_vertex_range(task, dict(ctx, fold=fold))
     zeros = (0,) * k
     out = {}
     for b in np.flatnonzero(tally).tolist():
@@ -227,7 +225,7 @@ class _RawKeyTable:
                 for h, (pat, g, c) in self.patterns.items()}
 
 
-def mni_edge_range(task):
+def mni_edge_range(task, ctx):
     """Classify edge embeddings and collect per-orbit vertex domains.
 
     Works on chunks of id columns: the endpoints give each embedding's
@@ -243,7 +241,6 @@ def mni_edge_range(task):
     embeddings of frequent patterns alive.
     """
     lo, hi = task
-    ctx = runtime.get_context()
     slices = ctx["slices"]
     g = ctx["graph"]
     cap = ctx["cap"]
@@ -279,7 +276,7 @@ def mni_edge_range(task):
     return table.results(doms), hashes
 
 
-def triangle_range(task):
+def triangle_range(task, ctx):
     """Count common neighbors above the larger endpoint per 2-embedding.
 
     Works on chunks of id columns (u, v): v's index in the sorted edge
@@ -288,7 +285,6 @@ def triangle_range(task):
     entries and tested against v's row in one binary search.
     """
     lo, hi = task
-    ctx = runtime.get_context()
     slices = ctx["slices"]
     off, nbr = ctx["csr"]
     keys = ctx["edge_keys"]
@@ -346,12 +342,19 @@ def mni_support(doms, cap):
 # -- session --------------------------------------------------------------
 
 class Session:
-    """One mining run: graph, store, plan state, workers, metrics."""
+    """One mining run: graph, store, plan state, workers, metrics.
+
+    Seeding sets ctx, the base context that every phase passes its
+    range functions: the CSR the kernel expands over, the id count, the
+    edge ends and label ranks in edge mode, the hasher and the id
+    dtype. A phase passes a copy extended with its own inputs, which
+    goes when the phase ends, so sessions that overlap in one process
+    share nothing.
+    """
 
     def __init__(self, g, mode="vertex", workers=1, memory_budget=0,
                  spill_dir=None, parts_per_level=None, labeled=False):
         self.g = g
-        self.mode = mode
         self.workers = int(workers)
         if self.workers < 1:
             raise ValueError("workers must be at least 1, got %d" % self.workers)
@@ -370,7 +373,7 @@ class Session:
         self.hasher = PatternHasher((g.max_label if labeled else 0) + 2)
         self.cse = EmbeddingStore(mode, np.int32)
         self.metrics = {"workers": self.workers, "budget": self.budget}
-        self._base_ctx_set = False
+        self.ctx = None
 
     # -- seeding -----------------------------------------------------
 
@@ -378,12 +381,22 @@ class Session:
         """Seed level 1 as the identity over the rows of csr, by default
         the graph's adjacency, each predicting its gather volume, its row
         length, and expand every level over csr."""
-        self.csr = (self.g.offsets, self.g.neighbor_ids) if csr is None else csr
-        self.cse.seed_identity(len(self.csr[0]) - 1, pred=pred32(np.diff(self.csr[0])))
-        self._note_level()
+        g = self.g
+        csr = (g.offsets, g.neighbor_ids) if csr is None else csr
+        self._seed(pred32(np.diff(csr[0])), csr=csr, ends=None, num_ids=g.num_vertices)
 
     def seed_edges(self):
-        self.cse.seed_identity(self.g.num_edges, pred=edge_seed_preds(self.g))
+        g = self.g
+        values, ranks = np.unique(g.labels, return_inverse=True)
+        self._seed(edge_seed_preds(g), graph=g, csr=g.incident_csr,
+                   ends=(g.edge_u, g.edge_v), num_ids=g.num_edges,
+                   label_values=values, label_ranks=ranks)
+
+    def _seed(self, pred, **base):
+        """Seed level 1 as the identity with predictions pred, and set
+        the base context to base plus the hasher and the id dtype."""
+        self.ctx = dict(base, hasher=self.hasher, id_dtype=self.cse.id_dtype)
+        self.cse.seed_identity(len(pred), pred=pred)
         self._note_level()
 
     def _note_level(self):
@@ -391,19 +404,7 @@ class Session:
         self.metrics["level_%d_embeddings" % lvl.index] = lvl.count
         self.metrics["level_%d_bytes" % lvl.index] = lvl.size_bytes()
 
-    # -- shared context ----------------------------------------------
-
-    def _publish_base(self):
-        g = self.g
-        if self.mode == "vertex":
-            runtime.set_context(csr=self.csr, ends=None, num_ids=g.num_vertices)
-        else:
-            values, ranks = np.unique(g.labels, return_inverse=True)
-            runtime.set_context(graph=g, csr=g.incident_csr, ends=(g.edge_u, g.edge_v),
-                                num_ids=g.num_edges, label_values=values,
-                                label_ranks=ranks)
-        runtime.set_context(hasher=self.hasher, id_dtype=self.cse.id_dtype)
-        self._base_ctx_set = True
+    # -- spill directory -----------------------------------------------
 
     def _ensure_dir(self):
         if self.spill_dir is None:
@@ -413,10 +414,7 @@ class Session:
         return self.spill_dir
 
     def close(self):
-        """Drop the worker context and remove the spill dir if this
-        session created it."""
-        runtime.clear_context()
-        self._base_ctx_set = False
+        """Remove the spill dir if this session created it."""
         if self._own_dir and self.spill_dir is not None:
             shutil.rmtree(self.spill_dir)
             self.spill_dir = None
@@ -463,17 +461,14 @@ class Session:
 
         flt keeps a candidate id c only where the boolean id mask flt[c]
         is true, or, as explore.CLIQUE, only where c is in every member's
-        list of the published CSR; alive keeps a top-level parent only
+        list of the session's CSR; alive keeps a top-level parent only
         where alive[parent].
         """
         t0 = time.perf_counter()
-        if not self._base_ctx_set:
-            self._publish_base()
         cse = self.cse
         top = cse.top
         est = self._next_estimate(alive, want_pred)
         spill_next = self.plan(est)
-        runtime.set_context(filter=flt, alive=alive, want_pred=want_pred, pred=top.pred)
         counts_chunks = [np.zeros(0, np.int32)]
         pred_chunks = [np.zeros(0, np.int32)]
         vert_chunks = []
@@ -492,8 +487,11 @@ class Session:
             else:
                 vert_chunks.append(vert)
 
-        replay_top(cse, self.workers, expand_vertex_range, consume, self.metrics)
-        runtime.set_context(alive=None, pred=None)  # the old top's arrays can go
+        # the phase context is never named, so it goes when the replay ends
+        replay_top(cse, self.workers, expand_vertex_range,
+                   dict(self.ctx, filter=flt, alive=alive, want_pred=want_pred,
+                        pred=top.pred),
+                   consume, self.metrics)
         counts = np.concatenate(counts_chunks)
         pred = np.concatenate(pred_chunks) if want_pred else None
         if writer is not None:
@@ -515,18 +513,17 @@ class Session:
                                            + time.perf_counter() - t0)
 
     def aggregate(self, fn, merge, init, extra_ctx=None):
-        """Fold fn over the whole top level in offset order."""
+        """Fold fn over the whole top level in offset order, passing fn
+        the session's context plus extra_ctx."""
         t0 = time.perf_counter()
-        if not self._base_ctx_set:
-            self._publish_base()
-        runtime.set_context(**(extra_ctx or {}))
         acc = init
 
         def consume(lo, hi, res):
             nonlocal acc
             acc = merge(acc, res)
 
-        replay_top(self.cse, self.workers, fn, consume, self.metrics)
+        replay_top(self.cse, self.workers, fn, dict(self.ctx, **(extra_ctx or {})),
+                   consume, self.metrics)
         self.metrics["aggregate_seconds"] = (self.metrics.get("aggregate_seconds", 0.0)
                                              + time.perf_counter() - t0)
         return acc

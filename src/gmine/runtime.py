@@ -1,34 +1,21 @@
 """Thread plumbing for range-parallel phases.
 
 Ranges run on threads of the calling process. The heavy shared state
-(graph, level slices, filters, the pattern hasher) is published to a
-module-global context before a phase and read by every thread; the
-kernels spend their time in numpy sorts, searches and gathers, which
-release the GIL. Results come back in task order, which makes every
-phase's output independent of the worker count.
+(graph, level slices, filters, the pattern hasher) travels in the
+phase's own context, which the caller binds to the range function, and
+every thread reads it in place; the kernels spend their time in numpy
+sorts, searches and gathers, which release the GIL. Results come back
+in task order, which makes every phase's output independent of the
+worker count.
 """
 
 import ctypes
 import os
 import threading
 
-_WORK = {}
-
 # glibc's mallopt parameter for the number of malloc arenas
 M_ARENA_MAX = -8
 _arenas_bounded = False
-
-
-def set_context(**kw):
-    _WORK.update(kw)
-
-
-def get_context():
-    return _WORK
-
-
-def clear_context():
-    _WORK.clear()
 
 
 def usable_cpus():
@@ -88,11 +75,12 @@ def leave_cpu(cpu):
 def map_ranges(fn, tasks, workers):
     """Run fn over tasks and return the results in task order.
 
-    fn must read its big inputs from the published context. A single
-    worker or a single task runs in the calling thread. Otherwise the
-    caller and up to min(workers, tasks, usable CPUs) - 1 threads claim
-    tasks one at a time: more threads than CPUs would only add
-    switching. fn then runs concurrently with itself, so shared state it
+    fn is called as fn(task) with its big inputs already bound, as
+    replay_top binds a phase context, so every thread reads them in
+    place. A single worker or a single task runs in the calling
+    thread. Otherwise the caller and up to min(workers, tasks, usable
+    CPUs) - 1 threads claim tasks one at a time: more threads than CPUs
+    would only add switching. fn then runs concurrently with itself, so shared state it
     writes must allow that, as the PatternHasher caches do. An exception
     in any task stops further claims and is raised here once every
     thread has joined. Each thread first leaves the caller's CPU.

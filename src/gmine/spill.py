@@ -21,6 +21,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -297,15 +298,16 @@ def _chain_bound(chain):
     return bound, binder
 
 
-def replay_top(cse, workers, fn, consume, metrics):
+def replay_top(cse, workers, fn, ctx, consume, metrics):
     """Run fn over every top-level offset of the store, in order.
 
     The one range driver for resident and spilled tops alike: a
     resident top is a single window, so it runs as one map over all of
-    its offsets. fn is a range function reading slices from the runtime
-    context; consume(lo, hi, result) is called in global offset
-    order. Ranges are cut by the top level's predictions when it has
-    them, else uniformly.
+    its offsets. fn is a range function fn(task, ctx); each window's
+    map passes it the phase context ctx plus that window's level
+    slices. consume(lo, hi, result) is called in global offset order.
+    Ranges are cut by the top level's predictions when it has them,
+    else uniformly.
     """
     top = cse.top
     spilled = [l for l in cse.levels if l.residency == "disk"]
@@ -329,8 +331,8 @@ def replay_top(cse, workers, fn, consume, metrics):
                 cuts = partition_by_weight(top.pred[cur:hi], workers) + cur
             tasks = [(int(cuts[i]), int(cuts[i + 1])) for i in range(workers)
                      if cuts[i] < cuts[i + 1]]
-            runtime.set_context(slices=slices)
-            for (lo, rhi), res in zip(tasks, runtime.map_ranges(fn, tasks, workers)):
+            window_fn = partial(fn, ctx=dict(ctx, slices=slices))
+            for (lo, rhi), res in zip(tasks, runtime.map_ranges(window_fn, tasks, workers)):
                 consume(lo, rhi, res)
             cur = hi
         if tw.idx + 1 >= len(tw.parts):

@@ -83,6 +83,13 @@ def test_output_file_has_summary(capsys, tmp_path, demo_paths):
     assert body[-1] == "# patterns=2 embeddings=8"
 
 
+def test_unwritable_output_exit_1(capsys, tmp_path, demo_paths):
+    op = str(tmp_path / "no" / "such" / "dir" / "res.txt")
+    code, out, err = run_cli(capsys, ["tc", demo_paths, "--output", op])
+    assert code == 1 and not out
+    assert err == ["gmine: [Errno 2] No such file or directory: %r" % op]
+
+
 def test_cli_deterministic_across_options(capsys, tmp_path):
     g = make_random_graph(3200, 40, 70)
     ep = str(tmp_path / "g.edges")
@@ -159,7 +166,7 @@ def test_prediction_overflow_exit_1(capsys, demo_paths, monkeypatch):
 
 def test_assertion_error_is_not_caught(demo_paths, monkeypatch):
     # a broken internal claim surfaces as a traceback, not as exit 1
-    def broken(task):
+    def broken(task, ctx):
         raise AssertionError("broken claim")
 
     monkeypatch.setattr(mining, "expand_vertex_range", broken)

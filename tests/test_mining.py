@@ -1,7 +1,11 @@
+import gc
 import math
 import os
 import random
 import re
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -254,10 +258,10 @@ def test_mni_edge_range_matches_per_embedding_reference(monkeypatch):
         s.explore()
         s.explore()
         slices = [LevelSlice.of(l) for l in s.cse.levels]
-        runtime.set_context(slices=slices, cap=10 ** 9, want_hashes=True)
+        ctx = dict(s.ctx, slices=slices, cap=10 ** 9, want_hashes=True)
         count = s.cse.top.count
         for lo, hi in ((0, count), (5, count - 3)):
-            got, hashes = mining.mni_edge_range((lo, hi))
+            got, hashes = mining.mni_edge_range((lo, hi), ctx)
             want_hashes = []
             want = {}
             for _, emb in iter_embeddings(slices, lo, hi):
@@ -348,11 +352,10 @@ def test_mni_edge_range_caps_each_domain_when_the_range_returns(tmp_path, cap):
         s.seed_edges()
         s.explore()
         s.explore()
-        runtime.set_context(slices=[LevelSlice.of(l) for l in s.cse.levels],
-                            cap=10 ** 9, want_hashes=False)
-        full, _ = mining.mni_edge_range((0, s.cse.top.count))
-        runtime.set_context(cap=cap)
-        got, _ = mining.mni_edge_range((0, s.cse.top.count))
+        ctx = dict(s.ctx, slices=[LevelSlice.of(l) for l in s.cse.levels],
+                   cap=10 ** 9, want_hashes=False)
+        full, _ = mining.mni_edge_range((0, s.cse.top.count), ctx)
+        got, _ = mining.mni_edge_range((0, s.cse.top.count), dict(ctx, cap=cap))
     assert got.keys() == full.keys()
     for h, (pat, doms) in got.items():
         assert pat == full[h][0]
@@ -383,14 +386,14 @@ def test_merge_mni_of_split_ranges_equals_the_whole_range(monkeypatch, cap):
         s.seed_edges()
         s.explore()
         s.explore()
-        runtime.set_context(slices=[LevelSlice.of(l) for l in s.cse.levels],
-                            cap=cap, want_hashes=False)
+        ctx = dict(s.ctx, slices=[LevelSlice.of(l) for l in s.cse.levels],
+                   cap=cap, want_hashes=False)
         count = s.cse.top.count
-        whole, _ = mining.mni_edge_range((0, count))
+        whole, _ = mining.mni_edge_range((0, count), ctx)
         for cut in (0, 1, 7, count // 3, count // 2, count - 1, count):
             got = {}
             for part in ((0, cut), (cut, count)):
-                merge_mni(got, mining.mni_edge_range(part)[0], cap)
+                merge_mni(got, mining.mni_edge_range(part, ctx)[0], cap)
             assert got.keys() == whole.keys(), cut
             for h, (pat, doms) in got.items():
                 assert pat == whole[h][0]
@@ -588,7 +591,7 @@ def test_resident_phases_map_once_each(monkeypatch):
     real = runtime.map_ranges
 
     def spy(fn, tasks, workers):
-        calls.append((fn.__name__, list(tasks), workers))
+        calls.append((fn.func.__name__, list(tasks), workers))
         return real(fn, tasks, workers)
 
     def tasks(cuts):
@@ -669,12 +672,124 @@ def test_session_rejects_non_positive_workers(demo_graph):
             Session(demo_graph, workers=bad)
 
 
-def test_sessions_clear_the_worker_context():
+def test_finished_phases_and_calls_keep_nothing_alive():
+    # an explore drops its phase context, alive mask included, when it
+    # ends; a finished call holds no reference to its graph
     g = make_random_graph(2903, 20, 20, n_labels=2)
-    motif_count(g, 3)
-    assert runtime.get_context() == {}
-    fsm(g, 2, 2)
-    assert runtime.get_context() == {}
+    with Session(g, "edge", labeled=True) as s:
+        s.seed_edges()
+        alive = np.ones(s.cse.top.count, dtype=bool)
+        ref = weakref.ref(alive)
+        s.explore(alive=alive)
+        del alive
+        gc.collect()
+        assert ref() is None
+    for app in (lambda g: motif_count(g, 3), lambda g: fsm(g, 2, 2)):
+        g = make_random_graph(2903, 20, 20, n_labels=2)
+        ref = weakref.ref(g)
+        app(g)
+        del g
+        gc.collect()
+        assert ref() is None
+
+
+# -- overlapping calls ------------------------------------------------------------
+
+def clique_phases(g, k):
+    with Session(g, "vertex") as s:
+        s.seed_vertices(g.rank_dag)
+        for size in range(2, k + 1):
+            yield
+            s.explore(flt=CLIQUE, want_pred=size < k)
+    return s.cse.top.count
+
+
+def motif_phases(g, k):
+    with Session(g, "vertex") as s:
+        s.seed_vertices()
+        for _ in range(2, k):
+            yield
+            s.explore()
+        yield
+        counts = s.aggregate(mining.count_patterns_range, merge_counts, {},
+                             {"edge_keys": g.edge_keys})
+    return result_lines(counts)
+
+
+def mni_phases(g, k_edges):
+    with Session(g, "edge", labeled=True) as s:
+        s.seed_edges()
+        out = []
+        for size in range(1, k_edges + 1):
+            yield
+            pats = s.aggregate(mining.mni_edge_range,
+                               lambda acc, res: merge_mni(acc, res[0], 2), {},
+                               {"cap": 2, "want_hashes": False})
+            out.append(sorted((pat.serialize(), [d.tolist() for d in doms])
+                              for pat, doms in pats.values()))
+            if size < k_edges:
+                yield
+                s.explore()
+    return out
+
+
+def drive(*runs):
+    """Advance each generator by one phase in turn; their return values."""
+    results = [None] * len(runs)
+    live = dict(enumerate(runs))
+    while live:
+        for i, run in list(live.items()):
+            try:
+                next(run)
+            except StopIteration as e:
+                results[i] = e.value
+                del live[i]
+    return results
+
+
+def test_interleaved_sessions_match_their_solo_runs():
+    dense = make_random_graph(1, 60, 400)
+    sparse = make_random_graph(2, 80, 40)
+    labeled = make_random_graph(3, 30, 30, n_labels=3)
+    runs = [lambda: clique_phases(dense, 4), lambda: clique_phases(sparse, 4),
+            lambda: motif_phases(sparse, 4), lambda: motif_phases(dense, 3),
+            lambda: mni_phases(labeled, 3)]
+    solo = [drive(run())[0] for run in runs]
+    assert solo[0] == clique_discovery(dense, 4)[0] == 118
+    assert drive(*(run() for run in runs)) == solo
+
+
+def test_threads_mine_different_graphs_at_once(monkeypatch):
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: 2)
+    apps = [lambda: clique_discovery(make_random_graph(1, 60, 400), 4, workers=2)[0],
+            lambda: result_lines(motif_count(make_random_graph(2, 80, 40), 4,
+                                             workers=2)[0]),
+            lambda: result_lines(fsm(make_random_graph(3, 30, 30, n_labels=3), 3, 2,
+                                     workers=2)[0])]
+    solo = [app() for app in apps]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # interleave the calls' Python code finely
+    try:
+        for trial in range(4):
+            start = threading.Barrier(len(apps), timeout=60)
+            got = [None] * len(apps)
+
+            def run(i):
+                start.wait()
+                try:
+                    got[i] = apps[i]()
+                except Exception as e:
+                    got[i] = e
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(apps))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert got == solo, trial
+    finally:
+        sys.setswitchinterval(switch)
 
 
 # -- pattern hash exactness ----------------------------------------------------------

@@ -96,7 +96,7 @@ def test_cli_reports_failing_range(tmp_path, monkeypatch, capsys):
     ep = str(tmp_path / "g.edges")
     write_edge_list(make_random_graph(3100, 30, 40), ep)
 
-    def fail(task):
+    def fail(task, ctx):
         raise OSError("range %d-%d failed" % task)
 
     monkeypatch.setattr(runtime, "usable_cpus", lambda: 2)

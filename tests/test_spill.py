@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from gmine import mining, runtime, spill
+from gmine import mining, spill
 from gmine.spill import (BudgetTooSmallError, CorruptPartError, PartInfo,
                          PartWriter, _Window, part_name, plan_spill, read_part,
                          replay_top, spill_existing_level, window_bytes,
@@ -21,15 +21,15 @@ from test_explore import vertex_store_to
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def collect_range(task):
+def collect_range(task, ctx):
     lo, hi = task
-    slices = runtime.get_context()["slices"]
+    slices = ctx["slices"]
     return [(o, tuple(emb)) for o, emb in iter_embeddings(slices, lo, hi)]
 
 
-def columns_range(task):
+def columns_range(task, ctx):
     lo, hi = task
-    slices = runtime.get_context()["slices"]
+    slices = ctx["slices"]
     cols = level_columns(slices, lo, hi)
     return [(lo + i, tuple(r)) for i, r in enumerate(cols.T.tolist())]
 
@@ -338,7 +338,7 @@ def run_replay(g, depth, spill_from, parts, workers, tmp_path):
     def consume(lo, hi, res):
         got.extend(res)
 
-    replay_top(s, workers, collect_range, consume, m)
+    replay_top(s, workers, collect_range, {}, consume, m)
     return got, m
 
 
@@ -368,7 +368,7 @@ def test_level_columns_match_replay_windows(tmp_path, spill_lower):
         spill_existing_level(s.level(li), str(tmp_path), 9, {})
     assert len(s.level(4).parts) > 4
     got = []
-    replay_top(s, 1, columns_range, lambda lo, hi, res: got.extend(res), {})
+    replay_top(s, 1, columns_range, {}, lambda lo, hi, res: got.extend(res), {})
     assert got == want
 
 
@@ -384,7 +384,7 @@ def test_replay_requires_suffix(tmp_path):
     s = vertex_store_to(g, 4)
     spill_existing_level(s.level(3), str(tmp_path), 2, {})
     with pytest.raises(AssertionError):
-        replay_top(s, 1, collect_range, lambda *a: None, {})
+        replay_top(s, 1, collect_range, {}, lambda *a: None, {})
 
 
 def test_replay_requires_suffix_under_optimize(tmp_path):
@@ -399,7 +399,7 @@ def test_replay_requires_suffix_under_optimize(tmp_path):
         s = vertex_store_to(make_random_graph(33, 12, 14), 4)
         spill_existing_level(s.level(3), %r, 2, {})
         try:
-            replay_top(s, 1, collect_range, lambda *a: None, {})
+            replay_top(s, 1, collect_range, {}, lambda *a: None, {})
         except AssertionError as e:
             print("raised:", e)
     """ % str(tmp_path))
@@ -453,7 +453,7 @@ def test_failed_spilled_explore_leaves_no_thread(tmp_path, monkeypatch):
         writers.append(PartWriter(*args))
         return writers[-1]
 
-    def failing_range(task):
+    def failing_range(task, ctx):
         raise RuntimeError("range worker failed")
 
     with mining.Session(g, "vertex", parts_per_level=3) as s:
