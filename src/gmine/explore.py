@@ -14,10 +14,14 @@ Each member id touches ascending candidate lists in it: a vertex its
 own row (its neighbors, or for cliques its out-neighbors in the rank
 DAG, whose ids are ranks), an edge the incident-edge rows of both
 endpoints. The kernel reads blocks of parents as id columns, gathers
-every member's lists tagged with the member's position, and sorts the
-(parent, candidate, position) keys: the first key of each run is the
-candidate's earliest attachment, and the rules, the filters and the
-predictions become array compares.
+every member's lists, and sorts one int64 key per gathered entry, the
+bit field parent << sh | id << 3 | attach with sh = bit_length(n - 1)
++ 3 for n ids: the parent's column in its gather chunk, the candidate
+id and the member's position. A run of equal key >> 3 is one candidate
+of one parent and its first key the earliest attachment, so shifts and
+masks unpack it, and the rules, the filters and the predictions become
+array compares. A fold's attach masks are one prefix sum of 1 <<
+attach, differenced at the run bounds.
 """
 
 import numpy as np
@@ -25,10 +29,16 @@ import numpy as np
 from .store import level_columns
 
 # Parents read as one block of id columns, and list entries per gather.
-# Keys pack (parent in block, id, attach) as (parent * n + id) * 8 +
-# attach; the kernel checks that both fields fit.
+# A key is parent << sh | id << 3 | attach with parent < BLOCK, and the
+# kernel checks that it fits an int64. Each gather chunk makes a few
+# dozen numpy calls whose Python overhead holds the GIL. On a 2-vCPU VM,
+# test_11's 4-motif census ran 0.42-0.56 s on 1 thread and 0.38-0.42 s
+# on 2 with 2^13 entries, 0.36-0.53 and 0.27-0.35 s with 2^14. At 2^15
+# one thread took 45% longer on the motif4 benchmark input. Against
+# 2^13, 2^14 raises peak_rss_mb by 0.7 MiB on motif4-spill and by
+# 0.9 MiB on clique4-powerlaw (41.2 and 41.3 MiB).
 BLOCK = 1 << 13
-GATHER = 1 << 13
+GATHER = 1 << 14
 
 # Filter that keeps a vertex candidate only when it is in every member's
 # list, a run of length k: adjacent to every member over the adjacency,
@@ -106,11 +116,11 @@ def in_sorted(a, q):
     return a[np.minimum(np.searchsorted(a, q), len(a) - 1)] == q
 
 
-def ragged(starts, lens):
+def ragged(starts, lens, tags):
     """Flat indices of the slices [starts[j], starts[j] + lens[j]), in
-    order, and the slice number j of each."""
-    owner = np.repeat(np.arange(len(lens)), lens)
-    return (starts - np.cumsum(lens) + lens)[owner] + np.arange(len(owner)), owner
+    order, and the tag tags[j] of each slice's entries."""
+    shift = np.repeat(starts - np.cumsum(lens) + lens, lens)
+    return shift + np.arange(len(shift)), np.repeat(tags, lens)
 
 
 def _sources(ids, ends):
@@ -152,9 +162,11 @@ def expand_vertex_range(task, ctx):
     if k > 8:
         raise ValueError("cannot expand %d-member embeddings: attach indices "
                          "pack into 3 bits" % k)
-    if BLOCK * n * 8 > 1 << 63:
+    sh = (n - 1).bit_length() + 3  # key = parent << sh | id << 3 | attach
+    if (BLOCK - 1) << sh >= 1 << 63:
         raise OverflowError("%d parents of %d ids overflow an int64 key"
                             % (BLOCK, n))
+    id_mask = (1 << sh - 3) - 1
     deg = np.diff(off)
     id_dtype = ctx["id_dtype"]
     counts = np.zeros(hi - lo, dtype=np.int32)
@@ -166,32 +178,40 @@ def expand_vertex_range(task, ctx):
         cols = level_columns(slices, b0, b1)[:, live]
         src = _sources(cols, ends)  # row = source * k + attach
         lens = deg[src]
+        attach = (np.arange(len(src)) % k)[:, None]
         for s0, s1 in chunks(lens.sum(axis=0), GATHER):
             emb = cols[:, s0:s1]
             p = s1 - s0
-            idx, owner = ragged(off[src[:, s0:s1]].ravel(), lens[:, s0:s1].ravel())
-            row, par = np.divmod(owner, p)
-            keys = (par * n + ids[idx]) * 8 + row % k
-            del idx, owner, row, par  # not held through the sort
+            base = (np.arange(p, dtype=np.int64) << sh) | attach
+            idx, keys = ragged(off[src[:, s0:s1]].ravel(), lens[:, s0:s1].ravel(),
+                               base.ravel())
+            keys += ids[idx].astype(np.int64) << 3
+            del idx  # not held through the sort
             keys.sort()
             first = np.flatnonzero(run_heads(keys >> 3))
             head = keys[first]  # each run's earliest attachment
-            rp, rw = np.divmod(head >> 3, n)
+            rw = head >> 3 & id_mask
             # a child attached at i exceeds the head and every member after
             # i, so no member passes (a later one attaches before itself)
             lim = np.empty_like(emb)
             lim[:-1] = np.maximum.accumulate(emb[::-1], axis=0)[-2::-1]
             lim[-1] = emb[0]  # members after the head already exceed it
-            keep = rw > lim[head & 7, rp]
+            keep = rw > lim.ravel()[(head & 7) * p + (head >> sh)]  # lim[attach, parent]
             if flt is CLIQUE:
                 keep &= np.diff(first, append=len(keys)) == k
             elif flt is not None:
                 keep &= flt[rw]
-            cp = rp[keep]
-            cv = rw[keep]
+            sel = np.flatnonzero(keep)
+            kept = head[sel]
+            cp = kept >> sh
+            cv = kept >> 3 & id_mask
             if fold is not None:
-                mask = np.bitwise_or.reduceat(1 << (keys & 7), first)[keep]
-                fold(emb, cp, cv, mask)
+                # a non-member's attaches in a run are distinct, so the
+                # sum of 1 << attach over the run is their OR
+                cum = np.zeros(len(keys) + 1, dtype=np.int64)
+                np.cumsum(1 << (keys & 7), out=cum[1:])
+                bound = np.append(first, len(keys))
+                fold(emb, cp, cv, cum[bound[sel + 1]] - cum[first[sel]])
                 continue
             counts[b0 - lo + live[s0:s1]] = np.bincount(cp, minlength=p)
             out_vert.append(cv.astype(id_dtype))

@@ -295,8 +295,8 @@ def triangle_range(task, ctx):
         start = np.searchsorted(keys, u * n + v) + 1
         lens = off[u + 1] - start
         for c0, c1 in chunks(lens, GATHER):
-            idx, owner = ragged(start[c0:c1], lens[c0:c1])
-            q = v[c0:c1][owner] * n + nbr[idx]
+            idx, q = ragged(start[c0:c1], lens[c0:c1], v[c0:c1] * n)
+            q += nbr[idx]
             total += int(np.count_nonzero(in_sorted(keys, q)))
     return total
 

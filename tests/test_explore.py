@@ -19,7 +19,7 @@ from oracles import (check_link, connected_edge_subsets,
                      is_canonical_extension, is_connected_subset, iter_embeddings,
                      ordering_is_canonical, ordering_is_canonical_edges,
                      predict_candidate_size, predict_candidate_size_edges,
-                     reference_expand)
+                     random_connected_edges, reference_expand)
 from test_store import L2_OFF, L2_VERT, L3_OFF, L3_VERT
 
 
@@ -401,16 +401,81 @@ def kernel_cases(trial):
             (g, "edge", 6, None, 0.8), (g, "edge", 5, emask, None)]
 
 
+def gapped_graph(trial):
+    """A random graph on 20 vertices of which 0, 2, 3, 5 and 19 are
+    isolated (each written as a self-loop): in blocks of 3 parents, level
+    1's empty CSR slices sit at both edges of the first two blocks, and
+    at the end of the whole range."""
+    rng = random.Random(3380 + trial)
+    isolated = [0, 2, 3, 5, 19]
+    rest = [v for v in range(20) if v not in isolated]
+    edges = [(rest[a], rest[b]) for a, b in random_connected_edges(rng, len(rest), 6)]
+    return Graph.from_edges(edges + [(v, v) for v in isolated])
+
+
+def layout_cases(trial):
+    """Kernel cases at the edges of the key layout: id counts of 16 (the
+    largest id fills its field) and of 2, and empty CSR slices at chunk
+    edges. Too small for a spill plan, so only checked resident."""
+    v16 = make_random_graph(3360 + trial, 16, 9)
+    e16 = make_random_graph(3370 + trial, 12, 5)
+    assert v16.num_vertices == 16 and e16.num_edges == 16
+    gap = gapped_graph(trial)
+    return [(v16, "vertex", 5, None, None), (e16, "edge", 4, None, None),
+            (Graph.from_edges([(0, 1)]), "vertex", 3, None, None),
+            (Graph.from_edges([(0, 1), (1, 2)]), "edge", 3, None, None),
+            (gap, "vertex", 5, None, None), (gap, "vertex", 4, CLIQUE, 0.9)]
+
+
+def fold_checked(g, depth, flt=None, alive_p=None, seed=0):
+    """Grow a vertex store to depth as explore_checked does, first folding
+    each top instead of storing its children: the fold's (parent, child,
+    mask) records must list the reference's children in order, each mask
+    the OR of 1 << i over the members i adjacent to the child."""
+    rng = np.random.default_rng(seed)
+    sets = g.adj_sets
+    with Session(g, "vertex") as s:
+        s.seed_vertices()
+        for _ in range(2, depth + 1):
+            top = s.cse.top
+            alive = None if alive_p is None else rng.random(top.count) < alive_p
+            slices = [LevelSlice.of(l) for l in s.cse.levels]
+            got = []
+
+            def fold(emb, cp, cv, mask):
+                got.extend(zip(map(tuple, emb.T[cp].tolist()), cv.tolist(), mask.tolist()))
+
+            ctx = dict(s.ctx, slices=slices, filter=flt, alive=alive, fold=fold)
+            assert explore.expand_vertex_range((0, top.count), ctx) is None
+            vert, counts, _ = reference_expand(g, "vertex", slices, 0, top.count,
+                                               reference_filter(g, flt), alive, False)
+            want, j = [], 0
+            for o, emb in iter_embeddings(slices, 0, top.count):
+                for v in vert[j:j + counts[o]].tolist():
+                    want.append((tuple(emb), v,
+                                 sum(1 << i for i, u in enumerate(emb) if v in sets[u])))
+                j += counts[o]
+            assert got == want
+            s.explore(flt, alive)
+
+
 @pytest.mark.parametrize("gather, block", [(explore.GATHER, explore.BLOCK),
+                                           (1 << 13, 1 << 13),
                                            (1, explore.BLOCK), (7, 3)])
 def test_kernel_matches_reference_expander(monkeypatch, gather, block):
-    # gather 1: every parent and child is heavier than a gather and runs
-    # alone; gather 7 over blocks of 3 parents cuts inside each block
+    # the module's sizes, and a gather as large as the block (the sizes
+    # before GATHER grew to 2^14); gather 1: every parent and child is
+    # heavier than a gather and runs alone; gather 7 over blocks of 3
+    # parents cuts inside each block, so chunk cuts fall next to the key
+    # runs a fold sums its masks over
     monkeypatch.setattr(explore, "GATHER", gather)
     monkeypatch.setattr(explore, "BLOCK", block)
     for trial in range(2):
-        for i, (g, mode, depth, flt, alive_p) in enumerate(kernel_cases(trial)):
+        cases = kernel_cases(trial) + layout_cases(trial)
+        for i, (g, mode, depth, flt, alive_p) in enumerate(cases):
             explore_checked(g, mode, depth, flt, alive_p, seed=i)
+            if mode == "vertex":
+                fold_checked(g, depth, flt, alive_p, seed=i)
 
 
 def test_kernel_worker_and_budget_invariance(tmp_path):
@@ -436,7 +501,13 @@ def test_kernel_checks_key_packing(monkeypatch):
             s.explore()
         with pytest.raises(ValueError, match="3 bits"):
             s.explore()  # a 10th id would attach at index 8
-    monkeypatch.setattr(explore, "BLOCK", 1 << 60)
+    # 11 ids take 4 bits and the attach 3, so parent << 7 must stay below
+    # 2^63: 2^56 parents per block fit exactly, one more does not (the
+    # block only bounds the loop; arrays follow the range)
+    want = vertex_store_to(g, 3).level(3).vert.tolist()
+    monkeypatch.setattr(explore, "BLOCK", 1 << 56)
+    assert vertex_store_to(g, 3).level(3).vert.tolist() == want
+    monkeypatch.setattr(explore, "BLOCK", (1 << 56) + 1)
     with Session(g, "vertex") as s:
         s.seed_vertices()
         with pytest.raises(OverflowError, match="int64"):
