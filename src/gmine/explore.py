@@ -20,8 +20,9 @@ bit field parent << sh | id << 3 | attach with sh = bit_length(n - 1)
 id and the member's position. A run of equal key >> 3 is one candidate
 of one parent and its first key the earliest attachment, so shifts and
 masks unpack it, and the rules, the filters and the predictions become
-array compares. A fold's attach masks are one prefix sum of 1 <<
-attach, differenced at the run bounds.
+array compares. A fold's attach masks, built only when the fold asks
+for them, are one prefix sum of 1 << attach, differenced at the run
+bounds.
 """
 
 import numpy as np
@@ -143,11 +144,11 @@ def expand_vertex_range(task, ctx):
     those of its sources no member has, with no gather.
 
     With ctx["fold"], no child is stored: each gather chunk calls
-    fold(emb, cp, cv, mask) with its parents' (k, p) id columns, the
-    kept children as parent column cp and id cv, and each child's mask
-    of attach positions, the OR of 1 << attach over its key run (in
-    vertex mode, the members adjacent to the new vertex), and the range
-    returns None.
+    fold(emb, cp, cv, masks) with its parents' (k, p) id columns, the
+    kept children as parent column cp and id cv, and a function whose
+    call builds each child's mask of attach positions, the OR of 1 <<
+    attach over its key run (in vertex mode, the members adjacent to
+    the new vertex), and the range returns None.
     """
     lo, hi = task
     slices = ctx["slices"]
@@ -172,6 +173,15 @@ def expand_vertex_range(task, ctx):
     counts = np.zeros(hi - lo, dtype=np.int32)
     out_vert = [np.zeros(0, id_dtype)]
     out_pred = [np.zeros(0, np.int32)]
+
+    def masks():
+        # the current chunk's, read from this scope: a non-member's
+        # attaches in a run are distinct, so the sum of 1 << attach over
+        # the run is their OR
+        cum = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum(1 << (keys & 7), out=cum[1:])
+        return cum[np.append(first, len(keys))[sel + 1]] - cum[first[sel]]
+
     for b0 in range(lo, hi, BLOCK):
         b1 = min(b0 + BLOCK, hi)
         live = np.arange(b1 - b0) if alive is None else np.flatnonzero(alive[b0:b1])
@@ -206,12 +216,7 @@ def expand_vertex_range(task, ctx):
             cp = kept >> sh
             cv = kept >> 3 & id_mask
             if fold is not None:
-                # a non-member's attaches in a run are distinct, so the
-                # sum of 1 << attach over the run is their OR
-                cum = np.zeros(len(keys) + 1, dtype=np.int64)
-                np.cumsum(1 << (keys & 7), out=cum[1:])
-                bound = np.append(first, len(keys))
-                fold(emb, cp, cv, cum[bound[sel + 1]] - cum[first[sel]])
+                fold(emb, cp, cv, masks)
                 continue
             counts[b0 - lo + live[s0:s1]] = np.bincount(cp, minlength=p)
             out_vert.append(cv.astype(id_dtype))

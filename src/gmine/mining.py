@@ -7,9 +7,11 @@ run range-parallel over the top level through one driver, the windowed
 replay: a memory-resident top is a replay with one window, so the same
 worker functions see the same offsets in the same order and results
 are identical for any worker count, budget, or part layout. The motif
-census stores levels up to k-1 only: its aggregation runs the explore
-kernel over the top in fold mode and classifies the children as the
-kernel makes them.
+census and the clique count (triangles are 3-cliques) store levels up
+to k-1 only: their aggregation runs the explore kernel over the top in
+fold mode, and the kernel hands each gather chunk's kept children to
+the fold. The census classifies them, asking the kernel for their
+attach masks; the clique count only counts them.
 """
 
 import os
@@ -20,8 +22,8 @@ from functools import partial
 
 import numpy as np
 
-from .explore import (CLIQUE, GATHER, chunks, edge_seed_preds, expand_vertex_range,
-                      in_sorted, partition_by_weight, pred32, ragged, run_heads)
+from .explore import (CLIQUE, edge_seed_preds, expand_vertex_range, in_sorted,
+                      partition_by_weight, pred32, run_heads)
 from .explore import expand_edge_range  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 3)
 from .fingerprint import MAX_K, PAIR_BIT, PatternHasher, check_same_pattern
 from .spill import PartWriter, plan_spill, replay_top, spill_existing_level
@@ -29,11 +31,6 @@ from .store import EmbeddingStore, level_columns
 
 
 # -- aggregation workers (range functions for runtime.map_ranges) -------
-
-# 2-embeddings per chunk of triangle_range: bounds its column arrays
-# to a few hundred KiB whatever the range length.
-CHUNK = 1 << 14
-
 
 def count_patterns_range(task, ctx):
     """Fold the motif census over the children of top-level offsets
@@ -57,10 +54,11 @@ def count_patterns_range(task, ctx):
                     for m in range(1 << (k - 1))], dtype=np.int64)
     tally = np.zeros(1 << k * (k - 1) // 2, dtype=np.int64)
 
-    def fold(emb, cp, cv, mask):
+    def fold(emb, cp, cv, masks):
         hit = in_sorted(keys, emb[pi] * n + emb[pj]).astype(np.int64)
         bits = np.bitwise_or.reduce(hit << shift, axis=0)
-        np.add(tally, np.bincount(bits[cp] | new[mask], minlength=len(tally)), out=tally)
+        np.add(tally, np.bincount(bits[cp] | new[masks()], minlength=len(tally)),
+               out=tally)
 
     expand_vertex_range(task, dict(ctx, fold=fold))
     zeros = (0,) * k
@@ -69,6 +67,22 @@ def count_patterns_range(task, ctx):
         e = hasher.classify(zeros, b)
         out.setdefault(e.hash, [e.pattern, 0])[1] += int(tally[b])
     return out
+
+
+def count_cliques_range(task, ctx):
+    """Count the children of top-level offsets [lo, hi) that the CLIQUE
+    filter keeps, folding them without storing them or their masks."""
+    total = 0
+
+    def fold(emb, cp, cv, masks):
+        nonlocal total
+        total += len(cv)
+
+    expand_vertex_range(task, dict(ctx, filter=CLIQUE, fold=fold))
+    return total
+
+
+triangle_range = count_cliques_range  # perfbench/tracer.py wraps it (ROADMAP item 3)
 
 
 # Edge embeddings per chunk of mni_edge_range. Its temporaries (columns,
@@ -276,31 +290,6 @@ def mni_edge_range(task, ctx):
     return table.results(doms), hashes
 
 
-def triangle_range(task, ctx):
-    """Count common neighbors above the larger endpoint per 2-embedding.
-
-    Works on chunks of id columns (u, v): v's index in the sorted edge
-    keys is its place in u's neighbor slice, so the neighbors of u above
-    v are one slice per embedding, gathered in pieces of at most GATHER
-    entries and tested against v's row in one binary search.
-    """
-    lo, hi = task
-    slices = ctx["slices"]
-    off, nbr = ctx["csr"]
-    keys = ctx["edge_keys"]
-    n = ctx["num_ids"]
-    total = 0
-    for a in range(lo, hi, CHUNK):
-        u, v = level_columns(slices, a, min(a + CHUNK, hi))
-        start = np.searchsorted(keys, u * n + v) + 1
-        lens = off[u + 1] - start
-        for c0, c1 in chunks(lens, GATHER):
-            idx, q = ragged(start[c0:c1], lens[c0:c1], v[c0:c1] * n)
-            q += nbr[idx]
-            total += int(np.count_nonzero(in_sorted(keys, q)))
-    return total
-
-
 # -- merges --------------------------------------------------------------
 
 def merge_counts(acc, part):
@@ -352,8 +341,8 @@ class Session:
     share nothing.
     """
 
-    def __init__(self, g, mode="vertex", workers=1, memory_budget=0,
-                 spill_dir=None, parts_per_level=None, labeled=False):
+    def __init__(self, g, workers=1, memory_budget=0, spill_dir=None,
+                 parts_per_level=None, labeled=False):
         self.g = g
         self.workers = int(workers)
         if self.workers < 1:
@@ -371,7 +360,7 @@ class Session:
         self.spill_dir = spill_dir
         self.labeled = labeled
         self.hasher = PatternHasher((g.max_label if labeled else 0) + 2)
-        self.cse = EmbeddingStore(mode, np.int32)
+        self.cse = EmbeddingStore(np.int32)
         self.metrics = {"workers": self.workers, "budget": self.budget}
         self.ctx = None
 
@@ -541,8 +530,7 @@ def motif_count(g, k, workers=1, memory_budget=0, spill_dir=None,
     """
     if not 3 <= k <= 5:
         raise ValueError("motif size must be 3..5")
-    with Session(g, "vertex", workers, memory_budget, spill_dir,
-                 parts_per_level, labeled=False) as s:
+    with Session(g, workers, memory_budget, spill_dir, parts_per_level) as s:
         s.seed_vertices()
         for _ in range(2, k):
             s.explore()
@@ -564,28 +552,26 @@ def clique_discovery(g, k, workers=1, memory_budget=0, spill_dir=None,
     clique's out-lists is adjacent to and ranked above every member, so
     level j holds each j-clique once, as its ascending rank sequence,
     and a clique touches only the out-lists, which skip the lower ranks
-    of its hub members.
+    of its hub members. Level k is folded into count_cliques_range,
+    never stored; its metrics keep its count and report 0 bytes.
     """
     if not 3 <= k <= 8:
         raise ValueError("clique size must be 3..8")
-    with Session(g, "vertex", workers, memory_budget, spill_dir,
-                 parts_per_level, labeled=False) as s:
+    with Session(g, workers, memory_budget, spill_dir, parts_per_level) as s:
         s.seed_vertices(g.rank_dag)
-        for size in range(2, k + 1):
-            s.explore(flt=CLIQUE, want_pred=size < k)
-    return s.cse.top.count, s.metrics
+        for _ in range(2, k):
+            s.explore(flt=CLIQUE)
+        s.plan((0, 0, 0))
+        count = s.aggregate(count_cliques_range, lambda a, b: a + b, 0)
+    s.metrics["level_%d_embeddings" % k] = count
+    s.metrics["level_%d_bytes" % k] = 0
+    return count, s.metrics
 
 
 def triangle_count(g, workers=1, memory_budget=0, spill_dir=None,
                    parts_per_level=None):
-    """Count triangles without materializing level 3."""
-    with Session(g, "vertex", workers, memory_budget, spill_dir,
-                 parts_per_level, labeled=False) as s:
-        s.seed_vertices()
-        s.explore(want_pred=False)
-        total = s.aggregate(triangle_range, lambda a, b: a + b, 0,
-                            {"edge_keys": g.edge_keys})
-    return total, s.metrics
+    """Count triangles as 3-cliques."""
+    return clique_discovery(g, 3, workers, memory_budget, spill_dir, parts_per_level)
 
 
 def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
@@ -603,8 +589,8 @@ def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
     if support < 1:
         raise ValueError("support threshold must be positive")
     result = {}
-    with Session(g, "edge", workers, memory_budget, spill_dir,
-                 parts_per_level, labeled=True) as s:
+    with Session(g, workers, memory_budget, spill_dir, parts_per_level,
+                 labeled=True) as s:
         s.seed_edges()
         for size in range(1, k_edges + 1):
             agg = s.aggregate(mni_edge_range, partial(_merge_mni_hashes, cap=support),

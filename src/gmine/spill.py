@@ -167,43 +167,39 @@ class PartWriter:
         self._cur = 0          # current cut interval
         self._parent = 0       # next global parent index expected
         self._child = 0        # next global child offset
-        self._acc_vert = []
-        self._acc_off = [0]
-        self._part_vs = 0
+        self._vert = []        # the current part's id and count chunks
+        self._counts = []
 
     def _flush(self):
-        vert = (np.concatenate(self._acc_vert).astype(self.id_dtype)
-                if self._acc_vert else np.array([], dtype=self.id_dtype))
-        off = np.array(self._acc_off, dtype=np.int64)
+        vert = np.concatenate(self._vert or [np.zeros(0, self.id_dtype)])
+        counts = np.concatenate(self._counts or [np.zeros(0, np.int64)])
+        off = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=off[1:])
+        off += self._child - off[-1]  # the part's children end at _child
         ps = self.cuts[self._cur]
         pe = self._parent
         if len(vert) or pe > ps:
             path = os.path.join(self.dir, part_name(self.level, len(self.parts)))
-            n = write_part(path, self.level, self.id_dtype.itemsize, vert, off)
-            self.parts.append(PartInfo(path, self.level, ps, pe, self._part_vs,
+            n = write_part(path, self.level, self.id_dtype.itemsize,
+                           vert.astype(self.id_dtype, copy=False), off)
+            self.parts.append(PartInfo(path, self.level, ps, pe, int(off[0]),
                                        self._child, n))
             self.metrics["bytes_spilled"] = self.metrics.get("bytes_spilled", 0) + n
             self.metrics["parts_written"] = self.metrics.get("parts_written", 0) + 1
-        self._acc_vert = []
-        self._acc_off = [self._child]
-        self._part_vs = self._child
+        self._vert = []
+        self._counts = []
 
     def feed(self, vert, counts):
         """Append one ordered chunk covering the next len(counts) parents."""
         pos = 0  # consumed parents of this chunk
         vpos = 0
-        n = len(counts)
-        csum = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=csum[1:])
-        while pos < n:
+        while pos < len(counts):
             end_cut = self.cuts[self._cur + 1]
-            take = min(n - pos, end_cut - self._parent)
+            take = min(len(counts) - pos, end_cut - self._parent)
             if take > 0:
-                vtake = int(csum[pos + take] - csum[pos])
-                self._acc_vert.append(vert[vpos:vpos + vtake])
-                base = self._child - int(csum[pos])
-                self._acc_off.extend(
-                    (csum[pos + 1:pos + take + 1] + base).tolist())
+                self._counts.append(counts[pos:pos + take])
+                vtake = int(self._counts[-1].sum())
+                self._vert.append(vert[vpos:vpos + vtake])
                 self._parent += take
                 self._child += vtake
                 pos += take

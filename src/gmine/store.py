@@ -59,14 +59,11 @@ class Level:
 class EmbeddingStore:
     """Ordered stack of levels for one exploration run.
 
-    mode is 'vertex' (ids are vertex ids) or 'edge' (ids are edge ids);
-    the store itself only checks structure, not graph membership.
+    Ids are vertex or edge ids, as the session seeds them; the store
+    itself only checks structure, not graph membership.
     """
 
-    def __init__(self, mode="vertex", id_dtype=np.int32):
-        if mode not in ("vertex", "edge"):
-            raise ValueError("mode must be 'vertex' or 'edge'")
-        self.mode = mode
+    def __init__(self, id_dtype=np.int32):
         self.id_dtype = np.dtype(id_dtype)
         self.levels = []
 

@@ -441,7 +441,7 @@ def test_08_level_counts_on_reference_dataset(corpus):
     enumeration on corpus graphs, then mark skipped."""
     checked = 0
     for g in corpus[:25]:
-        s = Session(g, "vertex")
+        s = Session(g)
         s.seed_vertices()
         for size in range(2, 6):
             s.explore(want_pred=size < 5)
@@ -519,7 +519,7 @@ def test_10_partition_weight_bound(corpus, sparse_graph):
     def check_levels(g, depth):
         # prediction weights only live on the current top level, which
         # is exactly where partitioning reads them
-        s = Session(g, "vertex")
+        s = Session(g)
         s.seed_vertices()
         check_top(g, s)
         for _ in range(2, depth + 1):

@@ -24,7 +24,7 @@ from test_store import L2_OFF, L2_VERT, L3_OFF, L3_VERT
 
 
 def vertex_store_to(g, k, workers=1):
-    with Session(g, "vertex", workers=workers) as s:
+    with Session(g, workers=workers) as s:
         s.seed_vertices()
         for _ in range(2, k + 1):
             s.explore()
@@ -32,7 +32,7 @@ def vertex_store_to(g, k, workers=1):
 
 
 def edge_store_to(g, k, workers=1, **kw):
-    with Session(g, "edge", workers=workers, **kw) as s:
+    with Session(g, workers=workers, **kw) as s:
         s.seed_edges()
         for _ in range(2, k + 1):
             s.explore()
@@ -156,7 +156,7 @@ def test_edge_expansion_complete_and_duplicate_free():
 
 
 def test_filter_false_empties_level(demo_graph):
-    with Session(demo_graph, "vertex") as s:
+    with Session(demo_graph) as s:
         s.seed_vertices()
         s.explore(flt=np.zeros(demo_graph.num_vertices, dtype=bool))
     top = s.cse.top
@@ -165,7 +165,7 @@ def test_filter_false_empties_level(demo_graph):
 
 
 def test_alive_mask_prunes_parents(demo_graph):
-    with Session(demo_graph, "vertex") as s:
+    with Session(demo_graph) as s:
         s.seed_vertices()
         s.explore()
         alive = np.zeros(7, dtype=bool)
@@ -230,7 +230,7 @@ def test_predict_streamed_matches_brute_edges():
 
 
 def test_seed_preds(demo_graph):
-    with Session(demo_graph, "vertex") as s:
+    with Session(demo_graph) as s:
         s.seed_vertices()
         assert s.cse.top.pred.tolist() == [gather_volume(demo_graph, [v])
                                            for v in range(demo_graph.num_vertices)]
@@ -241,13 +241,13 @@ def test_seed_preds(demo_graph):
 def test_explore_checks_its_level_against_the_charged_bound(demo_graph):
     # the plan charges the alive parents' summed predictions; a level
     # with more embeddings raises instead of passing as planned
-    with Session(demo_graph, "vertex") as s:
+    with Session(demo_graph) as s:
         s.seed_vertices()
         s.explore()
         s.cse.top.pred[:] = 1
         with pytest.raises(AssertionError, match="more than the 7 its plan charged"):
             s.explore()
-    with Session(demo_graph, "vertex") as s:
+    with Session(demo_graph) as s:
         s.seed_vertices()
         s.explore(want_pred=False)
         with pytest.raises(ValueError, match="no predictions"):
@@ -261,7 +261,7 @@ def test_predictions_raise_before_they_overflow_int32(demo_graph, monkeypatch):
     assert explore.pred32(big - 1).tolist() == [2, explore.PRED_MAX]
     # demo degrees are at most 4, and a 2-embedding sums two of them
     monkeypatch.setattr(explore, "PRED_MAX", 4)
-    with Session(demo_graph, "vertex") as s:
+    with Session(demo_graph) as s:
         s.seed_vertices()
         with pytest.raises(OverflowError, match="does not fit an int32"):
             s.explore()
@@ -322,7 +322,7 @@ def test_worker_counts_agree(tmp_path):
                 assert sig == base
     for trial in range(4):
         g = make_random_graph(1850 + trial, 14, 16)
-        with Session(g, "edge") as s:
+        with Session(g) as s:
             s.seed_edges()
             for _ in range(3):
                 s.explore()
@@ -362,7 +362,7 @@ def explore_checked(g, mode, depth, flt=None, alive_p=None, seed=0, **kw):
     candidates = (predict_candidate_size if mode == "vertex"
                   else predict_candidate_size_edges)
     tops = []
-    with Session(g, mode, **kw) as s:
+    with Session(g, **kw) as s:
         s.seed_vertices() if mode == "vertex" else s.seed_edges()
         for size in range(2, depth + 1):
             top = s.cse.top
@@ -434,7 +434,7 @@ def fold_checked(g, depth, flt=None, alive_p=None, seed=0):
     the OR of 1 << i over the members i adjacent to the child."""
     rng = np.random.default_rng(seed)
     sets = g.adj_sets
-    with Session(g, "vertex") as s:
+    with Session(g) as s:
         s.seed_vertices()
         for _ in range(2, depth + 1):
             top = s.cse.top
@@ -442,8 +442,8 @@ def fold_checked(g, depth, flt=None, alive_p=None, seed=0):
             slices = [LevelSlice.of(l) for l in s.cse.levels]
             got = []
 
-            def fold(emb, cp, cv, mask):
-                got.extend(zip(map(tuple, emb.T[cp].tolist()), cv.tolist(), mask.tolist()))
+            def fold(emb, cp, cv, masks):
+                got.extend(zip(map(tuple, emb.T[cp].tolist()), cv.tolist(), masks().tolist()))
 
             ctx = dict(s.ctx, slices=slices, filter=flt, alive=alive, fold=fold)
             assert explore.expand_vertex_range((0, top.count), ctx) is None
@@ -495,7 +495,7 @@ def test_kernel_worker_and_budget_invariance(tmp_path):
 
 def test_kernel_checks_key_packing(monkeypatch):
     g = Graph.from_edges([(v, v + 1) for v in range(10)])
-    with Session(g, "vertex") as s:
+    with Session(g) as s:
         s.seed_vertices()
         for _ in range(8):
             s.explore()
@@ -508,7 +508,7 @@ def test_kernel_checks_key_packing(monkeypatch):
     monkeypatch.setattr(explore, "BLOCK", 1 << 56)
     assert vertex_store_to(g, 3).level(3).vert.tolist() == want
     monkeypatch.setattr(explore, "BLOCK", (1 << 56) + 1)
-    with Session(g, "vertex") as s:
+    with Session(g) as s:
         s.seed_vertices()
         with pytest.raises(OverflowError, match="int64"):
             s.explore()

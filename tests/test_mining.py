@@ -125,6 +125,8 @@ def clique_gate_graphs():
 
 def test_cliques_match_brute(tmp_path):
     for i, g in enumerate(clique_gate_graphs()):
+        tri = brute_triangles(g)
+        assert [triangle_count(g, workers=w)[0] for w in (1, 2)] == [tri, tri], i
         for k in range(3, 9):
             want = brute_cliques(g, k)
             got, m = clique_discovery(g, k)
@@ -132,11 +134,13 @@ def test_cliques_match_brute(tmp_path):
             assert clique_discovery(g, k, workers=2)[0] == want, (i, k)
             if g.num_edges == 0:
                 continue  # no level holds an id, so nothing can spill
-            # one byte below the peak forces the plan onto disk
-            got, sm = clique_discovery(g, k, memory_budget=m["peak_resident_estimate"] - 1,
+            # one byte below the peak forces the plan onto disk; at k = 3
+            # the top is level 2, which never spills, so only the peak fits
+            peak = m["peak_resident_estimate"]
+            got, sm = clique_discovery(g, k, memory_budget=peak - (k > 3),
                                        spill_dir=str(tmp_path / ("%d_%d" % (i, k))),
                                        parts_per_level=3)
-            assert sm["bytes_spilled"] > 0, (i, k)
+            assert (sm.get("bytes_spilled", 0) > 0) == (k > 3), (i, k)
             assert got == want, (i, k)
 
 
@@ -144,7 +148,7 @@ def test_clique_levels_predict_their_out_list_unions():
     for trial in range(6):
         g = make_random_graph(3900 + trial, 16, 30 + 6 * trial)
         dag = rank_dag_lists(g)
-        with Session(g, "vertex") as s:
+        with Session(g) as s:
             s.seed_vertices(g.rank_dag)
             assert s.cse.top.pred.tolist() == [gather_volume(g, [r], dag)
                                                for r in range(len(dag))]
@@ -253,7 +257,7 @@ def test_mni_edge_range_matches_per_embedding_reference(monkeypatch):
     monkeypatch.setattr(mining, "MNI_CHUNK", 4)
     g = make_random_graph(2810, 14, 12, n_labels=3)
     eu, ev = g.edge_u.tolist(), g.edge_v.tolist()
-    with Session(g, "edge", labeled=True) as s:
+    with Session(g, labeled=True) as s:
         s.seed_edges()
         s.explore()
         s.explore()
@@ -304,7 +308,7 @@ def test_edge_rows_are_in_canonical_order(monkeypatch, trial):
     g = Graph.from_edges(edges, labels)
     eu, ev, lab = g.edge_u.tolist(), g.edge_v.tolist(), g.labels.tolist()
     for k_edges in range(1, top + 1):
-        with Session(g, "edge", labeled=True) as s:
+        with Session(g, labeled=True) as s:
             s.seed_edges()
             for _ in range(k_edges - 1):
                 s.explore()
@@ -348,7 +352,7 @@ def test_edge_rows_are_in_canonical_order(monkeypatch, trial):
 @pytest.mark.parametrize("cap", [1, 2, 5])
 def test_mni_edge_range_caps_each_domain_when_the_range_returns(tmp_path, cap):
     g = make_random_graph(2810, 14, 12, n_labels=3)
-    with Session(g, "edge", labeled=True) as s:
+    with Session(g, labeled=True) as s:
         s.seed_edges()
         s.explore()
         s.explore()
@@ -382,7 +386,7 @@ def test_merge_mni_of_split_ranges_equals_the_whole_range(monkeypatch, cap):
     # folds them, so the merge must recover the whole range's lowest ids
     monkeypatch.setattr(mining, "MNI_CHUNK", 5)
     g = make_random_graph(2811, 14, 14, n_labels=2)
-    with Session(g, "edge", labeled=True) as s:
+    with Session(g, labeled=True) as s:
         s.seed_edges()
         s.explore()
         s.explore()
@@ -512,10 +516,11 @@ def test_spilled_motif_matches_brute(tmp_path):
 
 
 def motif_budget(peak, k):
-    """A budget between the smallest feasible plan of a k-motif run and
-    its unlimited peak. The fold phase keeps the top's predictions
-    resident, which puts that plan near half the peak; at k = 3 the top
-    is level 2, which never spills, so only the peak itself fits."""
+    """A budget between the smallest feasible plan of a k-motif or
+    k-clique run and its unlimited peak. The fold phase keeps the top's
+    predictions resident, which puts that plan near half the peak; at
+    k = 3 the top is level 2, which never spills, so only the peak
+    itself fits."""
     return peak if k == 3 else peak * 3 // 4
 
 
@@ -532,15 +537,10 @@ def test_spilled_two_worker_motif_matches_brute(tmp_path, k):
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_folded_level_keeps_its_count(tmp_path, monkeypatch, k, workers):
-    """The motif census folds level k into its aggregation: the metrics
-    still count level k's embeddings, charge it no bytes, and the store
-    ends at level k - 1, with and without spilling."""
-    g = make_random_graph(2905, 30, 40)
-    with Session(g, "vertex") as s:
-        s.seed_vertices()
-        for _ in range(2, k + 1):
-            s.explore()
-    stored = s.cse.top.count
+    """The motif census and the clique count fold level k into their
+    aggregation: the metrics still count level k's embeddings, charge it
+    no bytes, and the store ends at level k - 1, with and without
+    spilling. The clique graph is dense enough to hold 5-cliques."""
     sessions = []
     plans = []
     real_aggregate = Session.aggregate
@@ -556,20 +556,30 @@ def test_folded_level_keeps_its_count(tmp_path, monkeypatch, k, workers):
 
     monkeypatch.setattr(Session, "aggregate", spy_aggregate)
     monkeypatch.setattr(mining, "plan_spill", spy_plan)
-    base, m = motif_count(g, k, workers=workers)
-    peak = m["peak_resident_estimate"]
-    for i, budget in enumerate((0, motif_budget(peak, k))):
-        plans.clear()
-        counts, m = motif_count(g, k, workers=workers, memory_budget=budget,
-                                spill_dir=str(tmp_path / str(i)), parts_per_level=3)
-        assert m["level_%d_embeddings" % k] == stored
-        assert m["level_%d_bytes" % k] == 0
-        assert sessions[-1].cse.depth == k - 1
-        assert (m.get("bytes_spilled", 0) > 0) == (budget > 0 and k > 3)
-        assert result_lines(counts) == result_lines(base)
-        # the fold phase is planned as an explore of a 0-byte level
-        assert [est for est, _ in plans[k - 2:]] == [(0, 0, 0)]
-        assert m["peak_resident_estimate"] == max(est for _, (_, est) in plans)
+    for app in (motif_count, clique_discovery):
+        clique = app is clique_discovery
+        g = make_random_graph(2905, 20, 80) if clique else make_random_graph(2905, 30, 40)
+        with Session(g) as s:
+            s.seed_vertices(g.rank_dag if clique else None)
+            for _ in range(2, k + 1):
+                s.explore(flt=CLIQUE if clique else None)
+        stored = s.cse.top.count
+        assert stored > 0
+        base = app(g, k, workers=workers)
+        peak = base[1]["peak_resident_estimate"]
+        for i, budget in enumerate((0, motif_budget(peak, k))):
+            plans.clear()
+            out = app(g, k, workers=workers, memory_budget=budget,
+                      spill_dir=str(tmp_path / app.__name__ / str(i)), parts_per_level=3)
+            m = out[1]
+            assert m["level_%d_embeddings" % k] == stored, app
+            assert m["level_%d_bytes" % k] == 0
+            assert sessions[-1].cse.depth == k - 1
+            assert (m.get("bytes_spilled", 0) > 0) == (budget > 0 and k > 3), app
+            assert result_lines_of(out) == result_lines_of(base)
+            # the fold phase is planned as an explore of a 0-byte level
+            assert [est for est, _ in plans[k - 2:]] == [(0, 0, 0)]
+            assert m["peak_resident_estimate"] == max(est for _, (_, est) in plans)
 
 
 @pytest.mark.parametrize("app", [
@@ -598,7 +608,7 @@ def test_resident_phases_map_once_each(monkeypatch):
         return [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
 
     monkeypatch.setattr(runtime, "map_ranges", spy)
-    with Session(g, "vertex", workers=2) as s:
+    with Session(g, workers=2) as s:
         s.seed_vertices()
         for size in (2, 3, 4):
             want = tasks(partition_by_weight(s.cse.top.pred, 2))
@@ -676,7 +686,7 @@ def test_finished_phases_and_calls_keep_nothing_alive():
     # an explore drops its phase context, alive mask included, when it
     # ends; a finished call holds no reference to its graph
     g = make_random_graph(2903, 20, 20, n_labels=2)
-    with Session(g, "edge", labeled=True) as s:
+    with Session(g, labeled=True) as s:
         s.seed_edges()
         alive = np.ones(s.cse.top.count, dtype=bool)
         ref = weakref.ref(alive)
@@ -696,16 +706,18 @@ def test_finished_phases_and_calls_keep_nothing_alive():
 # -- overlapping calls ------------------------------------------------------------
 
 def clique_phases(g, k):
-    with Session(g, "vertex") as s:
+    with Session(g) as s:
         s.seed_vertices(g.rank_dag)
-        for size in range(2, k + 1):
+        for _ in range(2, k):
             yield
-            s.explore(flt=CLIQUE, want_pred=size < k)
-    return s.cse.top.count
+            s.explore(flt=CLIQUE)
+        yield
+        count = s.aggregate(mining.count_cliques_range, lambda a, b: a + b, 0)
+    return count
 
 
 def motif_phases(g, k):
-    with Session(g, "vertex") as s:
+    with Session(g) as s:
         s.seed_vertices()
         for _ in range(2, k):
             yield
@@ -717,7 +729,7 @@ def motif_phases(g, k):
 
 
 def mni_phases(g, k_edges):
-    with Session(g, "edge", labeled=True) as s:
+    with Session(g, labeled=True) as s:
         s.seed_edges()
         out = []
         for size in range(1, k_edges + 1):
@@ -837,3 +849,32 @@ def test_metrics_track_levels(demo_graph):
     assert metrics["level_3_embeddings"] == 8
     assert metrics["explore_seconds"] > 0
     assert metrics["aggregate_seconds"] > 0
+
+
+# -- the benchmark tracer's hooks ---------------------------------------------------
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    """perfbench/tracer.py wraps gmine's functions by name from outside.
+    Renaming or deleting one must fail here, not in every traced job;
+    each traced app must still run and count, and uninstall must put
+    every original back."""
+    import importlib.util
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    before = dict(vars(mining)), dict(vars(Session))
+    g = make_random_graph(2906, 24, 70)
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        assert mining.triangle_range is not before[0]["triangle_range"]
+        assert mining.triangle_count(g)[0] == brute_triangles(g)
+        assert mining.clique_discovery(g, 4, workers=2)[0] == brute_cliques(g, 4)
+        assert motif_forms(mining.motif_count(g, 4)[0]) == brute_motif_counts(g, 4)
+        assert mining.fsm(g, 2, 2)[0]
+    finally:
+        tracer.uninstall()
+    assert {"explore.expand", "mining.explore", "mining.aggregate"} <= {
+        s[1] for s in tracer.spans}
+    assert (dict(vars(mining)), dict(vars(Session))) == before

@@ -130,7 +130,7 @@ def test_plan_charges_a_spilled_level_its_largest_part_twice(tmp_path, parts):
     plan charges a spilled level twice its largest part file, and a
     resident level twice the largest part it would be cut into."""
     g = make_random_graph(2951, 40, 70)
-    with mining.Session(g, "vertex", spill_dir=str(tmp_path),
+    with mining.Session(g, spill_dir=str(tmp_path),
                         parts_per_level=parts) as s:
         s.seed_vertices()
         for _ in range(2):
@@ -161,14 +161,14 @@ def test_plan_once_spilled_stays_spilled(demo_graph, tmp_path):
 
 
 def test_plan_shallow_store_cannot_spill():
-    s = EmbeddingStore("vertex")
+    s = EmbeddingStore()
     s.seed_identity(5)
     with pytest.raises(BudgetTooSmallError):
         plan_spill(s, 8, (10 ** 6, 10 ** 6, 0), 2)
 
 
 def test_spill_refuses_identity(demo_graph, tmp_path):
-    s = EmbeddingStore("vertex")
+    s = EmbeddingStore()
     s.seed_identity(5)
     with pytest.raises(ValueError):
         spill_existing_level(s.level(1), str(tmp_path), 2, {})
@@ -246,7 +246,7 @@ def test_spill_existing_roundtrip(tmp_path):
 
 
 def test_append_spilled_checks_part_coverage():
-    s = EmbeddingStore("vertex")
+    s = EmbeddingStore()
     s.seed_identity(5)
     s.append_level([1, 4, 2, 4, 3, 4, 4], [0, 2, 4, 6, 7, 7])
 
@@ -456,7 +456,7 @@ def test_failed_spilled_explore_leaves_no_thread(tmp_path, monkeypatch):
     def failing_range(task, ctx):
         raise RuntimeError("range worker failed")
 
-    with mining.Session(g, "vertex", parts_per_level=3) as s:
+    with mining.Session(g, parts_per_level=3) as s:
         s.seed_vertices()
         s.explore()
         s.explore()
@@ -464,7 +464,7 @@ def test_failed_spilled_explore_leaves_no_thread(tmp_path, monkeypatch):
     budget = s.metrics["peak_resident_estimate"] - 1
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="range worker failed"):
-        with mining.Session(g, "vertex", memory_budget=budget,
+        with mining.Session(g, memory_budget=budget,
                             parts_per_level=3) as s:
             s.seed_vertices()
             s.explore()

@@ -19,7 +19,7 @@ L3_EMBEDDINGS = [
 
 
 def demo_store():
-    s = EmbeddingStore("vertex")
+    s = EmbeddingStore()
     s.seed_identity(5)
     s.append_level(L2_VERT, L2_OFF)
     s.append_level(L3_VERT, L3_OFF)
@@ -27,7 +27,7 @@ def demo_store():
 
 
 def test_identity_level():
-    s = EmbeddingStore("vertex")
+    s = EmbeddingStore()
     lvl = s.seed_identity(5)
     assert lvl.count == 5
     assert is_identity(lvl)
@@ -85,7 +85,7 @@ def test_level_columns_match_iteration():
 
 
 def test_level_columns_explicit_seeds_and_windows():
-    s = EmbeddingStore("edge")
+    s = EmbeddingStore()
     s.seed_identity(5)
     s.append_level([1, 3, 4, 3, 4], [0, 3, 3, 5, 5, 5])
     slices = [LevelSlice.of(l) for l in s.levels]
@@ -122,28 +122,28 @@ def test_size_bytes_exact():
 
 
 def test_invariant_off_length():
-    s = EmbeddingStore("vertex")
+    s = EmbeddingStore()
     s.seed_identity(5)
     with pytest.raises(InvariantError):
         s.append_level(L2_VERT, L2_OFF + [7])
 
 
 def test_invariant_off_monotone():
-    s = EmbeddingStore("vertex")
+    s = EmbeddingStore()
     s.seed_identity(5)
     with pytest.raises(InvariantError):
         s.append_level(L2_VERT, [0, 4, 2, 6, 7, 7])
 
 
 def test_invariant_off_total():
-    s = EmbeddingStore("vertex")
+    s = EmbeddingStore()
     s.seed_identity(5)
     with pytest.raises(InvariantError):
         s.append_level(L2_VERT, [0, 2, 4, 6, 7, 8])
 
 
 def test_invariant_slices_ascending():
-    s = EmbeddingStore("vertex")
+    s = EmbeddingStore()
     s.seed_identity(5)
     with pytest.raises(InvariantError, match="ascending"):
         s.append_level([1, 1, 2, 4, 3, 4, 4], [0, 2, 4, 6, 7, 7])
@@ -152,7 +152,7 @@ def test_invariant_slices_ascending():
 
 
 def test_seed_twice_rejected():
-    s = EmbeddingStore("vertex")
+    s = EmbeddingStore()
     s.seed_identity(3)
     with pytest.raises(InvariantError):
         s.seed_identity(3)
