@@ -30,7 +30,7 @@ def parse_size(text):
         s = s[:-1]
     try:
         n = int(float(s) * mult)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: inf, 1e400
         raise argparse.ArgumentTypeError("bad size %r" % text) from None
     if n < 0:
         raise argparse.ArgumentTypeError("size must not be negative")

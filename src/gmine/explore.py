@@ -148,7 +148,8 @@ def expand_vertex_range(task, ctx):
     kept children as parent column cp and id cv, and a function whose
     call builds each child's mask of attach positions, the OR of 1 <<
     attach over its key run (in vertex mode, the members adjacent to
-    the new vertex), and the range returns None.
+    the new vertex), and the range returns the number of children it
+    handed to the fold.
     """
     lo, hi = task
     slices = ctx["slices"]
@@ -171,6 +172,7 @@ def expand_vertex_range(task, ctx):
     deg = np.diff(off)
     id_dtype = ctx["id_dtype"]
     counts = np.zeros(hi - lo, dtype=np.int32)
+    folded = 0
     out_vert = [np.zeros(0, id_dtype)]
     out_pred = [np.zeros(0, np.int32)]
 
@@ -217,6 +219,7 @@ def expand_vertex_range(task, ctx):
             cv = kept >> 3 & id_mask
             if fold is not None:
                 fold(emb, cp, cv, masks)
+                folded += len(cv)
                 continue
             counts[b0 - lo + live[s0:s1]] = np.bincount(cp, minlength=p)
             out_vert.append(cv.astype(id_dtype))
@@ -226,7 +229,7 @@ def expand_vertex_range(task, ctx):
                 vol = ctx["pred"][b0 + live[s0:s1]][cp] + (deg[csrc] * new).sum(axis=0)
                 out_pred.append(pred32(vol))
     if fold is not None:
-        return None
+        return folded
     return (np.concatenate(out_vert), counts,
             np.concatenate(out_pred) if want_pred else None)
 

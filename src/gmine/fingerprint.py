@@ -5,12 +5,16 @@ vertex labels, their degrees inside the embedding, and the integer
 coefficients of the characteristic polynomial of a label-weighted
 adjacency matrix. The triple is invariant under isomorphism, and for
 k < 9 distinct triples imply non-isomorphic embeddings, so a 64-bit
-fold of the triple keys a pattern map without false merges.
+fold of the triple keys a pattern map without false merges. The search
+for the canonical bitmap also gives each position's orbit under the
+pattern's automorphisms, from the permutations that tie for the least
+bitmap; FSM's minimum-image support counts vertices per orbit.
 """
 
 import itertools
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_K = 8
 
@@ -70,23 +74,16 @@ def degrees_from_bits(k, bits):
 
 
 def canonical_sort(labels, degrees, bits):
-    """Reorder positions ascending by (label, degree).
+    """Reorder positions ascending by (label, degree), stably.
 
-    Runs the pairwise swap pass over (L, D) and applies the same swaps
-    to the adjacency bitmap, returning (L', D', bits', perm) where
-    perm[p] is the input position now sitting at slot p.
+    Applies the same order to the adjacency bitmap, returning (L', D',
+    bits', perm) where perm[p] is the input position now sitting at slot
+    p. Any (label, degree) order serves: the block permutations of the
+    canonical search reach every other one.
     """
-    k = len(labels)
-    L = list(labels)
-    D = list(degrees)
-    perm = list(range(k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if L[i] > L[j] or (L[i] == L[j] and D[i] > D[j]):
-                L[i], L[j] = L[j], L[i]
-                D[i], D[j] = D[j], D[i]
-                perm[i], perm[j] = perm[j], perm[i]
-    return L, D, permute_bits(bits, perm), perm
+    perm = sorted(range(len(labels)), key=lambda p: (labels[p], degrees[p]))
+    return ([labels[p] for p in perm], [degrees[p] for p in perm],
+            permute_bits(bits, perm), perm)
 
 
 def permute_bits(bits, perm):
@@ -209,43 +206,14 @@ def _block_perms(labels, degrees):
         yield flat
 
 
-def _slot_orbits(pat):
-    """Orbit id of each canonical slot under the pattern's automorphisms."""
-    parent = list(range(pat.k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in _block_perms(pat.labels, pat.degrees):
-        if permute_bits(pat.bits, perm) == pat.bits:
-            for p, q in enumerate(perm):
-                ra, rb = find(p), find(q)
-                if ra != rb:
-                    parent[rb] = ra
-    roots = {}
-    return tuple(roots.setdefault(find(p), len(roots)) for p in range(pat.k))
-
-
-class _Entry:
-    __slots__ = ("hash", "pattern", "_pos_orbit")
-
-    def __init__(self, h, pattern, pos_orbit):
-        self.hash = h
-        self.pattern = pattern
-        self._pos_orbit = pos_orbit
-
-    def position_orbits(self):
-        """orbit id for each input position; orbits are those of the
-        canonical form under its automorphisms, so every worker that sees
-        any member of the class numbers them identically."""
-        return self._pos_orbit
-
-    @property
-    def orbit_count(self):
-        return max(self._pos_orbit) + 1
+class Entry(NamedTuple):
+    """A raw key's class: the pattern's hash, its canonical Pattern, and
+    the orbit id of each input position under the pattern's automorphisms.
+    Orbits are numbered by their lowest canonical slot, so every raw key
+    of the class numbers them identically."""
+    hash: int
+    pattern: Pattern
+    orbits: tuple
 
 
 class PatternHasher:
@@ -260,8 +228,8 @@ class PatternHasher:
     def __init__(self, weight_base):
         self.weight_base = weight_base
         self._by_raw = {}
-        # canonical (labels, bitmap) -> (hash, Pattern, slot orbits): one
-        # characteristic polynomial per pattern
+        # canonical (labels, bitmap) -> (hash, Pattern): one characteristic
+        # polynomial per pattern
         self._poly = {}
         self._by_hash = {}  # hash -> Pattern, checks the hash is exact
 
@@ -275,17 +243,23 @@ class PatternHasher:
         return e
 
     def _classify(self, labels, bits):
+        """One search over the block permutations finds the least bitmap
+        and its orbits. Each tie with the first minimizer differs from it
+        by an automorphism, and every automorphism keeps (label, degree),
+        so it shows up as a tie: the lowest slot a tie maps canonical slot
+        s to is the lowest member of s's orbit."""
         k = len(labels)
         _check_k(k)
         degrees = degrees_from_bits(k, bits)
         ls, ds, sbits, sperm = canonical_sort(labels, degrees, bits)
         best = None
-        best_perm = None
-        for bp in _block_perms(ls, ds):
+        for bp in _block_perms(ls, ds):  # canonical slot -> sorted position
             cand = permute_bits(sbits, bp)
             if best is None or cand < best:
-                best = cand
-                best_perm = [sperm[p] for p in bp]
+                best, first, low = cand, bp, list(range(k))
+                slot_of = {p: s for s, p in enumerate(bp)}
+            elif cand == best:
+                low = [min(m, slot_of[p]) for m, p in zip(low, bp)]
         pkey = (tuple(ls), best)
         known = self._poly.get(pkey)
         if known is None:
@@ -295,9 +269,9 @@ class PatternHasher:
             h = triple_hash(ls, ds, poly)
             pat = Pattern(k, pkey[0], tuple(ds), best)
             check_same_pattern(h, self._by_hash.setdefault(h, pat), pat)
-            known = self._poly[pkey] = (h, pat, _slot_orbits(pat))
-        h, pat, orbits = known
-        pos_orbit = [0] * k
-        for slot, pos in enumerate(best_perm):  # canonical slot -> input position
-            pos_orbit[pos] = orbits[slot]
-        return _Entry(h, pat, tuple(pos_orbit))
+            known = self._poly[pkey] = (h, pat)
+        roots = {}
+        orbits = [0] * k
+        for s, p in enumerate(first):
+            orbits[sperm[p]] = roots.setdefault(low[s], len(roots))
+        return Entry(*known, tuple(orbits))

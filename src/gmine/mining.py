@@ -72,14 +72,7 @@ def count_patterns_range(task, ctx):
 def count_cliques_range(task, ctx):
     """Count the children of top-level offsets [lo, hi) that the CLIQUE
     filter keeps, folding them without storing them or their masks."""
-    total = 0
-
-    def fold(emb, cp, cv, masks):
-        nonlocal total
-        total += len(cv)
-
-    expand_vertex_range(task, dict(ctx, filter=CLIQUE, fold=fold))
-    return total
+    return expand_vertex_range(task, dict(ctx, filter=CLIQUE, fold=lambda *a: None))
 
 
 triangle_range = count_cliques_range  # perfbench/tracer.py wraps it (ROADMAP item 3)
@@ -225,10 +218,11 @@ class _RawKeyTable:
             e = self.hasher.classify(tuple(lab[:nv]), bits)
             rec = self.patterns.get(e.hash)
             if rec is None:
-                rec = self.patterns[e.hash] = (e.pattern, self.groups, e.orbit_count)
-                self.groups += e.orbit_count
+                n = max(e.orbits) + 1
+                rec = self.patterns[e.hash] = (e.pattern, self.groups, n)
+                self.groups += n
             hs.append(e.hash)
-            gs.append([rec[1] + o for o in e.position_orbits()] + [-1] * (self.width - nv))
+            gs.append([rec[1] + o for o in e.orbits] + [-1] * (self.width - nv))
         self.hash = np.concatenate((self.hash, np.array(hs, dtype=np.uint64)))
         self.group = np.concatenate((self.group, np.array(gs, dtype=np.int64)))
 

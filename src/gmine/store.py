@@ -18,8 +18,7 @@ class InvariantError(ValueError):
 
 
 class Level:
-    __slots__ = ("index", "vert", "off", "pred", "parts", "vert_count",
-                 "id_width")
+    __slots__ = ("index", "vert", "off", "pred", "parts", "count", "id_width")
 
     def __init__(self, index, vert, off, pred, id_width, parts=None):
         self.index = index          # 1-based size of embeddings here
@@ -29,17 +28,13 @@ class Level:
         self.parts = parts          # PartInfo list of a spilled level, else None
         self.id_width = id_width
         if parts is None:
-            self.vert_count = int(off[-1])
+            self.count = int(off[-1])
         else:
-            self.vert_count = parts[-1].ve if parts else 0
+            self.count = parts[-1].ve if parts else 0
 
     @property
     def residency(self):
         return "mem" if self.parts is None else "disk"
-
-    @property
-    def count(self):
-        return self.vert_count
 
     def size_bytes(self):
         """Footprint of vert plus off, resident or spilled.
@@ -52,7 +47,7 @@ class Level:
             parents = len(self.off) - 1
         else:
             parents = self.parts[-1].pe if self.parts else 0
-        vb = 0 if self.index == 1 else self.vert_count * self.id_width
+        vb = 0 if self.index == 1 else self.count * self.id_width
         return vb + (parents + 1) * 8
 
 

@@ -674,6 +674,19 @@ def classify_triple(labels, degrees, bits, weight_base):
     return tuple(ls), tuple(ds), poly
 
 
+def brute_orbits(labels, bits):
+    """The orbits of positions 0..k-1, as a set of position sets, under
+    every permutation of the positions that keeps the labels and the
+    bitmap: a search over all k! permutations, not the hasher's blocks."""
+    k = len(labels)
+    tab = PAIR_BIT[k]
+    adj = [[i != j and bool(bits >> tab[i][j] & 1) for j in range(k)] for i in range(k)]
+    auts = [p for p in itertools.permutations(range(k))
+            if all(labels[p[i]] == labels[i] for i in range(k))
+            and all(adj[p[i]][p[j]] == adj[i][j] for i in range(k) for j in range(i))]
+    return {frozenset(p[i] for p in auts) for i in range(k)}
+
+
 # -- random graphs ------------------------------------------------------------
 
 def random_connected_edges(rng, n, extra):

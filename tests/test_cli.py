@@ -33,7 +33,7 @@ def test_parse_size():
     assert parse_size("4K") == 4096
     assert parse_size("1.5M") == 1572864
     assert parse_size("2g") == 2 << 30
-    for bad in ("x", "-1", "4Q"):
+    for bad in ("x", "-1", "4Q", "inf", "1e400"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_size(bad)
 

@@ -431,7 +431,8 @@ def fold_checked(g, depth, flt=None, alive_p=None, seed=0):
     """Grow a vertex store to depth as explore_checked does, first folding
     each top instead of storing its children: the fold's (parent, child,
     mask) records must list the reference's children in order, each mask
-    the OR of 1 << i over the members i adjacent to the child."""
+    the OR of 1 << i over the members i adjacent to the child, and the
+    range must return their count."""
     rng = np.random.default_rng(seed)
     sets = g.adj_sets
     with Session(g) as s:
@@ -446,9 +447,10 @@ def fold_checked(g, depth, flt=None, alive_p=None, seed=0):
                 got.extend(zip(map(tuple, emb.T[cp].tolist()), cv.tolist(), masks().tolist()))
 
             ctx = dict(s.ctx, slices=slices, filter=flt, alive=alive, fold=fold)
-            assert explore.expand_vertex_range((0, top.count), ctx) is None
+            folded = explore.expand_vertex_range((0, top.count), ctx)
             vert, counts, _ = reference_expand(g, "vertex", slices, 0, top.count,
                                                reference_filter(g, flt), alive, False)
+            assert folded == len(vert)
             want, j = [], 0
             for o, emb in iter_embeddings(slices, 0, top.count):
                 for v in vert[j:j + counts[o]].tolist():

@@ -13,8 +13,8 @@ from gmine.fingerprint import (FNV_OFFSET, MAX_K, Pattern, PatternHasher,
 from gmine.graph import Graph
 
 from conftest import make_random_graph
-from oracles import (bits_from_pairs, classify_triple, cofactor_charpoly,
-                     induced_bitmap, min_perm_form, subgraph_form)
+from oracles import (bits_from_pairs, brute_orbits, classify_triple,
+                     cofactor_charpoly, induced_bitmap, min_perm_form, subgraph_form)
 
 
 def test_single_edge_char_polynomial():
@@ -172,16 +172,50 @@ def test_position_orbits_star_and_path():
     h = PatternHasher(2)
     # path a-b-c: ends share an orbit, middle is alone
     e = h.classify((0, 0, 0), bits_from_pairs(3, [(0, 1), (1, 2)]))
-    orb = e.position_orbits()
+    orb = e.orbits
     assert orb[0] == orb[2] != orb[1]
-    assert e.orbit_count == 2
+    assert max(orb) == 1
     # star with 3 leaves: center position 0
     e2 = h.classify((0, 0, 0, 0), bits_from_pairs(4, [(0, 1), (0, 2), (0, 3)]))
-    orb2 = e2.position_orbits()
+    orb2 = e2.orbits
     assert orb2[1] == orb2[2] == orb2[3] != orb2[0]
     # triangle: single orbit
     e3 = h.classify((0, 0, 0), 0b111)
-    assert e3.orbit_count == 1
+    assert e3.orbits == (0, 0, 0)
+
+
+def test_orbits_match_brute_force():
+    # every bitmap on k <= 5 positions, unlabeled and under 2-label
+    # assignments, then seeded random keys at k = 6..8: the orbits taken
+    # from the canonical search's ties partition the positions as a
+    # search over all k! label-keeping automorphisms does. Every key of
+    # a class numbers them as its canonical form does, in order of their
+    # lowest canonical slot.
+    def check(h, labels, bits):
+        e = h.classify(labels, bits)
+        got = {frozenset(p for p, o in enumerate(e.orbits) if o == x)
+               for x in set(e.orbits)}
+        assert got == brute_orbits(labels, bits), (labels, bits)
+        pat = e.pattern
+        canon = h.classify(pat.labels, pat.bits).orbits
+        assert sorted(set(canon), key=canon.index) == list(range(max(canon) + 1))
+        iso = next(p for p in itertools.permutations(range(len(labels)))
+                   if [labels[q] for q in p] == list(pat.labels)
+                   and permute_bits(bits, p) == pat.bits)
+        assert tuple(e.orbits[q] for q in iso) == canon
+
+    h = PatternHasher(3)
+    for k in range(1, 6):
+        assignments = {(0,) * k, tuple(p % 2 for p in range(k)),
+                       (1,) + (0,) * (k - 1), tuple(int(p >= k - 2) for p in range(k))}
+        for labels in assignments:
+            for bits in range(1 << k * (k - 1) // 2):
+                check(h, labels, bits)
+    rng = random.Random(2017)
+    for k, n in ((6, 40), (7, 12), (8, 4)):
+        for i in range(n):
+            labels = tuple(rng.randrange(2) if i % 2 else 0 for _ in range(k))
+            check(h, labels, rng.randrange(1 << k * (k - 1) // 2))
 
 
 def test_canonical_pattern_stable_across_variants():
@@ -231,5 +265,4 @@ def test_hasher_shared_by_threads_matches_a_serial_one():
         assert seen.keys() == want.keys()
         for b, e in seen.items():
             w = want[b]
-            assert (e.hash, e.pattern, e.position_orbits()) == (
-                w.hash, w.pattern, w.position_orbits()), b
+            assert e == w, b

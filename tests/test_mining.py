@@ -277,8 +277,8 @@ def test_mni_edge_range_matches_per_embedding_reference(monkeypatch):
                 e = s.hasher.classify(tuple(int(g.labels[v]) for v in vs), bits)
                 want_hashes.append(e.hash)
                 rec = want.setdefault(e.hash, [e.pattern,
-                                               [set() for _ in range(e.orbit_count)]])
-                for v, o in zip(vs, e.position_orbits()):
+                                               [set() for _ in range(max(e.orbits) + 1)]])
+                for v, o in zip(vs, e.orbits):
                     rec[1][o].add(v)
             assert hashes.tolist() == want_hashes
             assert {h: [pat, [set(d.tolist()) for d in doms]]
@@ -853,16 +853,21 @@ def test_metrics_track_levels(demo_graph):
 
 # -- the benchmark tracer's hooks ---------------------------------------------------
 
-def test_benchmark_tracer_installs_and_uninstalls():
-    """perfbench/tracer.py wraps gmine's functions by name from outside.
-    Renaming or deleting one must fail here, not in every traced job;
-    each traced app must still run and count, and uninstall must put
-    every original back."""
+def load_tracer():
     import importlib.util
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
+    return tracer_mod
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    """perfbench/tracer.py wraps gmine's functions by name from outside.
+    Renaming or deleting one must fail here, not in every traced job;
+    each traced app must still run and count, and uninstall must put
+    every original back."""
+    tracer_mod = load_tracer()
     before = dict(vars(mining)), dict(vars(Session))
     g = make_random_graph(2906, 24, 70)
     tracer = tracer_mod.Tracer()
@@ -878,3 +883,22 @@ def test_benchmark_tracer_installs_and_uninstalls():
     assert {"explore.expand", "mining.explore", "mining.aggregate"} <= {
         s[1] for s in tracer.spans}
     assert (dict(vars(mining)), dict(vars(Session))) == before
+
+
+def test_benchmark_tracer_reads_the_hasher():
+    """layer_metrics reads the sizes of the hasher's caches by their
+    private names, so renaming one must fail here, not only in traced
+    jobs."""
+    tracer_mod = load_tracer()
+    tracer = tracer_mod.Tracer()
+    g = make_random_graph(2907, 24, 70, n_labels=3)
+    try:
+        tracer.install()
+        result, metrics = mining.fsm(g, 3, 2)
+    finally:
+        tracer.uninstall()
+    assert result
+    layers = tracer_mod.layer_metrics(tracer, metrics)
+    [h] = tracer.hashers
+    assert layers["fingerprint.raw_keys"] == len(h._by_raw) > 0
+    assert layers["fingerprint.poly_count"] == len(h._poly) > 0

@@ -233,7 +233,7 @@ def test_spill_existing_roundtrip(tmp_path):
     m = {}
     spill_existing_level(lvl, str(tmp_path), 4, m)
     assert lvl.residency == "disk" and lvl.vert is None and lvl.off is None
-    assert lvl.vert_count == len(orig_vert)
+    assert lvl.count == len(orig_vert)
     assert lvl.size_bytes() == footprint
     assert m["bytes_spilled"] > 0
     rv, ro = rebuild_from_parts(lvl.parts, np.int32)
@@ -296,7 +296,7 @@ def test_window_loads_one_part_at_a_time(tmp_path, monkeypatch):
         seen.append((w.main.vs, w.main.ve))
         assert loaded == [p.path for p in lvl.parts[:w.idx + 1]]
     assert m["parts_loaded"] == len(lvl.parts)
-    assert seen[0][0] == 0 and seen[-1][1] == lvl.vert_count
+    assert seen[0][0] == 0 and seen[-1][1] == lvl.count
     assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
     with pytest.raises(AssertionError, match="past its last part"):
         w.slide()
