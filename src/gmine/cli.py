@@ -55,7 +55,8 @@ def _common(p, k_help=None, k_range=None, needs_support=False):
                    help="directory for spilled level parts "
                    "(default: $GMINE_SPILL_DIR or a temp dir)")
     p.add_argument("--parts-per-level", type=int, default=None,
-                   help="spill parts per level (default: worker count)")
+                   help="parts per level (default: worker count with a memory "
+                        "budget, else 1)")
     p.add_argument("--output", default=None, help="also write results here")
 
 

@@ -3,12 +3,16 @@
 An embedding of k vertices is reduced to the triple (L, D, P): sorted
 vertex labels, their degrees inside the embedding, and the integer
 coefficients of the characteristic polynomial of a label-weighted
-adjacency matrix. The triple is invariant under isomorphism, and for
-k < 9 distinct triples imply non-isomorphic embeddings, so a 64-bit
-fold of the triple keys a pattern map without false merges. The search
-for the canonical bitmap also gives each position's orbit under the
-pattern's automorphisms, from the permutations that tie for the least
-bitmap; FSM's minimum-image support counts vertices per orbit.
+adjacency matrix. The triple is invariant under isomorphism, so
+isomorphic embeddings share it, but the converse fails: non-isomorphic
+patterns share a triple from 8 vertices unlabeled, and from 6 or 7 with
+labels. A pattern's key therefore also folds in its canonical bitmap,
+the least adjacency bitmap over the orders that keep (L, D) sorted,
+which with L is an exact canonical form; the hasher checks that one
+64-bit key never names two canonical patterns. The search for the
+canonical bitmap also gives each position's orbit under the pattern's
+automorphisms, from the permutations that tie for the least bitmap;
+FSM's minimum-image support counts vertices per orbit.
 """
 
 import itertools
@@ -23,8 +27,8 @@ FNV_PRIME = 0x100000001B3
 
 
 class SizeLimitError(ValueError):
-    """Embedding has more than MAX_K vertices; the triple is only proven
-    collision-free below 9 vertices."""
+    """Embedding has more than MAX_K vertices, past the pair tables and
+    the k!-bounded canonical search that the hasher is built for."""
 
 
 class HashCollisionError(RuntimeError):
@@ -41,7 +45,7 @@ def check_same_pattern(h, have, got):
 def _check_k(k):
     if k > MAX_K:
         raise SizeLimitError("embeddings of %d vertices exceed the %d-vertex "
-                             "exactness bound" % (k, MAX_K))
+                             "limit" % (k, MAX_K))
     if k < 1:
         raise ValueError("empty embedding")
 
@@ -175,6 +179,13 @@ def triple_hash(sorted_labels, sorted_degrees, coeffs):
             ^ fnv1a64(_ser_coeffs(coeffs)))
 
 
+def pattern_hash(sorted_labels, sorted_degrees, coeffs, bits):
+    """64-bit key of a pattern: the triple's fold with the canonical
+    bitmap folded in, which splits the patterns that share a triple."""
+    return (triple_hash(sorted_labels, sorted_degrees, coeffs)
+            ^ fnv1a64(bits.to_bytes(4, "little")))
+
+
 @dataclass(frozen=True)
 class Pattern:
     """Canonical description of a pattern class."""
@@ -266,7 +277,7 @@ class PatternHasher:
             poly = char_polynomial(weighted_matrix(ls, best, self.weight_base))
             if poly[0] != 0:  # zero diagonal, so the trace term vanishes
                 raise AssertionError("trace term %d for pattern key %r" % (poly[0], pkey))
-            h = triple_hash(ls, ds, poly)
+            h = pattern_hash(ls, ds, poly, best)
             pat = Pattern(k, pkey[0], tuple(ds), best)
             check_same_pattern(h, self._by_hash.setdefault(h, pat), pat)
             known = self._poly[pkey] = (h, pat)

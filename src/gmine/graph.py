@@ -97,9 +97,6 @@ class Graph:
         """Ascending neighbor ids of dense vertex v (a view, not a copy)."""
         return self.neighbor_ids[self.offsets[v]:self.offsets[v + 1]]
 
-    def degree(self, v):
-        return int(self.offsets[v + 1] - self.offsets[v])
-
     @property
     def degrees(self):
         return np.diff(self.offsets)

@@ -4,14 +4,15 @@ counting, and frequent subgraph mining with exact minimum-image support.
 A Session owns one graph, one embedding store, the worker/budget
 configuration, and the metrics dict. Exploration and aggregation both
 run range-parallel over the top level through one driver, the windowed
-replay: a memory-resident top is a replay with one window, so the same
-worker functions see the same offsets in the same order and results
-are identical for any worker count, budget, or part layout. The motif
-census and the clique count (triangles are 3-cliques) store levels up
-to k-1 only: their aggregation runs the explore kernel over the top in
-fold mode, and the kernel hands each gather chunk's kept children to
-the fold. The census classifies them, asking the kernel for their
-attach masks; the clique count only counts them.
+replay. Every explore builds its level as parts cut by the parents'
+predictions, held in memory or written out as the plan says, so the
+same worker functions see the same offsets in the same order and
+results are identical for any worker count, budget, or part layout.
+The motif census and the clique count (triangles are 3-cliques) store
+levels up to k-1 only: their aggregation runs the explore kernel over
+the top in fold mode, and the kernel hands each gather chunk's kept
+children to the fold. The census classifies them, asking the kernel
+for their attach masks; the clique count only counts them.
 """
 
 import os
@@ -345,8 +346,11 @@ class Session:
         if self.budget < 0:
             raise ValueError("memory budget must not be negative, got %d"
                              % self.budget)
-        self.parts_per_level = int(self.workers if parts_per_level is None
-                                   else parts_per_level)
+        # parts only pay under a budget: each is a unit a spilled level is
+        # read back in, while a resident level's parts only add replay steps
+        if parts_per_level is None:
+            parts_per_level = self.workers if self.budget else 1
+        self.parts_per_level = int(parts_per_level)
         if self.parts_per_level < 1:
             raise ValueError("parts per level must be at least 1, got %d"
                              % self.parts_per_level)
@@ -426,17 +430,14 @@ class Session:
         there too. A fold phase builds no level: (0, 0, 0) charges its
         windows and the top's predictions."""
         cse = self.cse
-        spill_from, est = plan_spill(cse, self.budget, next_estimate,
-                                     self.parts_per_level)
+        spill_from, est = plan_spill(cse, self.budget, next_estimate)
         self.metrics["peak_resident_estimate"] = max(
             self.metrics.get("peak_resident_estimate", 0), est)
         spill_next = spill_from <= cse.depth + 1
         if spill_next:
             self._ensure_dir()
         for lvl in cse.levels[spill_from - 1:]:
-            if lvl.residency == "mem":
-                spill_existing_level(lvl, self.spill_dir, self.parts_per_level,
-                                     self.metrics)
+            spill_existing_level(lvl, self.spill_dir, self.metrics)
         return spill_next
 
     def explore(self, flt=None, alive=None, want_pred=True):
@@ -452,40 +453,23 @@ class Session:
         top = cse.top
         est = self._next_estimate(alive, want_pred)
         spill_next = self.plan(est)
-        counts_chunks = [np.zeros(0, np.int32)]
         pred_chunks = [np.zeros(0, np.int32)]
-        vert_chunks = []
-        writer = None
-        if spill_next:
-            writer = PartWriter(self.spill_dir, top.index + 1, cse.id_dtype,
-                                partition_by_weight(top.pred, self.parts_per_level),
-                                self.metrics)
+        cuts = partition_by_weight(top.pred, self.parts_per_level)
+        writer = PartWriter(self.spill_dir if spill_next else None, top.index + 1,
+                            cse.id_dtype, cuts, self.metrics)
 
         def consume(lo, hi, res):
             vert, counts, pred = res
-            counts_chunks.append(counts)
             pred_chunks.append(pred)
-            if writer is not None:
-                writer.feed(vert, counts)
-            else:
-                vert_chunks.append(vert)
+            writer.feed(vert, counts)
 
         # the phase context is never named, so it goes when the replay ends
         replay_top(cse, self.workers, expand_vertex_range,
                    dict(self.ctx, filter=flt, alive=alive, want_pred=want_pred,
                         pred=top.pred),
                    consume, self.metrics)
-        counts = np.concatenate(counts_chunks)
-        pred = np.concatenate(pred_chunks) if want_pred else None
-        if writer is not None:
-            cse.append_spilled(pred, writer.close())
-        else:
-            # a lone chunk (one task) is the level itself: no second copy
-            vert = (vert_chunks[0] if len(vert_chunks) == 1
-                    else np.concatenate(vert_chunks or [np.zeros(0, cse.id_dtype)]))
-            off = np.zeros(len(counts) + 1, dtype=np.int64)
-            np.cumsum(counts, out=off[1:])
-            cse.append_level(vert, off, pred)
+        cse.append_level(writer.close(),
+                         np.concatenate(pred_chunks) if want_pred else None)
         top.pred = None  # only the newest level needs its predictions
         bound = est[0] // cse.id_dtype.itemsize
         if cse.top.count > bound:

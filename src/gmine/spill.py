@@ -1,33 +1,32 @@
-"""Disk spill for level arrays and the windowed replay that drives
+"""Disk spill for level parts and the windowed replay that drives
 every range-parallel phase.
 
-A spilled level is cut into parts at parent-slice boundaries, so each
-part carries a self-contained (vert, off-segment) pair, and the level
-keeps only its part list in memory: its ids and offsets are read back
-from the parts. The budget plan is one number, the lowest level on
-disk; levels 1 (the identity) and 2 always stay resident. Replay walks
-the top level part by part; every lower spilled level keeps a sliding
-window of one loaded part, which is enough because ancestor offsets
-grow monotonically with the top offset. A memory-resident top is the
-one-part case: a single window spanning all of its parents, so
-resident and spilled stores share one driver. Part boundaries are
-derived from predicted weights before any worker runs, so the files
+Every level of 2 or more is built as parts, cut at the parent cuts of
+its parents' predicted weights before any worker runs, so the parts
 and the processing order are identical for every worker count and
-stride size. Parts are written and loaded in the calling thread: an
-I/O error surfaces where it happened, and no thread outlives a call.
+stride size. A spilled level's parts live only in their files: the
+level keeps its part list, and a part's ids and offsets are read back
+when a window reaches it. Spilling a level after it was built writes
+the same parts, so it gives the same files. The budget plan is one
+number, the lowest level on disk; levels 1 (the identity) and 2 always
+stay resident. Replay walks the top level part by part; every lower
+level keeps a sliding window of one part, which is enough because
+ancestor offsets grow monotonically with the top offset, and only a
+window over a spilled level reads a file. Parts are written and loaded
+in the calling thread: an I/O error surfaces where it happened, and no
+thread outlives a call.
 """
 
 import os
 import struct
 import zlib
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import runtime
 from .explore import partition_by_weight, uniform_ranges
-from .store import LevelSlice
+from .store import LevelSlice, PartInfo
 
 MAGIC = b"CSE1"
 _HEADER = struct.Struct("<4sIBQQ")  # magic, level, id_width, vert count, off count
@@ -80,31 +79,13 @@ def read_part(path, id_dtype):
     return vert, off, level
 
 
-@dataclass
-class PartInfo:
-    path: str
-    level: int
-    ps: int   # parent index range [ps, pe)
-    pe: int
-    vs: int   # child offset range [vs, ve)
-    ve: int
-    nbytes: int
-
-
-def window_bytes(level, parts_per_level):
+def window_bytes(level):
     """What a window over level holds at most: two of its part files,
-    while a slide reads the next one. A resident level is charged the
-    parts that spill_existing_level would cut it into."""
-    if level.parts is not None:
-        sizes = [p.nbytes for p in level.parts]
-    else:
-        cuts = partition_by_weight(np.diff(level.off), parts_per_level)
-        sizes = (_HEADER.size + 8 + np.diff(level.off[cuts]) * level.id_width
-                 + (np.diff(cuts) + 1) * 8)
-    return 2 * int(max(sizes, default=0))
+    while a slide reads the next one."""
+    return 2 * max((p.nbytes for p in level.parts), default=0)
 
 
-def plan_spill(cse, budget, next_estimate, parts_per_level):
+def plan_spill(cse, budget, next_estimate):
     """Choose the lowest level to keep on disk.
 
     Returns (spill_from, estimate): after the explore, every level from
@@ -130,7 +111,7 @@ def plan_spill(cse, budget, next_estimate, parts_per_level):
             if lvl.index < spill_from:
                 total += lvl.size_bytes()
             else:
-                total += window_bytes(lvl, parts_per_level)
+                total += window_bytes(lvl)
         return total
 
     floor = None
@@ -148,13 +129,24 @@ def part_name(level, part):
     return "L%d_P%d.cse" % (level, part)
 
 
+def _write_out(part, spill_dir, index, metrics):
+    """Write an in-memory part to its file and drop its arrays."""
+    part.path = os.path.join(spill_dir, part_name(part.level, index))
+    n = write_part(part.path, part.level, part.vert.itemsize, part.vert, part.off)
+    part.vert = part.off = None
+    metrics["bytes_spilled"] = metrics.get("bytes_spilled", 0) + n
+    metrics["parts_written"] = metrics.get("parts_written", 0) + 1
+
+
 class PartWriter:
-    """Streams one level to disk as parts cut at precomputed parent cuts.
+    """Builds one level as parts cut at precomputed parent cuts.
 
     feed() is called with (vert, counts) chunks in parent order; chunks
-    are re-sliced at the part cuts, so the written files depend only on
-    the cuts, not on how the chunks were produced. Each part is written
-    in the caller as soon as its last parent arrives.
+    are re-sliced at the part cuts, so the parts depend only on the
+    cuts, not on how the chunks were produced. A part that one chunk
+    piece covers holds that piece, not a copy. With a spill_dir, each
+    part is written in the caller as soon as its last parent arrives,
+    and only its file keeps it; without one, parts stay in memory.
     """
 
     def __init__(self, spill_dir, level_index, id_dtype, parent_cuts, metrics):
@@ -171,7 +163,8 @@ class PartWriter:
         self._counts = []
 
     def _flush(self):
-        vert = np.concatenate(self._vert or [np.zeros(0, self.id_dtype)])
+        vert = (self._vert[0] if len(self._vert) == 1
+                else np.concatenate(self._vert or [np.zeros(0, self.id_dtype)]))
         counts = np.concatenate(self._counts or [np.zeros(0, np.int64)])
         off = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=off[1:])
@@ -179,13 +172,12 @@ class PartWriter:
         ps = self.cuts[self._cur]
         pe = self._parent
         if len(vert) or pe > ps:
-            path = os.path.join(self.dir, part_name(self.level, len(self.parts)))
-            n = write_part(path, self.level, self.id_dtype.itemsize,
-                           vert.astype(self.id_dtype, copy=False), off)
-            self.parts.append(PartInfo(path, self.level, ps, pe, int(off[0]),
-                                       self._child, n))
-            self.metrics["bytes_spilled"] = self.metrics.get("bytes_spilled", 0) + n
-            self.metrics["parts_written"] = self.metrics.get("parts_written", 0) + 1
+            vert = vert.astype(self.id_dtype, copy=False)
+            p = PartInfo(None, self.level, ps, pe, int(off[0]), self._child,
+                         _HEADER.size + vert.nbytes + off.nbytes + 8, vert, off)
+            if self.dir is not None:
+                _write_out(p, self.dir, len(self.parts), self.metrics)
+            self.parts.append(p)
         self._vert = []
         self._counts = []
 
@@ -209,60 +201,50 @@ class PartWriter:
                 self._cur += 1
 
     def close(self):
-        """Write the tail part; returns all parts in order."""
+        """Flush the tail part; returns all parts in order."""
         self._flush()
         return self.parts
 
 
-def spill_existing_level(level, spill_dir, parts_per_level, metrics):
-    """Write an in-memory level out and drop its resident arrays."""
-    if level.vert is None:  # identity level: never spilled (levels 1-2 stay resident)
+def spill_existing_level(level, spill_dir, metrics):
+    """Write an in-memory level's parts out and drop their arrays."""
+    if level.index == 1:  # the identity: never spilled (levels 1-2 stay resident)
         raise ValueError("cannot spill an identity level")
-    counts = np.diff(level.off)
-    cuts = partition_by_weight(counts, parts_per_level)
-    w = PartWriter(spill_dir, level.index, np.dtype("i%d" % level.id_width),
-                   cuts, metrics)
-    for j in range(len(cuts) - 1):
-        lo, hi = int(cuts[j]), int(cuts[j + 1])
-        w.feed(level.vert[level.off[lo]:level.off[hi]], counts[lo:hi])
-    level.parts = w.close()
-    level.vert = level.off = None
+    for i, p in enumerate(level.parts):
+        if p.off is not None:
+            _write_out(p, spill_dir, i, metrics)
 
 
 class _Window:
-    """Sliding window over one level: one loaded part at a time, in
-    order. A slide reads the next part before dropping the current one,
-    so two parts are held only while it runs. A resident level is one
-    part spanning all of its parents, backed by its in-memory arrays."""
+    """Sliding window over one level: one part at a time, in order. A
+    slide takes the next part in place of the current one, reading its
+    file first if it is on disk, so two parts are held only while it
+    runs."""
 
     def __init__(self, level, id_dtype, metrics):
         self.level = level
+        self.parts = level.parts
         self.id_dtype = id_dtype
         self.metrics = metrics
         self.idx = -1
         self.main = self.main_vert = self.main_off = None
-        if level.residency == "mem":
-            self.parts = [PartInfo(None, level.index, 0, len(level.off) - 1,
-                                   0, level.count, 0)]
-            self.idx, self.main = 0, self.parts[0]
-            self.main_vert, self.main_off = level.vert, level.off
-        else:
-            self.parts = level.parts
-            if self.parts:
-                self.slide()
+        if self.parts:
+            self.slide()
 
     def slide(self):
-        """Load the next part in place of the current one."""
+        """Take the next part in place of the current one."""
         if self.idx + 1 >= len(self.parts):
             raise AssertionError("window at level %d slid past its last part"
                                  % self.level.index)
         p = self.parts[self.idx + 1]
-        vert, off, lv = read_part(p.path, self.id_dtype)
-        if lv != self.level.index:
-            raise CorruptPartError("%s: level %d, expected %d"
-                                   % (p.path, lv, self.level.index))
-        self.metrics["bytes_read"] = self.metrics.get("bytes_read", 0) + p.nbytes
-        self.metrics["parts_loaded"] = self.metrics.get("parts_loaded", 0) + 1
+        vert, off = p.vert, p.off
+        if off is None:
+            vert, off, lv = read_part(p.path, self.id_dtype)
+            if lv != self.level.index:
+                raise CorruptPartError("%s: level %d, expected %d"
+                                       % (p.path, lv, self.level.index))
+            self.metrics["bytes_read"] = self.metrics.get("bytes_read", 0) + p.nbytes
+            self.metrics["parts_loaded"] = self.metrics.get("parts_loaded", 0) + 1
         self.idx += 1
         self.main, self.main_vert, self.main_off = p, vert, off
 
@@ -297,20 +279,20 @@ def _chain_bound(chain):
 def replay_top(cse, workers, fn, ctx, consume, metrics):
     """Run fn over every top-level offset of the store, in order.
 
-    The one range driver for resident and spilled tops alike: a
-    resident top is a single window, so it runs as one map over all of
-    its offsets. fn is a range function fn(task, ctx); each window's
-    map passes it the phase context ctx plus that window's level
-    slices. consume(lo, hi, result) is called in global offset order.
-    Ranges are cut by the top level's predictions when it has them,
-    else uniformly.
+    The one range driver for resident and spilled levels alike: every
+    level has a window, and each step maps the top offsets that every
+    window's current part covers. The identity level 1 is one part that
+    never slides. fn is a range function fn(task, ctx); each step's map
+    passes it the phase context ctx plus the windows' level slices.
+    consume(lo, hi, result) is called in global offset order. Ranges
+    are cut by the top level's predictions when it has them, else
+    uniformly.
     """
     top = cse.top
-    spilled = [l for l in cse.levels if l.residency == "disk"]
-    if spilled != cse.levels[len(cse.levels) - len(spilled):]:
+    disk = [l.residency == "disk" for l in cse.levels if l.parts]
+    if disk != sorted(disk):
         raise AssertionError("spilled levels must form a suffix")
-    mem_slices = [LevelSlice.of(l) for l in cse.levels[:-1] if l.residency == "mem"]
-    chain = [_Window(l, cse.id_dtype, metrics) for l in spilled or [top]]
+    chain = [_Window(l, cse.id_dtype, metrics) for l in cse.levels]
     tw = chain[-1]
     while tw.parts:
         tp = tw.main
@@ -320,7 +302,7 @@ def replay_top(cse, workers, fn, ctx, consume, metrics):
             if hi <= cur:
                 binder.slide()
                 continue
-            slices = mem_slices + [w.slice() for w in chain]
+            slices = [w.slice() for w in chain]
             if top.pred is None:
                 cuts = uniform_ranges(hi - cur, workers) + cur
             else:

@@ -3,12 +3,15 @@
 Level l keeps one id per embedding of size l (its last element) in
 ``vert`` plus an ``off`` array mapping each parent embedding at level
 l-1 to the slice of its children, so a full embedding is recovered by
-walking offsets upward instead of storing k ids per embedding. Level 1
-is always the identity over the seed ids 0..n-1, so its ``vert`` is
-never materialized. A level is either resident (its arrays) or spilled
-(its part files only): a spilled level holds its part list, its
-embedding count and its predictions, and neither ids nor offsets.
+walking offsets upward instead of storing k ids per embedding. A level
+is a list of parts, each the ``(vert, off-segment)`` of a contiguous run
+of parents, cut once when the level is built. A part holds its arrays
+in memory or only in its part file, and spilling a level writes all of
+its parts. Level 1 is always the identity over the seed ids 0..n-1: one
+in-memory part whose ``vert`` is never materialized.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,24 +20,32 @@ class InvariantError(ValueError):
     """A level array violates the store's structural invariants."""
 
 
-class Level:
-    __slots__ = ("index", "vert", "off", "pred", "parts", "count", "id_width")
+@dataclass
+class PartInfo:
+    path: str     # its part file, or None while it has not been written
+    level: int
+    ps: int       # parent index range [ps, pe)
+    pe: int
+    vs: int       # child offset range [vs, ve)
+    ve: int
+    nbytes: int   # size of its part file, written or not
+    vert: np.ndarray = None  # the part's ids and absolute off segment while
+    off: np.ndarray = None   # in memory, None once only its file holds them
 
-    def __init__(self, index, vert, off, pred, id_width, parts=None):
+
+class Level:
+    __slots__ = ("index", "parts", "pred", "count", "id_width")
+
+    def __init__(self, index, parts, pred, id_width):
         self.index = index          # 1-based size of embeddings here
-        self.vert = vert            # last-id array, or None (identity or spilled)
-        self.off = off              # int64 child-slice boundaries, or None if spilled
+        self.parts = parts          # PartInfo list covering every parent in order
         self.pred = pred            # int32 gather volume per embedding, or None
-        self.parts = parts          # PartInfo list of a spilled level, else None
         self.id_width = id_width
-        if parts is None:
-            self.count = int(off[-1])
-        else:
-            self.count = parts[-1].ve if parts else 0
+        self.count = parts[-1].ve if parts else 0
 
     @property
     def residency(self):
-        return "mem" if self.parts is None else "disk"
+        return "disk" if any(p.off is None for p in self.parts) else "mem"
 
     def size_bytes(self):
         """Footprint of vert plus off, resident or spilled.
@@ -43,12 +54,37 @@ class Level:
         over p parents occupies v * id_width + (p + 1) * 8 bytes; the
         identity level 1 contributes only its off bytes.
         """
-        if self.parts is None:
-            parents = len(self.off) - 1
-        else:
-            parents = self.parts[-1].pe if self.parts else 0
+        parents = self.parts[-1].pe if self.parts else 0
         vb = 0 if self.index == 1 else self.count * self.id_width
         return vb + (parents + 1) * 8
+
+
+def _check_part(p):
+    """Raise unless an in-memory part's arrays match its ranges and its
+    child slices ascend."""
+    vert, off = p.vert, p.off
+    where = "part parents [%d, %d)" % (p.ps, p.pe)
+    if len(off) != p.pe - p.ps + 1:
+        raise InvariantError("%s: off must have %d entries, got %d"
+                             % (where, p.pe - p.ps + 1, len(off)))
+    if off[0] != p.vs:
+        raise InvariantError("%s: off[0]=%d, not the part's first child %d"
+                             % (where, int(off[0]), p.vs))
+    if (np.diff(off) < 0).any():
+        raise InvariantError("%s: off must be nondecreasing" % where)
+    if int(off[-1]) - p.vs != len(vert) or p.ve != int(off[-1]):
+        raise InvariantError("%s: off ends at %d, children [%d, %d) hold %d ids"
+                             % (where, int(off[-1]), p.vs, p.ve, len(vert)))
+    if len(vert) > 1:
+        rising = vert[1:] > vert[:-1]  # no int temporary as long as vert
+        starts = np.zeros(len(vert), dtype=bool)
+        inner = off[1:-1] - p.vs
+        starts[inner[inner < len(vert)]] = True  # a new slice may restart low
+        bad = ~rising & ~starts[1:]
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise InvariantError("slice not strictly ascending at vert[%d]"
+                                 % (p.vs + i + 1))
 
 
 class EmbeddingStore:
@@ -78,46 +114,19 @@ class EmbeddingStore:
         if self.levels:
             raise InvariantError("store already seeded")
         off = np.array([0, n], dtype=np.int64)
-        lvl = Level(1, None, off, pred, self.id_dtype.itemsize)
+        lvl = Level(1, [PartInfo(None, 1, 0, 1, 0, n, 0, None, off)], pred,
+                    self.id_dtype.itemsize)
         self.levels.append(lvl)
         return lvl
 
-    def append_level(self, vert, off, pred=None):
-        """Push level depth+1; validates the structural invariants."""
-        if not self.levels:
-            raise InvariantError("seed level 1 first")
-        vert = np.asarray(vert, dtype=self.id_dtype)
-        off = np.asarray(off, dtype=np.int64)
-        parent_n = self.top.count
-        if len(off) != parent_n + 1:
-            raise InvariantError("off must have %d entries, got %d"
-                                 % (parent_n + 1, len(off)))
-        if len(off) and off[0] != 0:
-            raise InvariantError("off[0] must be 0")
-        if len(off) > 1 and (np.diff(off) < 0).any():
-            raise InvariantError("off must be nondecreasing")
-        if int(off[-1]) != len(vert):
-            raise InvariantError("off[-1]=%d does not match len(vert)=%d"
-                                 % (int(off[-1]), len(vert)))
-        if len(vert) > 1:
-            rising = vert[1:] > vert[:-1]  # no int temporary as long as vert
-            starts = np.zeros(len(vert), dtype=bool)
-            inner = off[1:-1]
-            starts[inner[inner < len(vert)]] = True  # a new slice may restart low
-            bad = ~rising & ~starts[1:]
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise InvariantError("slice not strictly ascending at vert[%d]" % (i + 1))
-        lvl = Level(self.depth + 1, vert, off, pred, self.id_dtype.itemsize)
-        self.levels.append(lvl)
-        return lvl
-
-    def append_spilled(self, pred, parts):
-        """Push a level whose ids and offsets live only in part files.
+    def append_level(self, parts, pred=None):
+        """Push level depth+1 given as its parts; validates the structural
+        invariants.
 
         The parts must cover the parents 0..top.count and their child
-        offsets contiguously, in order; the level's count is where the
-        last part's children end.
+        offsets contiguously, in order, and each in-memory part's arrays
+        must match its ranges; the level's count is where the last
+        part's children end.
         """
         if not self.levels:
             raise InvariantError("seed level 1 first")
@@ -127,22 +136,24 @@ class EmbeddingStore:
                 raise InvariantError(
                     "part parents [%d, %d) children [%d, %d) do not continue "
                     "at parent %d, child %d" % (p.ps, p.pe, p.vs, p.ve, ps, vs))
+            if p.off is not None:
+                _check_part(p)
             ps, vs = p.pe, p.ve
         if ps != self.top.count:
             raise InvariantError("parts cover parents 0..%d, not 0..%d"
                                  % (ps, self.top.count))
-        lvl = Level(self.depth + 1, None, None, pred, self.id_dtype.itemsize,
-                    parts)
+        lvl = Level(self.depth + 1, list(parts), pred, self.id_dtype.itemsize)
         self.levels.append(lvl)
         return lvl
+
+    append_spilled = append_level  # perfbench/tracer.py wraps it (ROADMAP item 3)
 
 
 class LevelSlice:
     """A contiguous window of one level, with global offsets preserved.
 
     vert covers global ids [vbase, vbase+len(vert)); off covers parent
-    indices [obase, obase+len(off)-1) with absolute child offsets. A
-    full in-memory level is the special case vbase = obase = 0.
+    indices [obase, obase+len(off)-1) with absolute child offsets.
     """
 
     __slots__ = ("vert", "vbase", "off", "obase")
@@ -152,12 +163,6 @@ class LevelSlice:
         self.off = off
         self.vbase = vbase
         self.obase = obase
-
-    @classmethod
-    def of(cls, level):
-        if level.residency != "mem":
-            raise InvariantError("level %d not memory resident" % level.index)
-        return cls(level.vert, level.off)
 
 
 def level_columns(slices, lo, hi):

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: exhaustive enumeration,
 permutation search, Laplace expansion. Nothing imports engine internals
-beyond the Graph container, the store's error type and the result-line
-format, so an engine bug cannot hide in its oracle. The one exception is the fingerprint section:
+beyond the Graph container, the store's level types and error type and
+the result-line format, so an engine bug cannot hide in its oracle. The one exception is the fingerprint section:
 classify_triple chains the engine's own fingerprint steps without the
 hasher's cache, for tests that pin those steps down one at a time.
 """
@@ -16,14 +16,18 @@ import numpy as np
 from gmine.fingerprint import (PAIR_BIT, _check_k, canonical_sort,
                                char_polynomial, weighted_matrix)
 from gmine.mining import result_lines
-from gmine.store import InvariantError
+from gmine.store import InvariantError, LevelSlice, PartInfo
 
 
 # -- graph and store helpers -------------------------------------------------
 
+def degree(g, v):
+    return int(g.offsets[v + 1] - g.offsets[v])
+
+
 def check_link(g, u, v):
     """True iff edge {u, v} exists; binary search in the shorter slice."""
-    if g.degree(u) > g.degree(v):
+    if degree(g, u) > degree(g, v):
         u, v = v, u
     sl = g.neighbors(u)
     i = int(np.searchsorted(sl, v))
@@ -73,8 +77,37 @@ def write_result(path, items, summary):
         fh.write(summary + "\n")
 
 
+def append_whole(store, vert, off, pred=None):
+    """Push a level given as whole vert and off arrays, as one in-memory
+    part spanning every parent of the top, through append_level."""
+    vert = np.asarray(vert, dtype=store.id_dtype)
+    off = np.asarray(off, dtype=np.int64)
+    part = PartInfo(None, store.depth + 1, 0, store.top.count, 0, len(vert), 0,
+                    vert, off)
+    return store.append_level([part], pred)
+
+
+def whole_arrays(level):
+    """A resident level's whole (vert, off) arrays, joined from its
+    parts; vert is None for the identity level."""
+    parts = level.parts
+    if any(p.off is None for p in parts):
+        raise InvariantError("level %d is not memory resident" % level.index)
+    if not parts:
+        return np.zeros(0, "i%d" % level.id_width), np.zeros(1, np.int64)
+    if len(parts) == 1:
+        return parts[0].vert, parts[0].off
+    return (np.concatenate([p.vert for p in parts]),
+            np.concatenate([parts[0].off] + [p.off[1:] for p in parts[1:]]))
+
+
+def level_slices(store):
+    """Each level of a resident store as one slice of its whole arrays."""
+    return [LevelSlice(*whole_arrays(l)) for l in store.levels]
+
+
 def is_identity(level):
-    return level.vert is None and level.residency == "mem"
+    return whole_arrays(level)[0] is None
 
 
 def level_size_bytes(store, index):
@@ -321,7 +354,7 @@ def rank_dag_lists(g):
     """Per rank, the ascending ranks of the higher-ranked neighbors of
     the vertex of that rank, vertices ranked by (degree, id): the plain
     form of Graph.rank_dag."""
-    order = sorted(range(g.num_vertices), key=lambda v: (g.degree(v), v))
+    order = sorted(range(g.num_vertices), key=lambda v: (degree(g, v), v))
     rank = {v: r for r, v in enumerate(order)}
     return [sorted(rank[w] for w in g.neighbors(v).tolist() if rank[w] > r)
             for r, v in enumerate(order)]
@@ -533,12 +566,10 @@ def extract(store, level_index, offset):
     out = []
     o = int(offset)
     for li in range(level_index, 0, -1):
-        lvl = store.level(li)
-        if lvl.residency != "mem" or lvl.off is None:
-            raise InvariantError("level %d is not memory resident" % li)
-        out.append(int(o) if lvl.vert is None else int(lvl.vert[o]))
+        vert, off = whole_arrays(store.level(li))
+        out.append(int(o) if vert is None else int(vert[o]))
         if li > 1:
-            o = int(np.searchsorted(lvl.off, o, side="right")) - 1
+            o = int(np.searchsorted(off, o, side="right")) - 1
     out.reverse()
     return tuple(out)
 

@@ -352,7 +352,10 @@ def test_06_hash_triple_separates_all_small_classes(unlabeled_classes,
     """Over every connected graph class on <=7 vertices (and <=5 with 2
     labels): equal triple implies isomorphic, non-isomorphic implies
     unequal triple, and the known 6-vertex equal-polynomial pair is
-    split by the degree component."""
+    split by the degree component. Past these sizes the triple alone no
+    longer separates classes (8 vertices unlabeled, 7-vertex trees with
+    2 labels, 6 vertices with 3), so the hasher's key also folds in the
+    canonical bitmap."""
     levels, candidates = unlabeled_classes
     for n, want in KNOWN_CLASS_COUNTS.items():
         assert len(levels[n]) == want, (n, len(levels[n]))

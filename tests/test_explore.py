@@ -10,21 +10,20 @@ from gmine.explore import (CLIQUE, edge_seed_preds, partition_by_weight,
 from gmine.graph import Graph
 from gmine.mining import Session
 from gmine.spill import read_part
-from gmine.store import LevelSlice
 
 from conftest import make_random_graph
 from oracles import (check_link, connected_edge_subsets,
                      enumerate_connected_subsets, extract, gather_volume,
                      gather_volume_edges, is_canonical_edge_extension,
                      is_canonical_extension, is_connected_subset, iter_embeddings,
-                     ordering_is_canonical, ordering_is_canonical_edges,
+                     level_slices, ordering_is_canonical, ordering_is_canonical_edges,
                      predict_candidate_size, predict_candidate_size_edges,
-                     random_connected_edges, reference_expand)
+                     random_connected_edges, reference_expand, whole_arrays)
 from test_store import L2_OFF, L2_VERT, L3_OFF, L3_VERT
 
 
-def vertex_store_to(g, k, workers=1):
-    with Session(g, workers=workers) as s:
+def vertex_store_to(g, k, workers=1, parts_per_level=None):
+    with Session(g, workers=workers, parts_per_level=parts_per_level) as s:
         s.seed_vertices()
         for _ in range(2, k + 1):
             s.explore()
@@ -90,20 +89,16 @@ def test_edge_extension_agrees_with_ordering_oracle():
 
 def test_demo_levels(demo_graph):
     s = vertex_store_to(demo_graph, 3)
-    assert s.level(2).vert.tolist() == L2_VERT
-    assert s.level(2).off.tolist() == L2_OFF
-    assert s.level(3).vert.tolist() == L3_VERT
-    assert s.level(3).off.tolist() == L3_OFF
+    assert [a.tolist() for a in whole_arrays(s.level(2))] == [L2_VERT, L2_OFF]
+    assert [a.tolist() for a in whole_arrays(s.level(3))] == [L3_VERT, L3_OFF]
 
 
 def test_star_levels():
     # star 0-1, 0-2, 0-3: only <0,x> pairs and no canonical triple repeats
     g = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
     s = vertex_store_to(g, 3)
-    assert s.level(2).vert.tolist() == [1, 2, 3]
-    assert s.level(2).off.tolist() == [0, 3, 3, 3, 3]
-    assert s.level(3).vert.tolist() == [2, 3, 3]
-    assert s.level(3).off.tolist() == [0, 2, 3, 3]
+    assert [a.tolist() for a in whole_arrays(s.level(2))] == [[1, 2, 3], [0, 3, 3, 3, 3]]
+    assert [a.tolist() for a in whole_arrays(s.level(3))] == [[2, 3, 3], [0, 2, 3, 3]]
 
 
 def test_exactly_one_ordering_per_vertex_set():
@@ -159,9 +154,9 @@ def test_filter_false_empties_level(demo_graph):
     with Session(demo_graph) as s:
         s.seed_vertices()
         s.explore(flt=np.zeros(demo_graph.num_vertices, dtype=bool))
-    top = s.cse.top
-    assert len(top.vert) == 0
-    assert top.off.tolist() == [0] * 6
+    vert, off = whole_arrays(s.cse.top)
+    assert len(vert) == 0
+    assert off.tolist() == [0] * 6
 
 
 def test_alive_mask_prunes_parents(demo_graph):
@@ -171,10 +166,10 @@ def test_alive_mask_prunes_parents(demo_graph):
         alive = np.zeros(7, dtype=bool)
         alive[0] = True  # only <0,1> expands
         s.explore(alive=alive)
-    top = s.cse.top
-    assert top.off.tolist()[:2] == [0, 2]
-    assert int(top.off[-1]) == 2
-    assert top.vert.tolist() == [2, 4]
+    vert, off = whole_arrays(s.cse.top)
+    assert off.tolist()[:2] == [0, 2]
+    assert int(off[-1]) == 2
+    assert vert.tolist() == [2, 4]
 
 
 # -- prediction ----------------------------------------------------------------
@@ -204,7 +199,7 @@ def test_predict_streamed_matches_brute(demo_graph):
     g = demo_graph
     s = vertex_store_to(g, 3)
     pred = s.level(3).pred
-    children = np.diff(vertex_store_to(g, 4).level(4).off)
+    children = np.diff(whole_arrays(vertex_store_to(g, 4).level(4))[1])
     for o in range(s.level(3).count):
         emb = list(extract(s, 3, o))
         assert pred[o] == gather_volume(g, emb)
@@ -222,7 +217,7 @@ def test_predict_streamed_matches_brute_edges():
         for li in levels:
             s = edge_store_to(g, li)
             pred = s.level(li).pred
-            children = np.diff(edge_store_to(g, li + 1).level(li + 1).off)
+            children = np.diff(whole_arrays(edge_store_to(g, li + 1).level(li + 1))[1])
             for o in range(s.level(li).count):
                 emb = list(extract(s, li, o))
                 assert pred[o] == gather_volume_edges(g, emb)
@@ -299,7 +294,7 @@ def level_arrays(lvl):
     files when it is spilled; only the top level keeps its pred."""
     pred = None if lvl.pred is None else lvl.pred.tolist()
     if lvl.residency == "mem":
-        return lvl.vert.tolist(), lvl.off.tolist(), pred
+        return tuple(a.tolist() for a in whole_arrays(lvl)) + (pred,)
     vert, off = [], [0]
     for p in lvl.parts:
         v, o, _ = read_part(p.path, np.int32)
@@ -313,9 +308,7 @@ def test_worker_counts_agree(tmp_path):
         g = make_random_graph(1800 + trial, 30, 45)
         base = None
         for w in (1, 2, 8):
-            s = vertex_store_to(g, 4, workers=w)
-            sig = (s.level(4).vert.tolist(), s.level(4).off.tolist(),
-                   s.level(4).pred.tolist())
+            sig = level_arrays(vertex_store_to(g, 4, workers=w).level(4))
             if base is None:
                 base = sig
             else:
@@ -370,7 +363,7 @@ def explore_checked(g, mode, depth, flt=None, alive_p=None, seed=0, **kw):
             want_pred = size < depth
             resident = all(l.residency == "mem" for l in s.cse.levels)
             if resident:
-                slices = [LevelSlice.of(l) for l in s.cse.levels]
+                slices = level_slices(s.cse)
                 want = reference_expand(g, mode, slices, 0, top.count,
                                         reference_filter(g, flt), alive, want_pred)
                 top_pred = top.pred.tolist()
@@ -440,7 +433,7 @@ def fold_checked(g, depth, flt=None, alive_p=None, seed=0):
         for _ in range(2, depth + 1):
             top = s.cse.top
             alive = None if alive_p is None else rng.random(top.count) < alive_p
-            slices = [LevelSlice.of(l) for l in s.cse.levels]
+            slices = level_slices(s.cse)
             got = []
 
             def fold(emb, cp, cv, masks):
@@ -506,9 +499,9 @@ def test_kernel_checks_key_packing(monkeypatch):
     # 11 ids take 4 bits and the attach 3, so parent << 7 must stay below
     # 2^63: 2^56 parents per block fit exactly, one more does not (the
     # block only bounds the loop; arrays follow the range)
-    want = vertex_store_to(g, 3).level(3).vert.tolist()
+    want = level_arrays(vertex_store_to(g, 3).level(3))
     monkeypatch.setattr(explore, "BLOCK", 1 << 56)
-    assert vertex_store_to(g, 3).level(3).vert.tolist() == want
+    assert level_arrays(vertex_store_to(g, 3).level(3)) == want
     monkeypatch.setattr(explore, "BLOCK", (1 << 56) + 1)
     with Session(g) as s:
         s.seed_vertices()

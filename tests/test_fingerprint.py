@@ -14,7 +14,8 @@ from gmine.graph import Graph
 
 from conftest import make_random_graph
 from oracles import (bits_from_pairs, brute_orbits, classify_triple,
-                     cofactor_charpoly, induced_bitmap, min_perm_form, subgraph_form)
+                     cofactor_charpoly, induced_bitmap, iso_oracle, min_perm_form,
+                     subgraph_form)
 
 
 def test_single_edge_char_polynomial():
@@ -124,6 +125,28 @@ def test_triple_separates_triangle_from_chain():
                          bits_from_pairs(3, [(0, 1), (0, 2)]), 2)
     assert ta != tb
     assert triple_hash(*ta) != triple_hash(*tb)
+
+
+@pytest.mark.parametrize("weight_base, labels, degrees, pair", [
+    (2, (0,) * 8, (1, 1, 1, 2, 2, 2, 3, 4), ("40086909", "4090b003")),
+    (4, (0, 0, 1, 1, 2, 2), (1, 3, 1, 3, 1, 3), ("7031", "c429")),
+], ids=["unlabeled-8", "3-labels-6"])
+def test_hasher_splits_patterns_that_share_a_triple(weight_base, labels, degrees, pair):
+    """Two non-isomorphic canonical patterns with one (labels, degrees,
+    polynomial) triple get two keys: the canonical bitmap is folded into
+    the hash, so neither classification raises HashCollisionError."""
+    k = len(labels)
+    bits = [int.from_bytes(bytes.fromhex(b), "little") for b in pair]
+    rows = [[[x >> fingerprint.PAIR_BIT[k][i][j] & 1 if i != j else 0 for j in range(k)]
+             for i in range(k)] for x in bits]
+    assert not iso_oracle(labels, rows[0], labels, rows[1])
+    assert (classify_triple(labels, degrees, bits[0], weight_base)
+            == classify_triple(labels, degrees, bits[1], weight_base))
+    h = PatternHasher(weight_base)
+    a, b = (h.classify(labels, x) for x in bits)
+    assert a.hash != b.hash
+    head = "%d;L=%s;D=%s;B=" % (k, ",".join(map(str, labels)), ",".join(map(str, degrees)))
+    assert [a.pattern.serialize(), b.pattern.serialize()] == [head + x for x in pair]
 
 
 def test_size_limit():

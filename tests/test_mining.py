@@ -18,12 +18,13 @@ from gmine.mining import (Session, clique_discovery, fsm, merge_counts,
                           merge_mni, motif_count, result_lines,
                           triangle_count)
 from gmine.spill import BudgetTooSmallError
-from gmine.store import LevelSlice, level_columns
+from gmine.store import level_columns
 
 from conftest import make_random_graph
 from oracles import (brute_cliques, brute_mni, brute_motif_counts,
                      brute_triangles, extract, gather_volume, iter_embeddings,
-                     min_perm_form, random_connected_edges, rank_dag_lists, write_result)
+                     level_slices, min_perm_form, random_connected_edges,
+                     rank_dag_lists, whole_arrays, write_result)
 
 
 def pattern_rows(pat):
@@ -156,7 +157,7 @@ def test_clique_levels_predict_their_out_list_unions():
             for size in range(2, 6):
                 s.explore(flt=CLIQUE)
                 top = s.cse.top
-                children = np.diff(top.off)
+                children = np.diff(whole_arrays(top)[1])
                 assert all(c <= u for c, u in zip(children, unions)), (trial, size)
                 unions = []
                 for o in range(top.count):
@@ -261,7 +262,7 @@ def test_mni_edge_range_matches_per_embedding_reference(monkeypatch):
         s.seed_edges()
         s.explore()
         s.explore()
-        slices = [LevelSlice.of(l) for l in s.cse.levels]
+        slices = level_slices(s.cse)
         ctx = dict(s.ctx, slices=slices, cap=10 ** 9, want_hashes=True)
         count = s.cse.top.count
         for lo, hi in ((0, count), (5, count - 3)):
@@ -312,7 +313,7 @@ def test_edge_rows_are_in_canonical_order(monkeypatch, trial):
             s.seed_edges()
             for _ in range(k_edges - 1):
                 s.explore()
-            slices = [LevelSlice.of(l) for l in s.cse.levels]
+            slices = level_slices(s.cse)
             count = s.cse.top.count
             verts, rows = mining._edge_rows(level_columns(slices, 0, count),
                                             g.edge_u, g.edge_v, g.labels)
@@ -356,7 +357,7 @@ def test_mni_edge_range_caps_each_domain_when_the_range_returns(tmp_path, cap):
         s.seed_edges()
         s.explore()
         s.explore()
-        ctx = dict(s.ctx, slices=[LevelSlice.of(l) for l in s.cse.levels],
+        ctx = dict(s.ctx, slices=level_slices(s.cse),
                    cap=10 ** 9, want_hashes=False)
         full, _ = mining.mni_edge_range((0, s.cse.top.count), ctx)
         got, _ = mining.mni_edge_range((0, s.cse.top.count), dict(ctx, cap=cap))
@@ -390,7 +391,7 @@ def test_merge_mni_of_split_ranges_equals_the_whole_range(monkeypatch, cap):
         s.seed_edges()
         s.explore()
         s.explore()
-        ctx = dict(s.ctx, slices=[LevelSlice.of(l) for l in s.cse.levels],
+        ctx = dict(s.ctx, slices=level_slices(s.cse),
                    cap=cap, want_hashes=False)
         count = s.cse.top.count
         whole, _ = mining.mni_edge_range((0, count), ctx)
@@ -550,8 +551,8 @@ def test_folded_level_keeps_its_count(tmp_path, monkeypatch, k, workers):
         sessions.append(self)
         return real_aggregate(self, *a)
 
-    def spy_plan(cse, budget, next_estimate, parts):
-        plans.append((next_estimate, real_plan(cse, budget, next_estimate, parts)))
+    def spy_plan(cse, budget, next_estimate):
+        plans.append((next_estimate, real_plan(cse, budget, next_estimate)))
         return plans[-1][1]
 
     monkeypatch.setattr(Session, "aggregate", spy_aggregate)
@@ -593,9 +594,10 @@ def test_applications_build_no_adjacency_lists(app):
 
 
 def test_resident_phases_map_once_each(monkeypatch):
-    """A resident top is a replay with one window: each explore and each
-    aggregate maps its ranges once, cut by the top's predictions when it
-    has them and uniformly when it does not."""
+    """Without a budget a level is one in-memory part by default, so a
+    replay has one window: each explore and each aggregate maps its
+    ranges once, cut by the top's predictions when it has them and
+    uniformly when it does not."""
     g = make_random_graph(2904, 40, 70)
     calls = []
     real = runtime.map_ranges
@@ -615,6 +617,7 @@ def test_resident_phases_map_once_each(monkeypatch):
             calls.clear()
             s.explore(want_pred=size < 4)
             assert calls == [("expand_vertex_range", want, 2)]
+            assert len(s.cse.top.parts) == 1
         assert s.cse.top.pred is None
         calls.clear()
         s.aggregate(mining.count_patterns_range, merge_counts, {},
@@ -807,10 +810,23 @@ def test_threads_mine_different_graphs_at_once(monkeypatch):
 # -- pattern hash exactness ----------------------------------------------------------
 
 def test_motif_count_raises_on_hash_collision(monkeypatch):
-    monkeypatch.setattr(fingerprint, "triple_hash", lambda *a: 7)
+    monkeypatch.setattr(fingerprint, "pattern_hash", lambda *a: 7)
     g = make_random_graph(2902, 14, 12)
     with pytest.raises(HashCollisionError):
         motif_count(g, 4)
+
+
+def test_fsm_splits_trees_that_share_a_triple():
+    """Two 2-labeled 7-vertex trees as components: they share (labels,
+    degrees, polynomial) without being isomorphic, so a key of the triple
+    alone raised HashCollisionError at 6 edges."""
+    a = [(0, 6), (1, 6), (2, 3), (3, 4), (4, 5), (4, 6)]
+    b = [(0, 6), (1, 4), (2, 4), (3, 5), (3, 6), (4, 6)]
+    labels = {v + base: int(v >= 5) for v in range(7) for base in (0, 7)}
+    g = Graph.from_edges(a + [(u + 7, v + 7) for u, v in b], labels)
+    result, _ = fsm(g, 6, 1)
+    assert fsm_forms(result) == expected_frequent(g, 6, 1)
+    assert sum(p.k == 7 for p, _ in result.values()) == 2
 
 
 def test_merges_raise_on_hash_collision():

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from gmine import mining, spill
-from gmine.spill import (BudgetTooSmallError, CorruptPartError, PartInfo,
-                         PartWriter, _Window, part_name, plan_spill, read_part,
-                         replay_top, spill_existing_level, window_bytes,
-                         write_part)
-from gmine.store import EmbeddingStore, InvariantError, level_columns
+from gmine.explore import partition_by_weight
+from gmine.spill import (BudgetTooSmallError, CorruptPartError, PartWriter,
+                         _Window, part_name, plan_spill, read_part, replay_top,
+                         spill_existing_level, window_bytes, write_part)
+from gmine.store import EmbeddingStore, InvariantError, PartInfo, level_columns
 
 from conftest import make_random_graph
-from oracles import extract, iter_embeddings
+from oracles import append_whole, extract, iter_embeddings, whole_arrays
 from test_explore import vertex_store_to
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -92,19 +92,19 @@ def test_part_swapped_ids_detected(tmp_path):
 
 def test_plan_unlimited_never_spills(demo_graph):
     s = vertex_store_to(demo_graph, 3)
-    spill_from, est = plan_spill(s, 0, NEXT_EST, 2)
+    spill_from, est = plan_spill(s, 0, NEXT_EST)
     assert spill_from == s.depth + 2
     assert est > 0
 
 
 def test_plan_progression():
     # depth 3: nothing on disk, then the new level 4, then levels 3-4
-    s = vertex_store_to(make_random_graph(2950, 30, 40), 3)
+    s = vertex_store_to(make_random_graph(2950, 30, 40), 3, parts_per_level=4)
     plans = []
-    budget = plan_spill(s, 0, NEXT_EST, 4)[1]
+    budget = plan_spill(s, 0, NEXT_EST)[1]
     while True:
         try:
-            p = plan_spill(s, budget, NEXT_EST, 4)
+            p = plan_spill(s, budget, NEXT_EST)
         except BudgetTooSmallError:
             break
         assert p[1] <= budget
@@ -121,14 +121,14 @@ def test_plan_progression():
     assert [est for _, est in plans] == [
         fixed + l3.size_bytes() + nv + no,
         fixed + l3.size_bytes(),
-        fixed + window_bytes(l3, 4)]
+        fixed + window_bytes(l3)]
 
 
 @pytest.mark.parametrize("parts", [1, 3, 8])
 def test_plan_charges_a_spilled_level_its_largest_part_twice(tmp_path, parts):
     """A window holds one part file and, while it slides, the next: the
-    plan charges a spilled level twice its largest part file, and a
-    resident level twice the largest part it would be cut into."""
+    plan charges a level twice its largest part file, whether it is
+    spilled or its parts are still in memory."""
     g = make_random_graph(2951, 40, 70)
     with mining.Session(g, spill_dir=str(tmp_path),
                         parts_per_level=parts) as s:
@@ -136,42 +136,42 @@ def test_plan_charges_a_spilled_level_its_largest_part_twice(tmp_path, parts):
         for _ in range(2):
             s.explore()
         l3 = s.cse.level(3)
-        ahead = window_bytes(l3, parts)
-        spill_existing_level(l3, str(tmp_path), parts, {})
+        ahead = window_bytes(l3)
+        spill_existing_level(l3, str(tmp_path), {})
         assert ahead == 2 * max(p.nbytes for p in l3.parts)
         # level 3 is on disk, so level 4 is written as it is explored,
         # cut by predicted weight
         s.explore()
         l4 = s.cse.level(4)
         assert l4.residency == "disk"
-        _, est = plan_spill(s.cse, 0, (0, 0, 0), parts)
+        _, est = plan_spill(s.cse, 0, (0, 0, 0))
         fixed = s.cse.level(1).size_bytes() + s.cse.level(2).size_bytes() + l4.pred.nbytes
-        assert est == fixed + window_bytes(l3, parts) + window_bytes(l4, parts)
+        assert est == fixed + window_bytes(l3) + window_bytes(l4)
         for lvl in (l3, l4):
             largest = max(os.path.getsize(p.path) for p in lvl.parts)
             assert largest == max(p.nbytes for p in lvl.parts)
-            assert window_bytes(lvl, parts) == 2 * largest
+            assert window_bytes(lvl) == 2 * largest
 
 
 def test_plan_once_spilled_stays_spilled(demo_graph, tmp_path):
-    s = vertex_store_to(demo_graph, 3)
-    spill_existing_level(s.level(3), str(tmp_path), 2, {})
-    assert plan_spill(s, 10 ** 12, NEXT_EST, 2)[0] == 3
-    assert plan_spill(s, 0, NEXT_EST, 2)[0] == 3
+    s = vertex_store_to(demo_graph, 3, parts_per_level=2)
+    spill_existing_level(s.level(3), str(tmp_path), {})
+    assert plan_spill(s, 10 ** 12, NEXT_EST)[0] == 3
+    assert plan_spill(s, 0, NEXT_EST)[0] == 3
 
 
 def test_plan_shallow_store_cannot_spill():
     s = EmbeddingStore()
     s.seed_identity(5)
     with pytest.raises(BudgetTooSmallError):
-        plan_spill(s, 8, (10 ** 6, 10 ** 6, 0), 2)
+        plan_spill(s, 8, (10 ** 6, 10 ** 6, 0))
 
 
 def test_spill_refuses_identity(demo_graph, tmp_path):
     s = EmbeddingStore()
     s.seed_identity(5)
     with pytest.raises(ValueError):
-        spill_existing_level(s.level(1), str(tmp_path), 2, {})
+        spill_existing_level(s.level(1), str(tmp_path), {})
 
 
 # -- part writer -------------------------------------------------------------------
@@ -215,6 +215,23 @@ def test_partwriter_rechunking_is_invisible(tmp_path):
         assert m["parts_written"] == len(parts)
         blobs[name] = [open(p.path, "rb").read() for p in parts]
     assert blobs["whole"] == blobs["single"] == blobs["ragged"]
+    # without a directory the same parts stay in memory, sized as their
+    # files, and a part one chunk covers holds that chunk, not a copy
+    for name, ranges in feeds.items():
+        m = {}
+        w = PartWriter(None, 4, np.int32, cuts, m)
+        csum = np.concatenate(([0], np.cumsum(counts)))
+        for a, b in ranges:
+            w.feed(vert[csum[a]:csum[b]], counts[a:b])
+        parts = w.close()
+        assert m == {}
+        assert [p.nbytes for p in parts] == [len(b) for b in blobs["whole"]]
+        for p, blob in zip(parts, blobs["whole"]):
+            path = str(tmp_path / "mem.cse")
+            write_part(path, 4, 4, p.vert, p.off)
+            assert p.path is None and open(path, "rb").read() == blob
+        if name == "whole":
+            assert all(np.shares_memory(p.vert, vert) for p in parts if len(p.vert))
 
 
 def test_partwriter_empty_level(tmp_path):
@@ -225,14 +242,14 @@ def test_partwriter_empty_level(tmp_path):
 
 def test_spill_existing_roundtrip(tmp_path):
     g = make_random_graph(21, 15, 20)
-    s = vertex_store_to(g, 3)
+    s = vertex_store_to(g, 3, parts_per_level=4)
     lvl = s.level(3)
-    orig_vert = lvl.vert.copy()
-    orig_off = lvl.off.copy()
+    orig_vert, orig_off = (a.copy() for a in whole_arrays(lvl))
     footprint = lvl.size_bytes()
     m = {}
-    spill_existing_level(lvl, str(tmp_path), 4, m)
-    assert lvl.residency == "disk" and lvl.vert is None and lvl.off is None
+    spill_existing_level(lvl, str(tmp_path), m)
+    assert lvl.residency == "disk"
+    assert all(p.vert is None and p.off is None for p in lvl.parts)
     assert lvl.count == len(orig_vert)
     assert lvl.size_bytes() == footprint
     assert m["bytes_spilled"] > 0
@@ -248,7 +265,7 @@ def test_spill_existing_roundtrip(tmp_path):
 def test_append_spilled_checks_part_coverage():
     s = EmbeddingStore()
     s.seed_identity(5)
-    s.append_level([1, 4, 2, 4, 3, 4, 4], [0, 2, 4, 6, 7, 7])
+    append_whole(s, [1, 4, 2, 4, 3, 4, 4], [0, 2, 4, 6, 7, 7])
 
     def parts(*spans):
         return [PartInfo("L3_P%d.cse" % i, 3, ps, pe, vs, ve, 0)
@@ -264,20 +281,89 @@ def test_append_spilled_checks_part_coverage():
     }
     for name, spans in bad.items():
         with pytest.raises(InvariantError):
-            s.append_spilled(None, spans)
+            s.append_level(spans)
         assert s.depth == 2, name
-    lvl = s.append_spilled(None, parts((0, 3, 0, 4), (3, 3, 4, 4), (3, 7, 4, 8)))
+    lvl = s.append_level(parts((0, 3, 0, 4), (3, 3, 4, 4), (3, 7, 4, 8)))
     assert lvl.residency == "disk" and lvl.count == 8
-    assert lvl.vert is None and lvl.off is None
     assert lvl.size_bytes() == 8 * 4 + 8 * 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_spilling_a_built_level_writes_its_build_time_parts(tmp_path, workers):
+    """One cut rule: level 3 spilled after it was built writes the part
+    files that an explore writing level 3 straight to disk does. Both are
+    cut by level 2's predictions, not by level 3's child counts."""
+    g = make_random_graph(2952, 40, 70)
+    files = {}
+    for how in ("built", "later"):
+        d = tmp_path / how
+        d.mkdir()
+        budget = 0
+        if how == "built":  # one byte below the peak spills the new level 3
+            with mining.Session(g, parts_per_level=4) as s:
+                s.seed_vertices()
+                s.explore()
+                s.explore()
+            budget = s.metrics["peak_resident_estimate"] - 1
+        with mining.Session(g, workers=workers, memory_budget=budget, spill_dir=str(d),
+                            parts_per_level=4) as s:
+            s.seed_vertices()
+            s.explore()
+            s.explore()
+            l3 = s.cse.level(3)
+            assert l3.residency == ("disk" if how == "built" else "mem")
+            if how == "later":
+                counts = np.diff(whole_arrays(l3)[1])
+                assert len(l3.parts) == 4
+                spill_existing_level(l3, str(d), s.metrics)
+        assert s.metrics["parts_written"] == len(l3.parts)
+        files[how] = {p.name: p.read_bytes() for p in d.iterdir()}
+    assert files["built"] == files["later"]
+    assert len(files["later"]) == 4
+    # level 3's child counts would cut it elsewhere, so the check has teeth
+    assert [p.ps for p in l3.parts[1:]] != partition_by_weight(counts, 4)[1:-1].tolist()
+
+
+@pytest.mark.parametrize("app", [
+    lambda g, **kw: mining.motif_count(g, 4, **kw),
+    lambda g, **kw: mining.clique_discovery(g, 4, **kw),
+    lambda g, **kw: mining.fsm(g, 3, 2, **kw)], ids=["motif", "clique", "fsm"])
+def test_resident_parts_never_touch_disk(monkeypatch, app):
+    """Without a budget, parts stay in memory: no spill dir is made, no
+    part file is written or read, and the spill counters stay 0. Levels
+    of three parts give the results of levels of one."""
+    g = make_random_graph(2953, 40, 80, n_labels=2)
+    base = app(g, parts_per_level=1)
+
+    def no_disk(*a):
+        raise AssertionError("a resident run touched the disk")
+
+    sessions = []
+    real_aggregate = mining.Session.aggregate
+
+    def spy_aggregate(self, *a):
+        sessions.append(self)
+        return real_aggregate(self, *a)
+
+    monkeypatch.setattr(mining.Session, "_ensure_dir", no_disk)
+    monkeypatch.setattr(spill, "write_part", no_disk)
+    monkeypatch.setattr(spill, "read_part", no_disk)
+    monkeypatch.setattr(mining.Session, "aggregate", spy_aggregate)
+    got, m = app(g, workers=2, parts_per_level=3)
+    for key in ("bytes_spilled", "parts_written", "bytes_read", "parts_loaded"):
+        assert not m.get(key), key
+    assert sessions[-1].spill_dir is None
+    assert all(len(l.parts) == 3 for l in sessions[-1].cse.levels[1:])
+    assert (mining.result_lines(got) if isinstance(got, dict) else got) == \
+        (mining.result_lines(base[0]) if isinstance(got, dict) else base[0])
 
 
 # -- windows ----------------------------------------------------------------------
 
 def test_window_loads_one_part_at_a_time(tmp_path, monkeypatch):
     g = make_random_graph(22, 16, 24)
-    s = vertex_store_to(g, 3)
-    spill_existing_level(s.level(3), str(tmp_path), 5, {})
+    s = vertex_store_to(g, 3, parts_per_level=5)
+    spill_existing_level(s.level(3), str(tmp_path), {})
     lvl = s.level(3)
     assert len(lvl.parts) > 2
     loaded = []
@@ -305,8 +391,8 @@ def test_window_loads_one_part_at_a_time(tmp_path, monkeypatch):
 
 def test_window_rejects_level_mismatch(tmp_path):
     g = make_random_graph(23, 12, 14)
-    s = vertex_store_to(g, 3)
-    spill_existing_level(s.level(3), str(tmp_path), 2, {})
+    s = vertex_store_to(g, 3, parts_per_level=2)
+    spill_existing_level(s.level(3), str(tmp_path), {})
     p0, p1 = s.level(3).parts[:2]
     good = open(p1.path, "rb").read()
     v, o, _ = read_part(p1.path, np.int32)
@@ -329,10 +415,10 @@ def expected_embeddings(g, depth):
 
 
 def run_replay(g, depth, spill_from, parts, workers, tmp_path):
-    s = vertex_store_to(g, depth)
+    s = vertex_store_to(g, depth, parts_per_level=parts)
     m = {}
     for li in range(spill_from, depth + 1):
-        spill_existing_level(s.level(li), str(tmp_path), parts, m)
+        spill_existing_level(s.level(li), str(tmp_path), m)
     got = []
 
     def consume(lo, hi, res):
@@ -361,11 +447,11 @@ def test_replay_matches_memory(tmp_path, spill_from, parts):
 def test_level_columns_match_replay_windows(tmp_path, spill_lower):
     # the top's windows alone, or chained to a spilled level 3
     g = make_random_graph(34, 16, 22)
-    s = vertex_store_to(g, 4)
-    assert (np.diff(s.level(4).off) == 0).any()  # childless parents
+    s = vertex_store_to(g, 4, parts_per_level=9)
+    assert (np.diff(whole_arrays(s.level(4))[1]) == 0).any()  # childless parents
     want = expected_embeddings(g, 4)
     for li in (3, 4) if spill_lower else (4,):
-        spill_existing_level(s.level(li), str(tmp_path), 9, {})
+        spill_existing_level(s.level(li), str(tmp_path), {})
     assert len(s.level(4).parts) > 4
     got = []
     replay_top(s, 1, columns_range, {}, lambda lo, hi, res: got.extend(res), {})
@@ -381,8 +467,8 @@ def test_replay_multiprocess_matches(tmp_path):
 
 def test_replay_requires_suffix(tmp_path):
     g = make_random_graph(33, 12, 14)
-    s = vertex_store_to(g, 4)
-    spill_existing_level(s.level(3), str(tmp_path), 2, {})
+    s = vertex_store_to(g, 4, parts_per_level=2)
+    spill_existing_level(s.level(3), str(tmp_path), {})
     with pytest.raises(AssertionError):
         replay_top(s, 1, collect_range, {}, lambda *a: None, {})
 
@@ -396,8 +482,8 @@ def test_replay_requires_suffix_under_optimize(tmp_path):
         from conftest import make_random_graph
         from test_explore import vertex_store_to
         from test_spill import collect_range
-        s = vertex_store_to(make_random_graph(33, 12, 14), 4)
-        spill_existing_level(s.level(3), %r, 2, {})
+        s = vertex_store_to(make_random_graph(33, 12, 14), 4, parts_per_level=2)
+        spill_existing_level(s.level(3), %r, {})
         try:
             replay_top(s, 1, collect_range, {}, lambda *a: None, {})
         except AssertionError as e:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from gmine.store import EmbeddingStore, InvariantError, LevelSlice, level_columns
+from gmine.store import (EmbeddingStore, InvariantError, LevelSlice, PartInfo,
+                         level_columns)
 
-from oracles import (extract, is_identity, iter_embeddings, level_size_bytes,
-                     slice_end, slice_parent_of, slice_value, total_bytes)
+from oracles import (append_whole, extract, is_identity, iter_embeddings,
+                     level_size_bytes, level_slices, slice_end, slice_parent_of,
+                     slice_value, total_bytes, whole_arrays)
 
 # Hand-derived canonical levels for the demo graph in dense ids
 # (vertices 1..5 densify to 0..4; 4 is the hub).
@@ -21,8 +23,8 @@ L3_EMBEDDINGS = [
 def demo_store():
     s = EmbeddingStore()
     s.seed_identity(5)
-    s.append_level(L2_VERT, L2_OFF)
-    s.append_level(L3_VERT, L3_OFF)
+    append_whole(s, L2_VERT, L2_OFF)
+    append_whole(s, L3_VERT, L3_OFF)
     return s
 
 
@@ -61,7 +63,7 @@ def test_extraction_bounds():
 
 def test_iteration_matches_extraction():
     s = demo_store()
-    slices = [LevelSlice.of(l) for l in s.levels]
+    slices = level_slices(s)
     got = [(o, tuple(e)) for o, e in iter_embeddings(slices, 0, 8)]
     assert got == list(enumerate(L3_EMBEDDINGS))
     # ranges not starting at zero position correctly
@@ -75,8 +77,8 @@ def columns_as_rows(slices, lo, hi):
 
 def test_level_columns_match_iteration():
     s = demo_store()
-    assert (np.diff(s.level(3).off) == 0).any()  # childless parents
-    slices = [LevelSlice.of(l) for l in s.levels]
+    assert (np.diff(whole_arrays(s.level(3))[1]) == 0).any()  # childless parents
+    slices = level_slices(s)
     for lo in range(9):
         for hi in range(lo, 9):
             want = [tuple(e) for _, e in iter_embeddings(slices, lo, hi)]
@@ -87,19 +89,19 @@ def test_level_columns_match_iteration():
 def test_level_columns_explicit_seeds_and_windows():
     s = EmbeddingStore()
     s.seed_identity(5)
-    s.append_level([1, 3, 4, 3, 4], [0, 3, 3, 5, 5, 5])
-    slices = [LevelSlice.of(l) for l in s.levels]
+    append_whole(s, [1, 3, 4, 3, 4], [0, 3, 3, 5, 5, 5])
+    slices = level_slices(s)
     want = [tuple(e) for _, e in iter_embeddings(slices, 0, 5)]
     assert columns_as_rows(slices, 0, 5) == want
     # the same top level seen through a window over parents 1..4
-    l2 = s.level(2)
-    win = slices[:1] + [LevelSlice(l2.vert[3:5], l2.off[1:5], vbase=3, obase=1)]
+    vert, off = whole_arrays(s.level(2))
+    win = slices[:1] + [LevelSlice(vert[3:5], off[1:5], vbase=3, obase=1)]
     assert columns_as_rows(win, 3, 5) == want[3:5]
 
 
 def test_iteration_lexicographic_order():
     s = demo_store()
-    slices = [LevelSlice.of(l) for l in s.levels]
+    slices = level_slices(s)
     embs = [tuple(e) for _, e in iter_embeddings(slices, 0, 8)]
     # offset order equals lexicographic order of the id sequences
     assert embs == sorted(embs)
@@ -107,7 +109,7 @@ def test_iteration_lexicographic_order():
 
 def test_empty_level_append():
     s = demo_store()
-    s.append_level([], [0] * 9)
+    append_whole(s, [], [0] * 9)
     assert s.top.count == 0
     assert s.top.size_bytes() == 9 * 8
 
@@ -125,30 +127,30 @@ def test_invariant_off_length():
     s = EmbeddingStore()
     s.seed_identity(5)
     with pytest.raises(InvariantError):
-        s.append_level(L2_VERT, L2_OFF + [7])
+        append_whole(s, L2_VERT, L2_OFF + [7])
 
 
 def test_invariant_off_monotone():
     s = EmbeddingStore()
     s.seed_identity(5)
     with pytest.raises(InvariantError):
-        s.append_level(L2_VERT, [0, 4, 2, 6, 7, 7])
+        append_whole(s, L2_VERT, [0, 4, 2, 6, 7, 7])
 
 
 def test_invariant_off_total():
     s = EmbeddingStore()
     s.seed_identity(5)
     with pytest.raises(InvariantError):
-        s.append_level(L2_VERT, [0, 2, 4, 6, 7, 8])
+        append_whole(s, L2_VERT, [0, 2, 4, 6, 7, 8])
 
 
 def test_invariant_slices_ascending():
     s = EmbeddingStore()
     s.seed_identity(5)
     with pytest.raises(InvariantError, match="ascending"):
-        s.append_level([1, 1, 2, 4, 3, 4, 4], [0, 2, 4, 6, 7, 7])
+        append_whole(s, [1, 1, 2, 4, 3, 4, 4], [0, 2, 4, 6, 7, 7])
     # descending restart at a slice boundary is fine
-    s.append_level([3, 4, 1], [0, 2, 3, 3, 3, 3])
+    append_whole(s, [3, 4, 1], [0, 2, 3, 3, 3, 3])
 
 
 def test_seed_twice_rejected():
@@ -160,12 +162,52 @@ def test_seed_twice_rejected():
 
 def test_level_slice_windows():
     s = demo_store()
-    l3 = s.level(3)
+    vert, off = whole_arrays(s.level(3))
     # a window holding only parents 2..4 of level 3 (child offsets 4..7)
-    sl = LevelSlice(l3.vert[4:8], l3.off[2:6], vbase=4, obase=2)
+    sl = LevelSlice(vert[4:8], off[2:6], vbase=4, obase=2)
     assert slice_value(sl, 5) == L3_VERT[5]
     assert slice_parent_of(sl, 5) == 2
     assert slice_end(sl, 2) == 6
     assert slice_end(sl, 4) == 8
-    whole = [LevelSlice.of(s.level(1)), LevelSlice.of(s.level(2))]
+    whole = level_slices(s)[:2]
     assert columns_as_rows(whole + [sl], 4, 8) == L3_EMBEDDINGS[4:8]
+
+
+def test_invariants_hold_per_in_memory_part():
+    """A level of in-memory parts passes each part through the checks a
+    whole level gets, and the parts through the coverage check."""
+    def two_parts(vert, off, split=2):
+        # parents [0, split) and [split, 5) of level 2, cut from whole arrays
+        vert = np.asarray(vert, dtype=np.int32)
+        off = np.asarray(off, dtype=np.int64)
+        mid = int(off[split])
+        return [PartInfo(None, 2, 0, split, 0, mid, 0, vert[:mid], off[:split + 1]),
+                PartInfo(None, 2, split, 5, mid, len(vert), 0, vert[mid:], off[split:])]
+
+    def append(parts):
+        s = EmbeddingStore()
+        s.seed_identity(5)
+        return s.append_level(parts)
+
+    lvl = append(two_parts(L2_VERT, L2_OFF))
+    assert lvl.count == 7 and lvl.residency == "mem"
+    assert [a.tolist() for a in whole_arrays(lvl)] == [L2_VERT, L2_OFF]
+    bad = {
+        "descending off": two_parts(L2_VERT, [0, 2, 4, 3, 7, 7], split=3),
+        "ids not ascending": two_parts([1, 4, 2, 4, 4, 3, 4], L2_OFF),
+        "ids past the part's last child": two_parts(L2_VERT + [4], L2_OFF),
+    }
+    short = two_parts(L2_VERT, L2_OFF)
+    short[1].off = short[1].off[:-1]
+    bad["off shorter than the part's parents"] = short
+    moved = two_parts(L2_VERT, L2_OFF)
+    moved[1].off = moved[1].off + 1
+    bad["off not starting at the part's first child"] = moved
+    gap = two_parts(L2_VERT, L2_OFF)
+    gap[1].ps = 3
+    bad["parent gap"] = gap
+    for parts in bad.values():
+        with pytest.raises(InvariantError):
+            append(parts)
+    with pytest.raises(InvariantError, match=r"ascending at vert\[5\]"):
+        append(bad["ids not ascending"])
