@@ -346,8 +346,9 @@ class Session:
         if self.budget < 0:
             raise ValueError("memory budget must not be negative, got %d"
                              % self.budget)
-        # parts only pay under a budget: each is a unit a spilled level is
-        # read back in, while a resident level's parts only add replay steps
+        # a part is the unit a spilled level is read back in; without a
+        # budget none is, and each part only adds a piece to every range
+        # that crosses it (replay maps in-memory parts together)
         if parts_per_level is None:
             parts_per_level = self.workers if self.budget else 1
         self.parts_per_level = int(parts_per_level)

@@ -12,21 +12,23 @@ number, the lowest level on disk; levels 1 (the identity) and 2 always
 stay resident. Replay walks the top level part by part; every lower
 level keeps a sliding window of one part, which is enough because
 ancestor offsets grow monotonically with the top offset, and only a
-window over a spilled level reads a file. Parts are written and loaded
-in the calling thread: an I/O error surfaces where it happened, and no
-thread outlives a call.
+window over a spilled level reads a file. Steps over parts in memory
+are mapped together; a map ends only where a window is about to read
+a file. Parts are written and loaded in the calling thread: an I/O
+error surfaces where it happened, and no thread outlives a call.
 """
 
 import os
 import struct
 import zlib
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from . import runtime
 from .explore import partition_by_weight, uniform_ranges
-from .store import LevelSlice, PartInfo
+from .store import PartInfo
 
 MAGIC = b"CSE1"
 _HEADER = struct.Struct("<4sIBQQ")  # magic, level, id_width, vert count, off count
@@ -143,10 +145,12 @@ class PartWriter:
 
     feed() is called with (vert, counts) chunks in parent order; chunks
     are re-sliced at the part cuts, so the parts depend only on the
-    cuts, not on how the chunks were produced. A part that one chunk
-    piece covers holds that piece, not a copy. With a spill_dir, each
-    part is written in the caller as soon as its last parent arrives,
-    and only its file keeps it; without one, parts stay in memory.
+    cuts, not on how the chunks were produced. A part that one whole
+    chunk covers holds that chunk, not a copy; any other part is copied
+    together, so it never holds a neighbour's bytes. With a spill_dir,
+    each part is written in the caller as soon as its last parent
+    arrives, and only its file keeps it; without one, parts stay in
+    memory.
     """
 
     def __init__(self, spill_dir, level_index, id_dtype, parent_cuts, metrics):
@@ -161,9 +165,10 @@ class PartWriter:
         self._child = 0        # next global child offset
         self._vert = []        # the current part's id and count chunks
         self._counts = []
+        self._whole = False    # its last id piece is its chunk's whole array
 
     def _flush(self):
-        vert = (self._vert[0] if len(self._vert) == 1
+        vert = (self._vert[0] if len(self._vert) == 1 and self._whole
                 else np.concatenate(self._vert or [np.zeros(0, self.id_dtype)]))
         counts = np.concatenate(self._counts or [np.zeros(0, np.int64)])
         off = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -192,6 +197,7 @@ class PartWriter:
                 self._counts.append(counts[pos:pos + take])
                 vtake = int(self._counts[-1].sum())
                 self._vert.append(vert[vpos:vpos + vtake])
+                self._whole = vtake == len(vert)
                 self._parent += take
                 self._child += vtake
                 pos += take
@@ -216,10 +222,10 @@ def spill_existing_level(level, spill_dir, metrics):
 
 
 class _Window:
-    """Sliding window over one level: one part at a time, in order. A
-    slide takes the next part in place of the current one, reading its
-    file first if it is on disk, so two parts are held only while it
-    runs."""
+    """Sliding window over one level: one part at a time, in order.
+    main is the current part with its arrays. A slide takes the next
+    part in place of it, reading its file first if it is on disk, so two
+    parts are held only while it runs."""
 
     def __init__(self, level, id_dtype, metrics):
         self.level = level
@@ -227,7 +233,7 @@ class _Window:
         self.id_dtype = id_dtype
         self.metrics = metrics
         self.idx = -1
-        self.main = self.main_vert = self.main_off = None
+        self.main = None
         if self.parts:
             self.slide()
 
@@ -237,20 +243,16 @@ class _Window:
             raise AssertionError("window at level %d slid past its last part"
                                  % self.level.index)
         p = self.parts[self.idx + 1]
-        vert, off = p.vert, p.off
-        if off is None:
+        if p.off is None:
             vert, off, lv = read_part(p.path, self.id_dtype)
             if lv != self.level.index:
                 raise CorruptPartError("%s: level %d, expected %d"
                                        % (p.path, lv, self.level.index))
             self.metrics["bytes_read"] = self.metrics.get("bytes_read", 0) + p.nbytes
             self.metrics["parts_loaded"] = self.metrics.get("parts_loaded", 0) + 1
+            p = replace(p, vert=vert, off=off)
         self.idx += 1
-        self.main, self.main_vert, self.main_off = p, vert, off
-
-    def slice(self):
-        return LevelSlice(self.main_vert, self.main_off,
-                          vbase=self.main.vs, obase=self.main.ps)
+        self.main = p
 
 
 def _chain_bound(chain):
@@ -272,21 +274,46 @@ def _chain_bound(chain):
         elif bound <= p.ps:
             bound = p.vs
         else:
-            bound = int(w.main_off[bound - p.ps])
+            bound = int(p.off[bound - p.ps])
     return bound, binder
+
+
+def _run_pieces(fn, ctx, task):
+    """fn over each (lo, hi, slices) piece of one range's task."""
+    return [fn((a, b), ctx=dict(ctx, slices=sl)) for a, b, sl in task]
+
+
+def _map_steps(steps, pred, workers, fn, ctx, consume):
+    """Map gathered steps in one call. Their offsets are cut into
+    workers ranges, by the top's predictions when it has them, else
+    uniformly, and each range runs fn over its piece of every step it
+    crosses, with that step's parts as the slices."""
+    if not steps:
+        return
+    lo, hi = steps[0][0], steps[-1][1]
+    cuts = ((uniform_ranges(hi - lo, workers) if pred is None
+             else partition_by_weight(pred[lo:hi], workers)) + lo).tolist()
+    tasks = [[(max(a, s), min(b, e), sl) for s, e, sl in steps if s < b and a < e]
+             for a, b in zip(cuts, cuts[1:]) if a < b]
+    results = runtime.map_ranges(partial(_run_pieces, fn, ctx), tasks, workers)
+    for task, res in zip(tasks, results):
+        for (a, b, _), r in zip(task, res):
+            consume(a, b, r)
+    steps.clear()
 
 
 def replay_top(cse, workers, fn, ctx, consume, metrics):
     """Run fn over every top-level offset of the store, in order.
 
     The one range driver for resident and spilled levels alike: every
-    level has a window, and each step maps the top offsets that every
+    level has a window, and a step covers the top offsets that every
     window's current part covers. The identity level 1 is one part that
-    never slides. fn is a range function fn(task, ctx); each step's map
-    passes it the phase context ctx plus the windows' level slices.
-    consume(lo, hi, result) is called in global offset order. Ranges
-    are cut by the top level's predictions when it has them, else
-    uniformly.
+    never slides. Steps are gathered and mapped together until a slide
+    would read a file, so parts held in memory add no map of their own
+    and a window still holds at most two part files. fn is a range
+    function fn(task, ctx); the map passes it the phase context ctx
+    plus, as "slices", its step's parts, one per level and holding their
+    arrays. consume(lo, hi, result) is called in global offset order.
     """
     top = cse.top
     disk = [l.residency == "disk" for l in cse.levels if l.parts]
@@ -294,25 +321,25 @@ def replay_top(cse, workers, fn, ctx, consume, metrics):
         raise AssertionError("spilled levels must form a suffix")
     chain = [_Window(l, cse.id_dtype, metrics) for l in cse.levels]
     tw = chain[-1]
+    steps = []  # (lo, hi, slices) not yet mapped
+
+    def slide(w):
+        nxt = w.parts[w.idx + 1:w.idx + 2]
+        if nxt and nxt[0].off is None:  # the steps hold the part it replaces
+            _map_steps(steps, top.pred, workers, fn, ctx, consume)
+        w.slide()
+
     while tw.parts:
         tp = tw.main
         cur = tp.vs
         while cur < tp.ve:
             hi, binder = _chain_bound(chain)
             if hi <= cur:
-                binder.slide()
+                slide(binder)
                 continue
-            slices = [w.slice() for w in chain]
-            if top.pred is None:
-                cuts = uniform_ranges(hi - cur, workers) + cur
-            else:
-                cuts = partition_by_weight(top.pred[cur:hi], workers) + cur
-            tasks = [(int(cuts[i]), int(cuts[i + 1])) for i in range(workers)
-                     if cuts[i] < cuts[i + 1]]
-            window_fn = partial(fn, ctx=dict(ctx, slices=slices))
-            for (lo, rhi), res in zip(tasks, runtime.map_ranges(window_fn, tasks, workers)):
-                consume(lo, rhi, res)
+            steps.append((cur, hi, [w.main for w in chain]))
             cur = hi
         if tw.idx + 1 >= len(tw.parts):
             break
-        tw.slide()
+        slide(tw)
+    _map_steps(steps, top.pred, workers, fn, ctx, consume)

@@ -22,6 +22,9 @@ class InvariantError(ValueError):
 
 @dataclass
 class PartInfo:
+    """One contiguous run of a level's parents and their children.
+    Holding its arrays, it is also what replay hands the kernels as the
+    level's window."""
     path: str     # its part file, or None while it has not been written
     level: int
     ps: int       # parent index range [ps, pe)
@@ -149,36 +152,21 @@ class EmbeddingStore:
     append_spilled = append_level  # perfbench/tracer.py wraps it (ROADMAP item 3)
 
 
-class LevelSlice:
-    """A contiguous window of one level, with global offsets preserved.
-
-    vert covers global ids [vbase, vbase+len(vert)); off covers parent
-    indices [obase, obase+len(off)-1) with absolute child offsets.
-    """
-
-    __slots__ = ("vert", "vbase", "off", "obase")
-
-    def __init__(self, vert, off, vbase=0, obase=0):
-        self.vert = vert
-        self.off = off
-        self.vbase = vbase
-        self.obase = obase
-
-
 def level_columns(slices, lo, hi):
     """The ids of top-level offsets [lo, hi) as a (depth, hi - lo) int64
-    array: row i holds position i of every embedding.
+    array: row i holds position i of every embedding. slices holds one
+    part per level, with its arrays, that covers those offsets.
 
     Each level's parents come from one binary search of its off array,
-    so spill windows (vbase/obase) and childless parents need no special
-    case.
+    so a part's place in its level (vs, ps) and childless parents need
+    no special case.
     """
     depth = len(slices)
     cols = np.empty((depth, hi - lo), dtype=np.int64)
     o = np.arange(lo, hi, dtype=np.int64)
     for li in range(depth - 1, -1, -1):
         s = slices[li]
-        cols[li] = o if s.vert is None else s.vert[o - s.vbase]
+        cols[li] = o if s.vert is None else s.vert[o - s.vs]
         if li:
-            o = np.searchsorted(s.off, o, side="right") - 1 + s.obase
+            o = np.searchsorted(s.off, o, side="right") - 1 + s.ps
     return cols

@@ -16,7 +16,7 @@ import numpy as np
 from gmine.fingerprint import (PAIR_BIT, _check_k, canonical_sort,
                                char_polynomial, weighted_matrix)
 from gmine.mining import result_lines
-from gmine.store import InvariantError, LevelSlice, PartInfo
+from gmine.store import InvariantError, PartInfo
 
 
 # -- graph and store helpers -------------------------------------------------
@@ -101,9 +101,17 @@ def whole_arrays(level):
             np.concatenate([parts[0].off] + [p.off[1:] for p in parts[1:]]))
 
 
+def part_of(index, vert, off, ps=0):
+    """An in-memory part of level index: ids vert under the absolute
+    off segment of the parents from ps on, as replay hands a window to
+    the kernels."""
+    return PartInfo(None, index, ps, ps + len(off) - 1, int(off[0]), int(off[-1]),
+                    0, vert, off)
+
+
 def level_slices(store):
-    """Each level of a resident store as one slice of its whole arrays."""
-    return [LevelSlice(*whole_arrays(l)) for l in store.levels]
+    """Each level of a resident store as one part of its whole arrays."""
+    return [part_of(l.index, *whole_arrays(l)) for l in store.levels]
 
 
 def is_identity(level):
@@ -501,17 +509,17 @@ def gather_volume_edges(g, emb):
 # -- store walks -----------------------------------------------------------------
 
 def slice_value(sl, i):
-    """Id at global offset i of a LevelSlice (i itself for identity)."""
-    return int(i) if sl.vert is None else int(sl.vert[i - sl.vbase])
+    """Id at global offset i of an in-memory part (i itself for identity)."""
+    return int(i) if sl.vert is None else int(sl.vert[i - sl.vs])
 
 
 def slice_parent_of(sl, offset):
     i = int(np.searchsorted(sl.off, offset, side="right")) - 1
-    return i + sl.obase
+    return i + sl.ps
 
 
 def slice_end(sl, parent):
-    return int(sl.off[parent - sl.obase + 1])
+    return int(sl.off[parent - sl.ps + 1])
 
 
 def iter_embeddings(slices, lo, hi):

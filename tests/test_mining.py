@@ -603,11 +603,12 @@ def test_resident_phases_map_once_each(monkeypatch):
     real = runtime.map_ranges
 
     def spy(fn, tasks, workers):
-        calls.append((fn.func.__name__, list(tasks), workers))
+        # a task is the list of (lo, hi, slices) pieces it runs fn over
+        calls.append((fn.args[0].__name__, [[p[:2] for p in t] for t in tasks], workers))
         return real(fn, tasks, workers)
 
     def tasks(cuts):
-        return [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
+        return [[(int(a), int(b))] for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
 
     monkeypatch.setattr(runtime, "map_ranges", spy)
     with Session(g, workers=2) as s:
@@ -625,6 +626,33 @@ def test_resident_phases_map_once_each(monkeypatch):
         assert calls == [("count_patterns_range",
                           tasks(uniform_ranges(s.cse.top.count, 2)), 2)]
     assert all(l.residency == "mem" for l in s.cse.levels)
+
+
+def test_in_memory_parts_share_one_map(monkeypatch):
+    """Replay steps over parts held in memory are mapped together: with
+    3 parts per level and no budget, each phase still maps once, and
+    some task runs over pieces of more than one step. A spilled run maps
+    again only before a window reads a part file."""
+    g = make_random_graph(2904, 40, 70)
+    maps = []
+    real = runtime.map_ranges
+
+    def spy(fn, tasks, workers):
+        maps.append(max(len(t) for t in tasks))
+        return real(fn, tasks, workers)
+
+    monkeypatch.setattr(runtime, "map_ranges", spy)
+    base = motif_count(g, 4, workers=2)
+    for budget in (0, below_peak(g, 3)):
+        maps.clear()
+        out = motif_count(g, 4, workers=2, memory_budget=budget, parts_per_level=3)
+        assert result_lines_of(out) == result_lines_of(base)
+        loads = out[1].get("parts_loaded", 0)
+        assert (loads > 0) == (budget > 0)
+        # two explores and the fold, plus one map per file read at most
+        assert 3 + (loads > 0) <= len(maps) <= 3 + loads
+        if not budget:
+            assert max(maps) > 1
 
 
 # -- spill directory lifetime ----------------------------------------------------

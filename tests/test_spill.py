@@ -197,6 +197,7 @@ def test_partwriter_rechunking_is_invisible(tmp_path):
         "whole": [(0, 40)],
         "single": [(i, i + 1) for i in range(40)],
         "ragged": [(0, 3), (3, 7), (7, 26), (26, 40)],
+        "aligned": [(0, 7), (7, 19), (19, 40)],
     }
     blobs = {}
     for name, ranges in feeds.items():
@@ -214,9 +215,11 @@ def test_partwriter_rechunking_is_invisible(tmp_path):
         assert np.array_equal(np.diff(ro), counts)
         assert m["parts_written"] == len(parts)
         blobs[name] = [open(p.path, "rb").read() for p in parts]
-    assert blobs["whole"] == blobs["single"] == blobs["ragged"]
+    assert blobs["whole"] == blobs["single"] == blobs["ragged"] == blobs["aligned"]
     # without a directory the same parts stay in memory, sized as their
-    # files, and a part one chunk covers holds that chunk, not a copy
+    # files. A part that one whole chunk covers holds that chunk, not a
+    # copy; a part cut from a chunk it shares with its neighbours (the
+    # middle part of "whole") is a copy, so it keeps no neighbour's bytes
     for name, ranges in feeds.items():
         m = {}
         w = PartWriter(None, 4, np.int32, cuts, m)
@@ -230,8 +233,7 @@ def test_partwriter_rechunking_is_invisible(tmp_path):
             path = str(tmp_path / "mem.cse")
             write_part(path, 4, 4, p.vert, p.off)
             assert p.path is None and open(path, "rb").read() == blob
-        if name == "whole":
-            assert all(np.shares_memory(p.vert, vert) for p in parts if len(p.vert))
+        assert [np.shares_memory(p.vert, vert) for p in parts] == [name == "aligned"] * 3
 
 
 def test_partwriter_empty_level(tmp_path):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from gmine.store import (EmbeddingStore, InvariantError, LevelSlice, PartInfo,
-                         level_columns)
+from gmine.store import EmbeddingStore, InvariantError, PartInfo, level_columns
 
 from oracles import (append_whole, extract, is_identity, iter_embeddings,
-                     level_size_bytes, level_slices, slice_end, slice_parent_of,
-                     slice_value, total_bytes, whole_arrays)
+                     level_size_bytes, level_slices, part_of, slice_end,
+                     slice_parent_of, slice_value, total_bytes, whole_arrays)
 
 # Hand-derived canonical levels for the demo graph in dense ids
 # (vertices 1..5 densify to 0..4; 4 is the hub).
@@ -95,7 +94,7 @@ def test_level_columns_explicit_seeds_and_windows():
     assert columns_as_rows(slices, 0, 5) == want
     # the same top level seen through a window over parents 1..4
     vert, off = whole_arrays(s.level(2))
-    win = slices[:1] + [LevelSlice(vert[3:5], off[1:5], vbase=3, obase=1)]
+    win = slices[:1] + [part_of(2, vert[3:5], off[1:5], ps=1)]
     assert columns_as_rows(win, 3, 5) == want[3:5]
 
 
@@ -164,7 +163,7 @@ def test_level_slice_windows():
     s = demo_store()
     vert, off = whole_arrays(s.level(3))
     # a window holding only parents 2..4 of level 3 (child offsets 4..7)
-    sl = LevelSlice(vert[4:8], off[2:6], vbase=4, obase=2)
+    sl = part_of(3, vert[4:8], off[2:6], ps=2)
     assert slice_value(sl, 5) == L3_VERT[5]
     assert slice_parent_of(sl, 5) == 2
     assert slice_end(sl, 2) == 6
