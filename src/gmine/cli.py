@@ -10,7 +10,6 @@ import argparse
 import sys
 import time
 
-from .fingerprint import HashCollisionError
 from .graph import GraphFormatError, load_graph
 from .mining import (clique_discovery, fsm, motif_count, result_lines,
                      triangle_count)
@@ -18,7 +17,7 @@ from .spill import BudgetTooSmallError, CorruptPartError
 from .store import InvariantError
 
 RUN_FAILURES = (BudgetTooSmallError, CorruptPartError, GraphFormatError,
-                HashCollisionError, InvariantError, OverflowError, ValueError, OSError)
+                InvariantError, OverflowError, ValueError, OSError)
 
 
 def parse_size(text):
@@ -98,7 +97,7 @@ def main(argv=None):
             items, metrics = motif_count(g, args.k, **kw)
             lines = result_lines(items)
             summary = "# patterns=%d embeddings=%d" % (
-                len(items), sum(rec[1] for rec in items.values()))
+                len(items), sum(items.values()))
         elif args.cmd == "clique":
             n, metrics = clique_discovery(g, args.k, **kw)
             lines = ["%d-cliques\t%d" % (args.k, n)]

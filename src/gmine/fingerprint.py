@@ -1,45 +1,31 @@
 """Exact pattern classification for small subgraph embeddings.
 
-An embedding of k vertices is reduced to the triple (L, D, P): sorted
-vertex labels, their degrees inside the embedding, and the integer
-coefficients of the characteristic polynomial of a label-weighted
-adjacency matrix. The triple is invariant under isomorphism, so
-isomorphic embeddings share it, but the converse fails: non-isomorphic
-patterns share a triple from 8 vertices unlabeled, and from 6 or 7 with
-labels. A pattern's key therefore also folds in its canonical bitmap,
-the least adjacency bitmap over the orders that keep (L, D) sorted,
-which with L is an exact canonical form; the hasher checks that one
-64-bit key never names two canonical patterns. The search for the
-canonical bitmap also gives each position's orbit under the pattern's
-automorphisms, from the permutations that tie for the least bitmap;
-FSM's minimum-image support counts vertices per orbit.
+A pattern is keyed by its canonical form: its vertex labels and its
+canonical bitmap, the least adjacency bitmap over the orders that sort
+the positions by (label, degree inside the pattern). Two embeddings get
+the same key exactly when they are isomorphic, so the key needs no
+collision check. The search for the canonical bitmap also gives each
+position's orbit under the pattern's automorphisms, from the
+permutations that tie for the least bitmap; FSM's minimum-image support
+counts vertices per orbit.
+
+The paper keys patterns by the characteristic polynomial of the
+adjacency matrix instead. That invariant is kept here, in
+char_polynomial, for the tests that check it; it does not separate
+non-isomorphic patterns from 8 vertices unlabeled, or from 6 with
+labels, and gmine does not use it.
 """
 
 import itertools
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
 MAX_K = 8
 
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-
 
 class SizeLimitError(ValueError):
     """Embedding has more than MAX_K vertices, past the pair tables and
     the k!-bounded canonical search that the hasher is built for."""
-
-
-class HashCollisionError(RuntimeError):
-    """Two different canonical patterns folded to the same 64-bit hash."""
-
-
-def check_same_pattern(h, have, got):
-    """Raise unless the pattern already keyed by hash h is got."""
-    if have != got:
-        raise HashCollisionError("hash %016x keys both %s and %s"
-                                 % (h, have.serialize(), got.serialize()))
 
 
 def _check_k(k):
@@ -105,28 +91,7 @@ def permute_bits(bits, perm):
     return out
 
 
-def weighted_matrix(sorted_labels, bits, weight_base):
-    """Symmetric integer matrix with edge {i,j} weighted by the label pair.
-
-    weight_base must exceed max_label + 1 so distinct unordered label
-    pairs get distinct weights; unlabeled graphs use uniform weight 3.
-    """
-    k = len(sorted_labels)
-    tab = PAIR_BIT[k]
-    m = [[0] * k for _ in range(k)]
-    for i in range(k):
-        li = sorted_labels[i]
-        for j in range(i + 1, k):
-            if bits >> tab[i][j] & 1:
-                lj = sorted_labels[j]
-                a, b = (li, lj) if li <= lj else (lj, li)
-                w = (a + 1) * weight_base + (b + 1)
-                m[i][j] = w
-                m[j][i] = w
-    return m
-
-
-def char_polynomial(m):
+def char_polynomial(m):  # perfbench/tracer.py wraps it (ROADMAP item 3)
     """Exact characteristic polynomial coefficients (p_{k-1}, .., p_0).
 
     Faddeev-LeVerrier over Python integers; every trace division must be
@@ -149,41 +114,6 @@ def char_polynomial(m):
         p = -tr // step
         coeffs.append(p)
     return tuple(coeffs)
-
-
-def fnv1a64(data):
-    h = FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def _ser_ints(vals):
-    return b"".join(struct.pack("<I", v) for v in vals)
-
-
-def _ser_coeffs(coeffs):
-    # each coefficient: sign byte, magnitude length byte, little-endian magnitude
-    out = []
-    for c in coeffs:
-        mag = abs(c)
-        body = mag.to_bytes((mag.bit_length() + 7) // 8, "little") if mag else b""
-        out.append(bytes([1 if c < 0 else 0, len(body)]) + body)
-    return b"".join(out)
-
-
-def triple_hash(sorted_labels, sorted_degrees, coeffs):
-    """64-bit fold of the (L, D, P) triple."""
-    return (fnv1a64(_ser_ints(sorted_labels))
-            ^ fnv1a64(_ser_ints(sorted_degrees))
-            ^ fnv1a64(_ser_coeffs(coeffs)))
-
-
-def pattern_hash(sorted_labels, sorted_degrees, coeffs, bits):
-    """64-bit key of a pattern: the triple's fold with the canonical
-    bitmap folded in, which splits the patterns that share a triple."""
-    return (triple_hash(sorted_labels, sorted_degrees, coeffs)
-            ^ fnv1a64(bits.to_bytes(4, "little")))
 
 
 @dataclass(frozen=True)
@@ -218,31 +148,32 @@ def _block_perms(labels, degrees):
 
 
 class Entry(NamedTuple):
-    """A raw key's class: the pattern's hash, its canonical Pattern, and
+    """A raw key's class: its canonical Pattern's id, the Pattern, and
     the orbit id of each input position under the pattern's automorphisms.
     Orbits are numbered by their lowest canonical slot, so every raw key
     of the class numbers them identically."""
-    hash: int
+    id: int
     pattern: Pattern
     orbits: tuple
 
 
 class PatternHasher:
-    """Caches the full classification pipeline per raw (labels, bitmap) key.
+    """Caches the classification of each raw (labels, bitmap) key, and
+    issues each canonical pattern one small integer id.
 
-    weight_base is fixed per graph (max label + 2) so all embeddings of a
-    run share the weight encoding. Range threads share one hasher: two
-    of them may classify the same new key at once, which stores equal
-    entries, and every hash is still checked against its pattern.
+    Range threads share one hasher: two of them may classify the same
+    new key, or two keys of one new pattern, at once. They store equal
+    entries, because a pattern's id is set once, by setdefault; an id
+    drawn by the thread that lost is never used. Ids follow the order
+    in which patterns are first seen, so they serve as array indexes
+    within a run but are not a stable name for a pattern.
     """
 
-    def __init__(self, weight_base):
-        self.weight_base = weight_base
+    def __init__(self):
+        # perfbench/tracer.py reads the sizes of both tables by name
         self._by_raw = {}
-        # canonical (labels, bitmap) -> (hash, Pattern): one characteristic
-        # polynomial per pattern
-        self._poly = {}
-        self._by_hash = {}  # hash -> Pattern, checks the hash is exact
+        self._poly = {}  # canonical (labels, bitmap) -> (id, Pattern)
+        self._ids = itertools.count()
 
     def classify(self, labels, bits):
         """Map an embedding's raw labels/bitmap to its cached entry."""
@@ -252,6 +183,10 @@ class PatternHasher:
             e = self._classify(labels, bits)
             self._by_raw[key] = e
         return e
+
+    def id_of(self, pattern):
+        """The id issued to a pattern that classify returned."""
+        return self._poly[pattern.labels, pattern.bits][0]
 
     def _classify(self, labels, bits):
         """One search over the block permutations finds the least bitmap
@@ -274,13 +209,8 @@ class PatternHasher:
         pkey = (tuple(ls), best)
         known = self._poly.get(pkey)
         if known is None:
-            poly = char_polynomial(weighted_matrix(ls, best, self.weight_base))
-            if poly[0] != 0:  # zero diagonal, so the trace term vanishes
-                raise AssertionError("trace term %d for pattern key %r" % (poly[0], pkey))
-            h = pattern_hash(ls, ds, poly, best)
-            pat = Pattern(k, pkey[0], tuple(ds), best)
-            check_same_pattern(h, self._by_hash.setdefault(h, pat), pat)
-            known = self._poly[pkey] = (h, pat)
+            known = self._poly.setdefault(
+                pkey, (next(self._ids), Pattern(k, pkey[0], tuple(ds), best)))
         roots = {}
         orbits = [0] * k
         for s, p in enumerate(first):

@@ -26,7 +26,7 @@ import numpy as np
 from .explore import (CLIQUE, edge_seed_preds, expand_vertex_range, in_sorted,
                       partition_by_weight, pred32, run_heads)
 from .explore import expand_edge_range  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 3)
-from .fingerprint import MAX_K, PAIR_BIT, PatternHasher, check_same_pattern
+from .fingerprint import MAX_K, PAIR_BIT, PatternHasher
 from .spill import PartWriter, plan_spill, replay_top, spill_existing_level
 from .store import EmbeddingStore, level_columns
 
@@ -35,7 +35,7 @@ from .store import EmbeddingStore, level_columns
 
 def count_patterns_range(task, ctx):
     """Fold the motif census over the children of top-level offsets
-    [lo, hi) without storing them; returns {hash: [Pattern, count]}.
+    [lo, hi) without storing them; returns {Pattern: count}.
 
     The kernel expands the range in fold mode. Per gather chunk, every
     pair of parent positions is tested for adjacency in one binary
@@ -65,8 +65,8 @@ def count_patterns_range(task, ctx):
     zeros = (0,) * k
     out = {}
     for b in np.flatnonzero(tally).tolist():
-        e = hasher.classify(zeros, b)
-        out.setdefault(e.hash, [e.pattern, 0])[1] += int(tally[b])
+        pat = hasher.classify(zeros, b).pattern
+        out[pat] = out.get(pat, 0) + int(tally[b])
     return out
 
 
@@ -155,7 +155,7 @@ def _edge_rows(cols, eu, ev, labels):
 
 class _RawKeyTable:
     """Per-range map from (label ranks, bitmap) key rows to the pattern
-    hash and one MNI domain group per position, classifying each key
+    id and one MNI domain group per position, classifying each key
     once.
 
     A key row packs into as few int64 words as hold it: width fields of
@@ -182,13 +182,13 @@ class _RawKeyTable:
             used += size
         self.words = words
         self.index = {}                        # packed key bytes -> entry
-        self.hash = np.zeros(0, dtype=np.uint64)
+        self.id = np.zeros(0, dtype=np.int64)
         self.group = np.zeros((0, width), dtype=np.int64)
-        self.patterns = {}                     # hash -> (Pattern, first group, orbit count)
+        self.patterns = {}                     # id -> (Pattern, first group, orbit count)
         self.groups = 0                        # domain groups numbered so far
 
     def lookup(self, rows):
-        """Hash per column of rows, and its groups as a (width, m) array."""
+        """Pattern id per column of rows, and its groups as a (width, m) array."""
         m = rows.shape[1]
         packed = np.zeros((self.words, m), dtype=np.int64)
         for f, (w, s) in enumerate(self.fields):  # rank + 1, then the bitmap
@@ -207,31 +207,30 @@ class _RawKeyTable:
             self._add([keys[u] for u in new], rows[:, order[head][new]])
         e = np.fromiter(map(self.index.__getitem__, keys), dtype=np.int64,
                         count=len(keys))[inv]
-        return self.hash[e], self.group[e].T
+        return self.id[e], self.group[e].T
 
     def _add(self, keys, reps):
-        hs = []
+        ids = []
         gs = []
         labels = self.label_values[reps[:-1]].T.tolist()  # padding cut below
         sizes = (reps[:-1] >= 0).sum(axis=0).tolist()
         for key, lab, nv, bits in zip(keys, labels, sizes, reps[-1].tolist()):
             self.index[key] = len(self.index)
             e = self.hasher.classify(tuple(lab[:nv]), bits)
-            rec = self.patterns.get(e.hash)
+            rec = self.patterns.get(e.id)
             if rec is None:
                 n = max(e.orbits) + 1
-                rec = self.patterns[e.hash] = (e.pattern, self.groups, n)
+                rec = self.patterns[e.id] = (e.pattern, self.groups, n)
                 self.groups += n
-            hs.append(e.hash)
+            ids.append(e.id)
             gs.append([rec[1] + o for o in e.orbits] + [-1] * (self.width - nv))
-        self.hash = np.concatenate((self.hash, np.array(hs, dtype=np.uint64)))
+        self.id = np.concatenate((self.id, np.array(ids, dtype=np.int64)))
         self.group = np.concatenate((self.group, np.array(gs, dtype=np.int64)))
 
     def results(self, domains):
-        """{hash: [Pattern, its orbits' domains]}, given the domain of
-        every group in group order."""
-        return {h: [pat, domains[g:g + c]]
-                for h, (pat, g, c) in self.patterns.items()}
+        """{Pattern: its orbits' domains}, given the domain of every
+        group in group order."""
+        return {pat: domains[g:g + c] for pat, g, c in self.patterns.values()}
 
 
 def mni_edge_range(task, ctx):
@@ -246,8 +245,8 @@ def mni_edge_range(task, ctx):
     returns, each group becomes the sorted int64 array of its lowest cap
     vertex ids: the reported support min(|domain|, cap) is then
     independent of visit order and worker count. Optionally records
-    each embedding's pattern hash so the caller can keep only
-    embeddings of frequent patterns alive.
+    each embedding's pattern id so the caller can keep only embeddings
+    of frequent patterns alive.
     """
     lo, hi = task
     slices = ctx["slices"]
@@ -255,7 +254,7 @@ def mni_edge_range(task, ctx):
     cap = ctx["cap"]
     n = g.num_vertices
     table = _RawKeyTable(ctx["hasher"], len(slices) + 1, ctx["label_values"])
-    hashes = np.zeros(hi - lo, dtype=np.uint64) if ctx.get("want_hashes") else None
+    ids = np.zeros(hi - lo, dtype=np.int64) if ctx.get("want_ids") else None
     codes = np.zeros(0, dtype=np.int64)
     fresh = []  # sorted chunk codes waiting to merge into codes
     queued = 0
@@ -263,9 +262,9 @@ def mni_edge_range(task, ctx):
         b = min(a + MNI_CHUNK, hi)
         verts, rows = _edge_rows(level_columns(slices, a, b), g.edge_u, g.edge_v,
                                  ctx["label_ranks"])
-        h, groups = table.lookup(rows)
-        if hashes is not None:
-            hashes[a - lo:b - lo] = h
+        pid, groups = table.lookup(rows)
+        if ids is not None:
+            ids[a - lo:b - lo] = pid
         new = np.sort((groups * n + verts)[verts >= 0])
         new = new[run_heads(new)]
         # merged once they reach 1/8 of codes: fsm(g, 3, 2500) on test_09's
@@ -282,33 +281,24 @@ def mni_edge_range(task, ctx):
     starts = np.searchsorted(codes, np.arange(table.groups + 1) * n).tolist()
     doms = [codes[s:min(e, s + cap)] - gi * n
             for gi, (s, e) in enumerate(zip(starts, starts[1:]))]
-    return table.results(doms), hashes
+    return table.results(doms), ids
 
 
 # -- merges --------------------------------------------------------------
 
 def merge_counts(acc, part):
-    for h, (pat, c) in part.items():
-        rec = acc.get(h)
-        if rec is None:
-            acc[h] = [pat, c]
-        else:
-            check_same_pattern(h, rec[0], pat)
-            rec[1] += c
+    for pat, c in part.items():
+        acc[pat] = acc.get(pat, 0) + c
     return acc
 
 
 def merge_mni(acc, part, cap):
     """Fold part's per-orbit domains into acc's. Each orbit keeps the
     lowest cap ids of the union, so of its whole domain for any split."""
-    for h, (pat, doms) in part.items():
-        rec = acc.get(h)
-        if rec is None:
-            acc[h] = [pat, doms]
-        else:
-            check_same_pattern(h, rec[0], pat)
-            rec[1] = [_sorted_unique(np.concatenate(pair))[:cap]
-                      for pair in zip(rec[1], doms)]
+    for pat, doms in part.items():
+        have = acc.get(pat)
+        acc[pat] = doms if have is None else [
+            _sorted_unique(np.concatenate(pair))[:cap] for pair in zip(have, doms)]
     return acc
 
 
@@ -337,7 +327,7 @@ class Session:
     """
 
     def __init__(self, g, workers=1, memory_budget=0, spill_dir=None,
-                 parts_per_level=None, labeled=False):
+                 parts_per_level=None):
         self.g = g
         self.workers = int(workers)
         if self.workers < 1:
@@ -357,8 +347,7 @@ class Session:
                              % self.parts_per_level)
         self._own_dir = spill_dir is None
         self.spill_dir = spill_dir
-        self.labeled = labeled
-        self.hasher = PatternHasher((g.max_label if labeled else 0) + 2)
+        self.hasher = PatternHasher()
         self.cse = EmbeddingStore(np.int32)
         self.metrics = {"workers": self.workers, "budget": self.budget}
         self.ctx = None
@@ -505,7 +494,7 @@ def motif_count(g, k, workers=1, memory_budget=0, spill_dir=None,
 
     Labels are ignored: motif classes are structural. Level k is folded
     into count_patterns_range, never stored; its metrics keep its count
-    and report 0 bytes. Returns ({hash: [Pattern, count]}, metrics).
+    and report 0 bytes. Returns ({Pattern: count}, metrics).
     """
     if not 3 <= k <= 5:
         raise ValueError("motif size must be 3..5")
@@ -517,7 +506,7 @@ def motif_count(g, k, workers=1, memory_budget=0, spill_dir=None,
         counts = s.aggregate(count_patterns_range, merge_counts, {},
                              {"edge_keys": g.edge_keys})
     # every child of the top falls in exactly one pattern's count
-    s.metrics["level_%d_embeddings" % k] = sum(c for _, c in counts.values())
+    s.metrics["level_%d_embeddings" % k] = sum(counts.values())
     s.metrics["level_%d_bytes" % k] = 0
     return counts, s.metrics
 
@@ -557,7 +546,7 @@ def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
         parts_per_level=None):
     """Frequent subgraph mining with exact minimum-image support.
 
-    Returns ({hash: [Pattern, support]}, metrics) over all frequent
+    Returns ({Pattern: support}, metrics) over all frequent
     patterns of 1..k_edges edges; reported supports are capped at the
     threshold. Infrequent edges are dropped after the size-1 round and
     embeddings of infrequent patterns are not expanded, which is exact
@@ -568,13 +557,12 @@ def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
     if support < 1:
         raise ValueError("support threshold must be positive")
     result = {}
-    with Session(g, workers, memory_budget, spill_dir, parts_per_level,
-                 labeled=True) as s:
+    with Session(g, workers, memory_budget, spill_dir, parts_per_level) as s:
         s.seed_edges()
         for size in range(1, k_edges + 1):
-            agg = s.aggregate(mni_edge_range, partial(_merge_mni_hashes, cap=support),
-                              ({}, []), {"cap": support, "want_hashes": size < k_edges})
-            frequent, alive = _frequent(agg, s.cse.top.count, support)
+            agg = s.aggregate(mni_edge_range, partial(_merge_mni_ids, cap=support),
+                              ({}, []), {"cap": support, "want_ids": size < k_edges})
+            frequent, alive = _frequent(agg, s.cse.top.count, support, s.hasher)
             result.update(frequent)
             if size == k_edges or not frequent:
                 break
@@ -584,31 +572,32 @@ def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
     return result, s.metrics
 
 
-def _merge_mni_hashes(acc, res, cap):
-    pats, hashes = acc
-    part, h = res
+def _merge_mni_ids(acc, res, cap):
+    pats, id_chunks = acc
+    part, ids = res
     merge_mni(pats, part, cap)
-    if h is not None:
-        hashes.append(h)
-    return pats, hashes
+    if ids is not None:
+        id_chunks.append(ids)
+    return pats, id_chunks
 
 
-def _frequent(agg, count, support):
+def _frequent(agg, count, support, hasher):
     """The frequent patterns of an aggregated level with their supports,
     and the mask of its embeddings whose pattern is frequent (None when
-    no hashes were recorded or nothing is frequent)."""
-    pats, hash_chunks = agg
-    frequent = {h: [p, sup] for h, (p, d) in pats.items()
+    no ids were recorded or nothing is frequent)."""
+    pats, id_chunks = agg
+    frequent = {p: sup for p, d in pats.items()
                 if (sup := mni_support(d, support)) >= support}
-    if not hash_chunks:
+    if not id_chunks:
         return frequent, None
-    hashes = np.concatenate(hash_chunks)
-    if len(hashes) != count:
-        raise AssertionError("hash coverage mismatch")
+    ids = np.concatenate(id_chunks)
+    if len(ids) != count:
+        raise AssertionError("pattern id coverage mismatch")
     if not frequent:
         return frequent, None
-    fh = np.sort(np.fromiter(frequent, dtype=np.uint64, count=len(frequent)))
-    return frequent, in_sorted(fh, hashes)
+    ok = np.zeros(int(ids.max()) + 1, dtype=bool)  # a frequent pattern's id is in ids
+    ok[[hasher.id_of(p) for p in frequent]] = True
+    return frequent, ok[ids]
 
 
 # -- result serialization ---------------------------------------------------
@@ -616,6 +605,6 @@ def _frequent(agg, count, support):
 def result_lines(items):
     """Deterministic text form: one '<pattern>\\t<value>' line per entry,
     ordered by the serialized pattern text."""
-    rows = sorted((rec[0].serialize(), rec[1]) for rec in items.values())
+    rows = sorted((pat.serialize(), val) for pat, val in items.items())
     return ["%s\t%d" % (ser, val) for ser, val in rows]
 

@@ -81,9 +81,11 @@ def map_ranges(fn, tasks, workers):
     thread. Otherwise the caller and up to min(workers, tasks, usable
     CPUs) - 1 threads claim tasks one at a time: more threads than CPUs
     would only add switching. fn then runs concurrently with itself, so shared state it
-    writes must allow that, as the PatternHasher caches do. An exception
-    in any task stops further claims and is raised here once every
-    thread has joined. Each thread first leaves the caller's CPU.
+    writes must allow that, as the PatternHasher's tables do: racing
+    threads store equal entries, and setdefault fixes each pattern's id
+    once. An exception in any task stops further claims and is raised
+    here once every thread has joined. Each thread first leaves the
+    caller's CPU.
     """
     n = min(workers, len(tasks), usable_cpus())
     if n <= 1:

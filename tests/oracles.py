@@ -4,8 +4,10 @@ Everything here is deliberately naive: exhaustive enumeration,
 permutation search, Laplace expansion. Nothing imports engine internals
 beyond the Graph container, the store's level types and error type and
 the result-line format, so an engine bug cannot hide in its oracle. The one exception is the fingerprint section:
-classify_triple chains the engine's own fingerprint steps without the
-hasher's cache, for tests that pin those steps down one at a time.
+classify_triple chains the engine's own canonical sort and
+characteristic polynomial into the paper's (labels, degrees,
+polynomial) triple, which gmine no longer keys patterns by, for tests
+that check that invariant.
 """
 
 import itertools
@@ -13,8 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from gmine.fingerprint import (PAIR_BIT, _check_k, canonical_sort,
-                               char_polynomial, weighted_matrix)
+from gmine.fingerprint import PAIR_BIT, _check_k, canonical_sort, char_polynomial
 from gmine.mining import result_lines
 from gmine.store import InvariantError, PartInfo
 
@@ -703,6 +704,38 @@ def bits_from_pairs(k, pairs):
     for i, j in pairs:
         bits |= 1 << tab[i][j]
     return bits
+
+
+def bitmap_rows(k, bits):
+    """0/1 adjacency rows of a k-vertex upper-triangle bitmap."""
+    tab = PAIR_BIT[k]
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if bits >> tab[i][j] & 1:
+                rows[i][j] = rows[j][i] = 1
+    return tuple(tuple(r) for r in rows)
+
+
+def weighted_matrix(sorted_labels, bits, weight_base):
+    """Symmetric integer matrix with edge {i,j} weighted by the label pair.
+
+    weight_base must exceed max_label + 1 so distinct unordered label
+    pairs get distinct weights; unlabeled graphs use uniform weight 3.
+    """
+    k = len(sorted_labels)
+    tab = PAIR_BIT[k]
+    m = [[0] * k for _ in range(k)]
+    for i in range(k):
+        li = sorted_labels[i]
+        for j in range(i + 1, k):
+            if bits >> tab[i][j] & 1:
+                lj = sorted_labels[j]
+                a, b = (li, lj) if li <= lj else (lj, li)
+                w = (a + 1) * weight_base + (b + 1)
+                m[i][j] = w
+                m[j][i] = w
+    return m
 
 
 def classify_triple(labels, degrees, bits, weight_base):

@@ -16,31 +16,19 @@ import pytest
 
 from gmine import runtime
 from gmine.explore import partition_by_weight
-from gmine.fingerprint import (PAIR_BIT, PatternHasher, char_polynomial,
-                               degrees_from_bits, weighted_matrix)
+from gmine.fingerprint import PatternHasher, char_polynomial, degrees_from_bits
 from gmine.graph import Graph
 from gmine.mining import (Session, clique_discovery, fsm, motif_count,
                           result_lines, triangle_count)
 
-from conftest import DEMO_EDGES, make_random_graph
-from oracles import (bits_from_pairs, brute_cliques, brute_triangles,
+from conftest import DEMO_EDGES, augmentation_classes, make_random_graph
+from oracles import (bitmap_rows, bits_from_pairs, brute_cliques, brute_triangles,
                      classify_triple, cofactor_charpoly, edge_endpoints,
                      enumerate_connected_subsets, incident_edges,
                      is_canonical_edge_extension, is_canonical_extension,
                      iso_oracle, min_perm_form,
                      ordering_is_canonical, ordering_is_canonical_edges,
-                     subgraph_form, write_result)
-
-
-def _rows(k, bits):
-    """0/1 adjacency rows for a k-vertex bitmap, the oracles' format."""
-    tab = PAIR_BIT[k]
-    rows = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if bits >> tab[i][j] & 1:
-                rows[i][j] = rows[j][i] = 1
-    return tuple(tuple(r) for r in rows)
+                     subgraph_form, weighted_matrix, write_result)
 
 
 # -- shared inputs ------------------------------------------------------------
@@ -77,67 +65,14 @@ KNOWN_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 @pytest.fixture(scope="session")
 def unlabeled_classes():
     """All connected unlabeled graphs on 1..7 vertices as canonical
-    patterns, built by single-vertex augmentation.
-
-    Every connected graph has a vertex whose removal leaves it
-    connected, so attaching a new vertex to each representative by
-    every nonempty neighbor subset reaches every class one size up.
-    Returns (levels, candidates): levels[n] maps canonical bitmap to
-    the pattern, candidates[n] lists every (raw bitmap, pattern) pair
-    produced on the way, for oracle cross-checks.
-    """
-    hasher = PatternHasher(2)
-    levels = {1: {0: hasher.classify((0,), 0).pattern}}
-    candidates = {}
-    for n in range(2, 8):
-        tab = PAIR_BIT[n - 1]
-        found = {}
-        cand = []
-        for prev in levels[n - 1].values():
-            base = [(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)
-                    if prev.bits >> tab[i][j] & 1]
-            for mask in range(1, 1 << (n - 1)):
-                pairs = base + [(i, n - 1) for i in range(n - 1)
-                                if mask >> i & 1]
-                bits = bits_from_pairs(n, pairs)
-                pat = hasher.classify((0,) * n, bits).pattern
-                found[pat.bits] = pat
-                cand.append((bits, pat))
-        levels[n] = found
-        candidates[n] = cand
-    return levels, candidates
+    patterns, by augmentation_classes."""
+    return augmentation_classes((0,), 7)
 
 
 @pytest.fixture(scope="session")
 def labeled_classes():
-    """Connected graphs on 1..5 vertices with labels in {0, 1}, same
-    augmentation scheme with the new vertex's label enumerated too.
-    Candidates carry (labels, raw bitmap, pattern)."""
-    hasher = PatternHasher(3)
-    levels = {1: {}}
-    for lab in (0, 1):
-        pat = hasher.classify((lab,), 0).pattern
-        levels[1][(pat.labels, pat.bits)] = pat
-    candidates = {}
-    for n in range(2, 6):
-        tab = PAIR_BIT[n - 1]
-        found = {}
-        cand = []
-        for prev in levels[n - 1].values():
-            base = [(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)
-                    if prev.bits >> tab[i][j] & 1]
-            for lab in (0, 1):
-                labels = prev.labels + (lab,)
-                for mask in range(1, 1 << (n - 1)):
-                    pairs = base + [(i, n - 1) for i in range(n - 1)
-                                    if mask >> i & 1]
-                    bits = bits_from_pairs(n, pairs)
-                    pat = hasher.classify(labels, bits).pattern
-                    found[(pat.labels, pat.bits)] = pat
-                    cand.append((labels, bits, pat))
-        levels[n] = found
-        candidates[n] = cand
-    return levels, candidates
+    """Connected graphs on 1..5 vertices with labels in {0, 1}."""
+    return augmentation_classes((0, 1), 5)
 
 
 # -- checks -------------------------------------------------------------------
@@ -148,7 +83,7 @@ def test_01_worked_example():
     g = Graph.from_edges(DEMO_EDGES)
     t0 = time.perf_counter()
     items, _ = motif_count(g, 3)
-    by_deg = {tuple(p.degrees): c for p, c in items.values()}
+    by_deg = {tuple(p.degrees): c for p, c in items.items()}
     tri, _ = triangle_count(g)
     clq, _ = clique_discovery(g, 3)
     took = time.perf_counter() - t0
@@ -194,8 +129,8 @@ def test_02_motif_census_matches_oracle(corpus):
         for k in (3, 4, 5):
             items, _ = motif_count(g, k)
             mine = {}
-            for pat, cnt in items.values():
-                rid = census.classify_rows(_rows(pat.k, pat.bits))
+            for pat, cnt in items.items():
+                rid = census.classify_rows(bitmap_rows(pat.k, pat.bits))
                 assert rid not in mine, "two patterns in one iso class"
                 mine[rid] = cnt
             want = {}
@@ -315,10 +250,12 @@ def test_04_exactly_one_ordering_per_subgraph(corpus):
 def test_05_hash_triple_invariant_under_relabeling():
     """100000 random (embedding, shuffled copy) pairs, sizes 2..8 and up
     to 4 labels, produce identical sorted-label/degree/polynomial
-    triples."""
+    triples, and the hasher gives both the same pattern and id, with
+    each position's orbit carried along by the shuffle."""
     sizes = ([2] * 5 + [3] * 15 + [4] * 22 + [5] * 22 +
              [6] * 16 + [7] * 12 + [8] * 8)
     rng = random.Random(97531)
+    hasher = PatternHasher()
     pairs = 0
     for i in range(100000):
         k = sizes[i % 100]
@@ -342,6 +279,10 @@ def test_05_hash_triple_invariant_under_relabeling():
         t2 = classify_triple(tuple(p_labels), degrees_from_bits(k, p_bits),
                              p_bits, 6)
         assert t1 == t2, (k, labels, sorted(edges), perm)
+        e1 = hasher.classify(labels, bits)
+        e2 = hasher.classify(tuple(p_labels), p_bits)
+        assert (e1.id, e1.pattern) == (e2.id, e2.pattern), (k, labels, sorted(edges), perm)
+        assert tuple(e2.orbits[new] for new in perm) == e1.orbits
         pairs += 1
     assert pairs == 100000
     print("[check 5] %d relabeling pairs hashed identically" % pairs)
@@ -350,29 +291,29 @@ def test_05_hash_triple_invariant_under_relabeling():
 def test_06_hash_triple_separates_all_small_classes(unlabeled_classes,
                                                     labeled_classes):
     """Over every connected graph class on <=7 vertices (and <=5 with 2
-    labels): equal triple implies isomorphic, non-isomorphic implies
-    unequal triple, and the known 6-vertex equal-polynomial pair is
-    split by the degree component. Past these sizes the triple alone no
-    longer separates classes (8 vertices unlabeled, 7-vertex trees with
-    2 labels, 6 vertices with 3), so the hasher's key also folds in the
-    canonical bitmap."""
+    labels): the hasher's keys are equal exactly when the graphs are
+    isomorphic, and so are the paper's triples; the known 6-vertex
+    equal-polynomial pair is split by the degree component. Past these
+    sizes the triple alone no longer separates classes (8 vertices
+    unlabeled, 7-vertex trees with 2 labels, 6 vertices with 3), which
+    is why a pattern's key is its canonical form."""
     levels, candidates = unlabeled_classes
     for n, want in KNOWN_CLASS_COUNTS.items():
         assert len(levels[n]) == want, (n, len(levels[n]))
     zeros = {n: (0,) * n for n in range(1, 8)}
     for n, cand in candidates.items():
-        for bits, pat in cand:
-            assert iso_oracle(zeros[n], _rows(n, bits),
-                              zeros[n], _rows(n, pat.bits))
+        for labels, bits, pat in cand:
+            assert iso_oracle(labels, bitmap_rows(n, bits),
+                              pat.labels, bitmap_rows(n, pat.bits))
     # representatives pairwise non-isomorphic: explicit up to 6 vertices,
     # forced at 7 by the class count plus the candidate checks above
     for n in range(2, 7):
         pats = list(levels[n].values())
         for i in range(len(pats)):
-            ri = _rows(n, pats[i].bits)
+            ri = bitmap_rows(n, pats[i].bits)
             for j in range(i + 1, len(pats)):
                 assert not iso_oracle(zeros[n], ri,
-                                      zeros[n], _rows(n, pats[j].bits))
+                                      zeros[n], bitmap_rows(n, pats[j].bits))
     triples = {}
     for n in range(1, 8):
         for pat in levels[n].values():
@@ -389,8 +330,8 @@ def test_06_hash_triple_separates_all_small_classes(unlabeled_classes,
         degs = [t[1] for _, t in grp]
         assert len(set(degs)) == len(degs), "polynomial twins share degrees"
     a, b = twins[0][0][0], twins[0][1][0]
-    assert not iso_oracle(a.labels, _rows(6, a.bits),
-                          b.labels, _rows(6, b.bits))
+    assert not iso_oracle(a.labels, bitmap_rows(6, a.bits),
+                          b.labels, bitmap_rows(6, b.bits))
 
     lab_levels, lab_candidates = labeled_classes
     assert len(lab_levels[1]) == 2
@@ -400,9 +341,9 @@ def test_06_hash_triple_separates_all_small_classes(unlabeled_classes,
     form_to_pat = {}
     for n, cand in lab_candidates.items():
         for labels, bits, pat in cand:
-            assert iso_oracle(labels, _rows(n, bits),
-                              pat.labels, _rows(n, pat.bits))
-            form = min_perm_form(labels, _rows(n, bits))
+            assert iso_oracle(labels, bitmap_rows(n, bits),
+                              pat.labels, bitmap_rows(n, pat.bits))
+            form = min_perm_form(labels, bitmap_rows(n, bits))
             key = (pat.labels, pat.bits)
             pat_to_form.setdefault(key, set()).add(form)
             form_to_pat.setdefault(form, set()).add(key)

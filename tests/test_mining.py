@@ -12,7 +12,7 @@ import pytest
 
 from gmine import fingerprint, mining, runtime
 from gmine.explore import CLIQUE, partition_by_weight, uniform_ranges
-from gmine.fingerprint import PAIR_BIT, HashCollisionError, Pattern
+from gmine.fingerprint import PAIR_BIT
 from gmine.graph import Graph
 from gmine.mining import (Session, clique_discovery, fsm, merge_counts,
                           merge_mni, motif_count, result_lines,
@@ -21,28 +21,18 @@ from gmine.spill import BudgetTooSmallError
 from gmine.store import level_columns
 
 from conftest import make_random_graph
-from oracles import (brute_cliques, brute_mni, brute_motif_counts,
+from oracles import (bitmap_rows, brute_cliques, brute_mni, brute_motif_counts,
                      brute_triangles, extract, gather_volume, iter_embeddings,
                      level_slices, min_perm_form, random_connected_edges,
                      rank_dag_lists, whole_arrays, write_result)
 
 
-def pattern_rows(pat):
-    tab = PAIR_BIT[pat.k]
-    rows = [[0] * pat.k for _ in range(pat.k)]
-    for i in range(pat.k):
-        for j in range(i + 1, pat.k):
-            if pat.bits >> tab[i][j] & 1:
-                rows[i][j] = rows[j][i] = 1
-    return tuple(tuple(r) for r in rows)
-
-
 def pattern_form(pat):
-    return min_perm_form(pat.labels, pattern_rows(pat))
+    return min_perm_form(pat.labels, bitmap_rows(pat.k, pat.bits))
 
 
 def motif_forms(counts):
-    return {pattern_form(pat): c for pat, c in counts.values()}
+    return {pattern_form(pat): c for pat, c in counts.items()}
 
 
 def complete_graph(n):
@@ -53,7 +43,7 @@ def complete_graph(n):
 
 def test_motif3_demo(demo_graph):
     counts, metrics = motif_count(demo_graph, 3)
-    by_deg = {pat.degrees: c for pat, c in counts.values()}
+    by_deg = {pat.degrees: c for pat, c in counts.items()}
     assert by_deg == {(1, 1, 2): 5, (2, 2, 2): 3}
     assert metrics["level_3_embeddings"] == 8
 
@@ -69,9 +59,9 @@ def test_motif_matches_brute():
 def test_motif_complete_graph():
     g = complete_graph(5)
     c3, _ = motif_count(g, 3)
-    assert len(c3) == 1 and sum(c for _, c in c3.values()) == 10
+    assert len(c3) == 1 and sum(c3.values()) == 10
     c5, _ = motif_count(g, 5)
-    assert len(c5) == 1 and sum(c for _, c in c5.values()) == 1
+    assert len(c5) == 1 and sum(c5.values()) == 1
 
 
 def test_motif_too_small_graph():
@@ -193,7 +183,7 @@ def expected_frequent(g, k_edges, support):
 
 
 def fsm_forms(result):
-    return {pattern_form(pat): s for pat, s in result.values()}
+    return {pattern_form(pat): s for pat, s in result.items()}
 
 
 def test_fsm_matches_brute_mni():
@@ -221,7 +211,7 @@ def test_fsm_nothing_frequent():
 def test_fsm_single_edge_patterns(demo_graph):
     result, _ = fsm(demo_graph, 1, 2)
     assert len(result) == 1  # one unlabeled edge pattern
-    (pat, sup), = result.values()
+    (pat, sup), = result.items()
     assert sup == 2 and pat.k == 2
 
 
@@ -258,16 +248,16 @@ def test_mni_edge_range_matches_per_embedding_reference(monkeypatch):
     monkeypatch.setattr(mining, "MNI_CHUNK", 4)
     g = make_random_graph(2810, 14, 12, n_labels=3)
     eu, ev = g.edge_u.tolist(), g.edge_v.tolist()
-    with Session(g, labeled=True) as s:
+    with Session(g) as s:
         s.seed_edges()
         s.explore()
         s.explore()
         slices = level_slices(s.cse)
-        ctx = dict(s.ctx, slices=slices, cap=10 ** 9, want_hashes=True)
+        ctx = dict(s.ctx, slices=slices, cap=10 ** 9, want_ids=True)
         count = s.cse.top.count
         for lo, hi in ((0, count), (5, count - 3)):
-            got, hashes = mining.mni_edge_range((lo, hi), ctx)
-            want_hashes = []
+            got, ids = mining.mni_edge_range((lo, hi), ctx)
+            want_ids = []
             want = {}
             for _, emb in iter_embeddings(slices, lo, hi):
                 vs = sorted({x for f in emb for x in (eu[f], ev[f])})
@@ -276,14 +266,13 @@ def test_mni_edge_range_matches_per_embedding_reference(monkeypatch):
                 for f in emb:
                     bits |= 1 << PAIR_BIT[len(vs)][pos[eu[f]]][pos[ev[f]]]
                 e = s.hasher.classify(tuple(int(g.labels[v]) for v in vs), bits)
-                want_hashes.append(e.hash)
-                rec = want.setdefault(e.hash, [e.pattern,
-                                               [set() for _ in range(max(e.orbits) + 1)]])
+                want_ids.append(e.id)
+                doms = want.setdefault(e.pattern, [set() for _ in range(max(e.orbits) + 1)])
                 for v, o in zip(vs, e.orbits):
-                    rec[1][o].add(v)
-            assert hashes.tolist() == want_hashes
-            assert {h: [pat, [set(d.tolist()) for d in doms]]
-                    for h, (pat, doms) in got.items()} == want
+                    doms[o].add(v)
+            assert ids.dtype == np.int64 and ids.tolist() == want_ids
+            assert {pat: [set(d.tolist()) for d in doms]
+                    for pat, doms in got.items()} == want
 
 
 SIXTEEN_LABELS = (0, 2 ** 31 - 1) + tuple(range(5, 5 + 14 * 7919, 7919))
@@ -309,7 +298,7 @@ def test_edge_rows_are_in_canonical_order(monkeypatch, trial):
     g = Graph.from_edges(edges, labels)
     eu, ev, lab = g.edge_u.tolist(), g.edge_v.tolist(), g.labels.tolist()
     for k_edges in range(1, top + 1):
-        with Session(g, labeled=True) as s:
+        with Session(g) as s:
             s.seed_edges()
             for _ in range(k_edges - 1):
                 s.explore()
@@ -334,7 +323,7 @@ def test_edge_rows_are_in_canonical_order(monkeypatch, trial):
             assert verts.T.tolist() == want_verts
             assert rows.T.tolist() == want_rows
             s.aggregate(mining.mni_edge_range, lambda acc, res: acc, None,
-                        {"cap": 10 ** 9, "want_hashes": False})
+                        {"cap": 10 ** 9, "want_ids": False})
             for labels, bits in s.hasher._by_raw:
                 degrees = fingerprint.degrees_from_bits(len(labels), bits)
                 perm = fingerprint.canonical_sort(labels, degrees, bits)[3]
@@ -353,18 +342,17 @@ def test_edge_rows_are_in_canonical_order(monkeypatch, trial):
 @pytest.mark.parametrize("cap", [1, 2, 5])
 def test_mni_edge_range_caps_each_domain_when_the_range_returns(tmp_path, cap):
     g = make_random_graph(2810, 14, 12, n_labels=3)
-    with Session(g, labeled=True) as s:
+    with Session(g) as s:
         s.seed_edges()
         s.explore()
         s.explore()
         ctx = dict(s.ctx, slices=level_slices(s.cse),
-                   cap=10 ** 9, want_hashes=False)
+                   cap=10 ** 9, want_ids=False)
         full, _ = mining.mni_edge_range((0, s.cse.top.count), ctx)
         got, _ = mining.mni_edge_range((0, s.cse.top.count), dict(ctx, cap=cap))
     assert got.keys() == full.keys()
-    for h, (pat, doms) in got.items():
-        assert pat == full[h][0]
-        for d, whole in zip(doms, full[h][1], strict=True):
+    for pat, doms in got.items():
+        for d, whole in zip(doms, full[pat], strict=True):
             assert isinstance(d, np.ndarray) and d.dtype.kind == "i"
             assert np.all(d[1:] > d[:-1])
             ids, whole_ids = set(d.tolist()), set(whole.tolist())
@@ -387,12 +375,12 @@ def test_merge_mni_of_split_ranges_equals_the_whole_range(monkeypatch, cap):
     # folds them, so the merge must recover the whole range's lowest ids
     monkeypatch.setattr(mining, "MNI_CHUNK", 5)
     g = make_random_graph(2811, 14, 14, n_labels=2)
-    with Session(g, labeled=True) as s:
+    with Session(g) as s:
         s.seed_edges()
         s.explore()
         s.explore()
         ctx = dict(s.ctx, slices=level_slices(s.cse),
-                   cap=cap, want_hashes=False)
+                   cap=cap, want_ids=False)
         count = s.cse.top.count
         whole, _ = mining.mni_edge_range((0, count), ctx)
         for cut in (0, 1, 7, count // 3, count // 2, count - 1, count):
@@ -400,11 +388,10 @@ def test_merge_mni_of_split_ranges_equals_the_whole_range(monkeypatch, cap):
             for part in ((0, cut), (cut, count)):
                 merge_mni(got, mining.mni_edge_range(part, ctx)[0], cap)
             assert got.keys() == whole.keys(), cut
-            for h, (pat, doms) in got.items():
-                assert pat == whole[h][0]
-                for d, w in zip(doms, whole[h][1], strict=True):
+            for pat, doms in got.items():
+                for d, w in zip(doms, whole[pat], strict=True):
                     assert len(d) <= cap
-                    assert d.tolist() == w.tolist(), (cut, h)
+                    assert d.tolist() == w.tolist(), (cut, pat)
 
 
 def test_fsm_exact_with_labels_past_a_packed_key(tmp_path):
@@ -422,7 +409,7 @@ def test_fsm_exact_with_labels_past_a_packed_key(tmp_path):
         g = Graph.from_edges(edges, labels)
         assert mining._RawKeyTable(None, 8, np.unique(g.labels)).words == words
         result, metrics = fsm(g, 7, 1)
-        assert max(p.k for p, _ in result.values()) == 8
+        assert max(p.k for p in result) == 8
         assert fsm_forms(result) == expected_frequent(g, 7, 1)
         lines = result_lines(result)
         assert result_lines(fsm(g, 7, 1, workers=2)[0]) == lines
@@ -459,6 +446,7 @@ def run_variants(tmp_path, fn, req_spill=True):
     lines0 = result_lines_of(outs[0])
     for out in outs[1:]:
         assert result_lines_of(out) == lines0
+        assert out[0] == outs[0][0]  # keyed by Pattern, not by a run's ids
 
 
 def only_part_files(d):
@@ -717,7 +705,7 @@ def test_finished_phases_and_calls_keep_nothing_alive():
     # an explore drops its phase context, alive mask included, when it
     # ends; a finished call holds no reference to its graph
     g = make_random_graph(2903, 20, 20, n_labels=2)
-    with Session(g, labeled=True) as s:
+    with Session(g) as s:
         s.seed_edges()
         alive = np.ones(s.cse.top.count, dtype=bool)
         ref = weakref.ref(alive)
@@ -760,16 +748,16 @@ def motif_phases(g, k):
 
 
 def mni_phases(g, k_edges):
-    with Session(g, labeled=True) as s:
+    with Session(g) as s:
         s.seed_edges()
         out = []
         for size in range(1, k_edges + 1):
             yield
             pats = s.aggregate(mining.mni_edge_range,
                                lambda acc, res: merge_mni(acc, res[0], 2), {},
-                               {"cap": 2, "want_hashes": False})
+                               {"cap": 2, "want_ids": False})
             out.append(sorted((pat.serialize(), [d.tolist() for d in doms])
-                              for pat, doms in pats.values()))
+                              for pat, doms in pats.items()))
             if size < k_edges:
                 yield
                 s.explore()
@@ -835,37 +823,19 @@ def test_threads_mine_different_graphs_at_once(monkeypatch):
         sys.setswitchinterval(switch)
 
 
-# -- pattern hash exactness ----------------------------------------------------------
-
-def test_motif_count_raises_on_hash_collision(monkeypatch):
-    monkeypatch.setattr(fingerprint, "pattern_hash", lambda *a: 7)
-    g = make_random_graph(2902, 14, 12)
-    with pytest.raises(HashCollisionError):
-        motif_count(g, 4)
-
+# -- pattern key exactness ----------------------------------------------------------
 
 def test_fsm_splits_trees_that_share_a_triple():
     """Two 2-labeled 7-vertex trees as components: they share (labels,
     degrees, polynomial) without being isomorphic, so a key of the triple
-    alone raised HashCollisionError at 6 edges."""
+    alone would merge their 6-edge patterns."""
     a = [(0, 6), (1, 6), (2, 3), (3, 4), (4, 5), (4, 6)]
     b = [(0, 6), (1, 4), (2, 4), (3, 5), (3, 6), (4, 6)]
     labels = {v + base: int(v >= 5) for v in range(7) for base in (0, 7)}
     g = Graph.from_edges(a + [(u + 7, v + 7) for u, v in b], labels)
     result, _ = fsm(g, 6, 1)
     assert fsm_forms(result) == expected_frequent(g, 6, 1)
-    assert sum(p.k == 7 for p, _ in result.values()) == 2
-
-
-def test_merges_raise_on_hash_collision():
-    path = Pattern(3, (0, 0, 0), (1, 1, 2), 0b110)
-    tri = Pattern(3, (0, 0, 0), (2, 2, 2), 0b111)
-    assert merge_counts({7: [path, 1]}, {7: [path, 2]}) == {7: [path, 3]}
-    with pytest.raises(HashCollisionError):
-        merge_counts({7: [path, 1]}, {7: [tri, 2]})
-    with pytest.raises(HashCollisionError):
-        merge_mni({7: [path, [np.zeros(0, np.int64)]]},
-                  {7: [tri, [np.zeros(0, np.int64)]]}, 1)
+    assert sum(p.k == 7 for p in result) == 2
 
 
 # -- output -------------------------------------------------------------------------
