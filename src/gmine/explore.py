@@ -23,6 +23,14 @@ masks unpack it, and the rules, the filters and the predictions become
 array compares. A fold's attach masks, built only when the fold asks
 for them, are one prefix sum of 1 << attach, differenced at the run
 bounds.
+
+A clique child is adjacent to every member, so it lies in the newest
+member's list: under the CLIQUE filter the kernel gathers that list
+only, keeps the entries above the largest member, and tests them
+against each other member's row by binary search over the CSR's sorted
+row * n + id keys (Chiba and Nishizeki, 1985; Danisch et al., WWW
+2018). No key is built or sorted, and a clique child's prediction is
+the length of its own list.
 """
 
 import numpy as np
@@ -42,8 +50,8 @@ BLOCK = 1 << 13
 GATHER = 1 << 14
 
 # Filter that keeps a vertex candidate only when it is in every member's
-# list, a run of length k: adjacent to every member over the adjacency,
-# and also ranked above every member over the rank DAG.
+# list and above the largest member: adjacent to every member over the
+# adjacency, and also ranked above every member over the rank DAG.
 CLIQUE = "clique"
 
 
@@ -132,6 +140,22 @@ def _sources(ids, ends):
 
 # -- range expansion ---------------------------------------------------
 
+def _clique_children(emb, starts, lens, ids, keys, n):
+    """The kept (parent column, id) pairs of a gather chunk under CLIQUE,
+    in child order: the entries of the newest members' slices [starts,
+    starts + lens) that exceed the largest member and are found in each
+    other member's row, member by member on the survivors. Slices ascend
+    and parents come in column order, so no sort is due."""
+    idx, cp = ragged(starts, lens, np.arange(emb.shape[1]))
+    cv = ids[idx].astype(np.int64)
+    sel = np.flatnonzero(cv > emb.max(axis=0)[cp])
+    cp, cv = cp[sel], cv[sel]
+    for row in emb[:-1]:
+        sel = np.flatnonzero(in_sorted(keys, row[cp].astype(np.int64) * n + cv))
+        cp, cv = cp[sel], cv[sel]
+    return cp, cv
+
+
 def expand_vertex_range(task, ctx):
     """Expand top-level offsets [lo, hi) by one id.
 
@@ -141,15 +165,18 @@ def expand_vertex_range(task, ctx):
     boolean mask over ids, or CLIQUE. A prediction is the gather volume
     the next explore reads, which bounds the children: the list lengths
     of an embedding's distinct sources. A child's is its parent's plus
-    those of its sources no member has, with no gather.
+    those of its sources no member has, with no gather. Under CLIQUE it
+    is the length of the child's own list, the one list a CLIQUE explore
+    gathers, so a CLIQUE level's predictions bound only a CLIQUE
+    explore.
 
     With ctx["fold"], no child is stored: each gather chunk calls
     fold(emb, cp, cv, masks) with its parents' (k, p) id columns, the
     kept children as parent column cp and id cv, and a function whose
     call builds each child's mask of attach positions, the OR of 1 <<
     attach over its key run (in vertex mode, the members adjacent to
-    the new vertex), and the range returns the number of children it
-    handed to the fold.
+    the new vertex; under CLIQUE, every member), and the range returns
+    the number of children it handed to the fold.
     """
     lo, hi = task
     slices = ctx["slices"]
@@ -157,6 +184,7 @@ def expand_vertex_range(task, ctx):
     ends = ctx["ends"]
     n = ctx["num_ids"]
     flt = ctx.get("filter")
+    clique = flt is CLIQUE
     alive = ctx.get("alive")
     fold = ctx.get("fold")
     want_pred = ctx.get("want_pred", True)
@@ -177,9 +205,11 @@ def expand_vertex_range(task, ctx):
     out_pred = [np.zeros(0, np.int32)]
 
     def masks():
-        # the current chunk's, read from this scope: a non-member's
-        # attaches in a run are distinct, so the sum of 1 << attach over
-        # the run is their OR
+        # the current chunk's, read from this scope: a clique child is
+        # adjacent to every member, and a non-member's attaches in a run
+        # are distinct, so the sum of 1 << attach over the run is their OR
+        if clique:
+            return np.full(len(cv), (1 << k) - 1, dtype=np.int64)
         cum = np.zeros(len(keys) + 1, dtype=np.int64)
         np.cumsum(1 << (keys & 7), out=cum[1:])
         return cum[np.append(first, len(keys))[sel + 1]] - cum[first[sel]]
@@ -188,42 +218,48 @@ def expand_vertex_range(task, ctx):
         b1 = min(b0 + BLOCK, hi)
         live = np.arange(b1 - b0) if alive is None else np.flatnonzero(alive[b0:b1])
         cols = level_columns(slices, b0, b1)[:, live]
-        src = _sources(cols, ends)  # row = source * k + attach
+        # row = source * k + attach; CLIQUE gathers the newest member's only
+        src = cols[-1:] if clique else _sources(cols, ends)
         lens = deg[src]
-        attach = (np.arange(len(src)) % k)[:, None]
         for s0, s1 in chunks(lens.sum(axis=0), GATHER):
             emb = cols[:, s0:s1]
             p = s1 - s0
-            base = (np.arange(p, dtype=np.int64) << sh) | attach
-            idx, keys = ragged(off[src[:, s0:s1]].ravel(), lens[:, s0:s1].ravel(),
-                               base.ravel())
-            keys += ids[idx].astype(np.int64) << 3
-            del idx  # not held through the sort
-            keys.sort()
-            first = np.flatnonzero(run_heads(keys >> 3))
-            head = keys[first]  # each run's earliest attachment
-            rw = head >> 3 & id_mask
-            # a child attached at i exceeds the head and every member after
-            # i, so no member passes (a later one attaches before itself)
-            lim = np.empty_like(emb)
-            lim[:-1] = np.maximum.accumulate(emb[::-1], axis=0)[-2::-1]
-            lim[-1] = emb[0]  # members after the head already exceed it
-            keep = rw > lim.ravel()[(head & 7) * p + (head >> sh)]  # lim[attach, parent]
-            if flt is CLIQUE:
-                keep &= np.diff(first, append=len(keys)) == k
-            elif flt is not None:
-                keep &= flt[rw]
-            sel = np.flatnonzero(keep)
-            kept = head[sel]
-            cp = kept >> sh
-            cv = kept >> 3 & id_mask
+            if clique:
+                cp, cv = _clique_children(emb, off[src[0, s0:s1]], lens[0, s0:s1],
+                                          ids, ctx["keys"], n)
+            else:
+                attach = (np.arange(len(src)) % k)[:, None]
+                base = (np.arange(p, dtype=np.int64) << sh) | attach
+                idx, keys = ragged(off[src[:, s0:s1]].ravel(), lens[:, s0:s1].ravel(),
+                                   base.ravel())
+                keys += ids[idx].astype(np.int64) << 3
+                del idx  # not held through the sort
+                keys.sort()
+                first = np.flatnonzero(run_heads(keys >> 3))
+                head = keys[first]  # each run's earliest attachment
+                rw = head >> 3 & id_mask
+                # a child attached at i exceeds the head and every member
+                # after i, so no member passes (a later one attaches
+                # before itself)
+                lim = np.empty_like(emb)
+                lim[:-1] = np.maximum.accumulate(emb[::-1], axis=0)[-2::-1]
+                lim[-1] = emb[0]  # members after the head already exceed it
+                keep = rw > lim.ravel()[(head & 7) * p + (head >> sh)]  # lim[attach, parent]
+                if flt is not None:
+                    keep &= flt[rw]
+                sel = np.flatnonzero(keep)
+                kept = head[sel]
+                cp = kept >> sh
+                cv = kept >> 3 & id_mask
             if fold is not None:
                 fold(emb, cp, cv, masks)
                 folded += len(cv)
                 continue
             counts[b0 - lo + live[s0:s1]] = np.bincount(cp, minlength=p)
             out_vert.append(cv.astype(id_dtype))
-            if want_pred:
+            if want_pred and clique:
+                out_pred.append(pred32(deg[cv]))
+            elif want_pred:
                 csrc = _sources(cv, ends)
                 new = ~(src[:, s0:s1][:, cp] == csrc[:, None]).any(axis=1)
                 vol = ctx["pred"][b0 + live[s0:s1]][cp] + (deg[csrc] * new).sum(axis=0)

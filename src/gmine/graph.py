@@ -22,6 +22,14 @@ def _out_of_range(what, value, top):
             else "%s %d out of range 0..%d" % (what, value, top))
 
 
+def _keyed_csr(keys, n, off_dtype):
+    """(offsets, ids) of the CSR over n rows whose sorted int64 keys are
+    row * n + id, one per entry."""
+    off = np.zeros(n + 1, dtype=off_dtype)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=off[1:])
+    return off, (keys % n).astype(_dtype_for(n))
+
+
 def _int64_array(values, what, top):
     """values as an int64 array, each checked to lie in 0..top."""
     try:
@@ -58,6 +66,7 @@ class Graph:
         self._edge_v = None
         self._inc_ids = None
         self._dag = None
+        self._dag_keys = None
 
     # -- construction -------------------------------------------------
 
@@ -79,10 +88,7 @@ class Graph:
         keep = a != b  # drop self-loops; each other pair goes in both directions
         a, b = a[keep], b[keep]
         keys = np.sort(np.concatenate((a * n + b, b * n + a)))
-        keys = keys[run_heads(keys)]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
-        nbr = (keys % n).astype(_dtype_for(n))
+        offsets, nbr = _keyed_csr(keys[run_heads(keys)], n, np.int64)
         lab = np.zeros(n, dtype=np.int32)
         if labels:
             ids = _int64_array(list(labels), "vertex id", ID_MAX)
@@ -155,6 +161,21 @@ class Graph:
         off.flags.writeable = False
         return off, self._inc_ids
 
+    def _build_rank_dag(self):
+        n = self.num_vertices
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(self.degrees, kind="stable")] = np.arange(n)
+        src = np.repeat(rank, self.degrees)
+        dst = rank[self.neighbor_ids]
+        up = src < dst
+        keys = src[up] * n + dst[up]
+        del src, dst, up
+        keys.sort()
+        off, ids = _keyed_csr(keys, n, _dtype_for(self.num_edges))
+        off.flags.writeable = ids.flags.writeable = keys.flags.writeable = False
+        self._dag = off, ids
+        self._dag_keys = keys
+
     @property
     def rank_dag(self):
         """(offsets, ids), read-only: the graph oriented by rank, where
@@ -162,20 +183,16 @@ class Graph:
         above r among the neighbors of the vertex ranked r, so each edge
         appears once (Chiba and Nishizeki, 1985)."""
         if self._dag is None:
-            n = self.num_vertices
-            rank = np.empty(n, dtype=self.neighbor_ids.dtype)
-            rank[np.argsort(self.degrees, kind="stable")] = np.arange(n)
-            src = np.repeat(rank, self.degrees)
-            dst = rank[self.neighbor_ids]
-            up = src < dst
-            src, dst = src[up], dst[up]
-            del up
-            ids = dst[np.argsort(src * np.int64(n) + dst, kind="stable")]
-            off = np.zeros(n + 1, dtype=_dtype_for(self.num_edges))
-            np.cumsum(np.bincount(src, minlength=n), out=off[1:])
-            off.flags.writeable = ids.flags.writeable = False
-            self._dag = off, ids
+            self._build_rank_dag()
         return self._dag
+
+    @property
+    def rank_dag_keys(self):
+        """The rank DAG's entries as sorted int64 keys r * n + s,
+        read-only: rank s is in row r iff a binary search finds the key."""
+        if self._dag is None:
+            self._build_rank_dag()
+        return self._dag_keys
 
     @property
     def edge_u(self):

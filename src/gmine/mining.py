@@ -39,12 +39,12 @@ def count_patterns_range(task, ctx):
 
     The kernel expands the range in fold mode. Per gather chunk, every
     pair of parent positions is tested for adjacency in one binary
-    search over the graph's sorted edge keys, a child's bitmap is its
+    search over the adjacency's sorted keys, a child's bitmap is its
     parent's ORed with the pair bits of the members its new vertex is
     adjacent to (the kernel's attach mask), and one bincount tallies
     the bitmaps. The hasher sees each distinct bitmap of the range once.
     """
-    keys = ctx["edge_keys"]
+    keys = ctx["keys"]
     n = ctx["num_ids"]
     hasher = ctx["hasher"]
     k = len(ctx["slices"]) + 1
@@ -161,10 +161,10 @@ class _RawKeyTable:
     A key row packs into as few int64 words as hold it: width fields of
     rank + 1 (0 for padding), bit_length(#labels) bits each, then the
     bitmap's width*(width-1)/2 bits, no field straddling two words. A
-    chunk's keys are deduplicated by one lexsort over the words, so only
-    its distinct keys become bytes and probe the dict, and only keys new
-    to the range reach the hasher, with their ranks mapped back to the
-    labels.
+    chunk's keys are deduplicated by one sort (an argsort of one-word
+    keys, a lexsort over several words), so only its distinct keys
+    become bytes and probe the dict, and only keys new to the range
+    reach the hasher, with their ranks mapped back to the labels.
     """
 
     def __init__(self, hasher, width, label_values):
@@ -193,7 +193,8 @@ class _RawKeyTable:
         packed = np.zeros((self.words, m), dtype=np.int64)
         for f, (w, s) in enumerate(self.fields):  # rank + 1, then the bitmap
             packed[w] |= np.left_shift(rows[f] + (f < self.width), s, dtype=np.int64)
-        order = np.lexsort(packed)
+        # only grouping matters, and equal packed words are equal rows
+        order = np.argsort(packed[0]) if self.words == 1 else np.lexsort(packed)
         srt = packed[:, order]
         head = np.ones(m, dtype=bool)
         np.any(srt[:, 1:] != srt[:, :-1], axis=0, out=head[1:])
@@ -319,11 +320,11 @@ class Session:
     """One mining run: graph, store, plan state, workers, metrics.
 
     Seeding sets ctx, the base context that every phase passes its
-    range functions: the CSR the kernel expands over, the id count, the
-    edge ends and label ranks in edge mode, the hasher and the id
-    dtype. A phase passes a copy extended with its own inputs, which
-    goes when the phase ends, so sessions that overlap in one process
-    share nothing.
+    range functions: the CSR the kernel expands over, in vertex mode
+    with its sorted row * n + id keys, the id count, the edge ends and
+    label ranks in edge mode, the hasher and the id dtype. A phase
+    passes a copy extended with its own inputs, which goes when the
+    phase ends, so sessions that overlap in one process share nothing.
     """
 
     def __init__(self, g, workers=1, memory_budget=0, spill_dir=None,
@@ -354,13 +355,16 @@ class Session:
 
     # -- seeding -----------------------------------------------------
 
-    def seed_vertices(self, csr=None):
-        """Seed level 1 as the identity over the rows of csr, by default
-        the graph's adjacency, each predicting its gather volume, its row
-        length, and expand every level over csr."""
+    def seed_vertices(self, dag=False):
+        """Seed level 1 as the identity over the vertices, or with dag
+        over the ranks of Graph.rank_dag, each predicting its gather
+        volume, its row length, and expand every level over that CSR;
+        keys are its sorted row * n + id keys."""
         g = self.g
-        csr = (g.offsets, g.neighbor_ids) if csr is None else csr
-        self._seed(pred32(np.diff(csr[0])), csr=csr, ends=None, num_ids=g.num_vertices)
+        csr, keys = ((g.rank_dag, g.rank_dag_keys) if dag
+                     else ((g.offsets, g.neighbor_ids), g.edge_keys))
+        self._seed(pred32(np.diff(csr[0])), csr=csr, keys=keys, ends=None,
+                   num_ids=g.num_vertices)
 
     def seed_edges(self):
         g = self.g
@@ -435,8 +439,10 @@ class Session:
 
         flt keeps a candidate id c only where the boolean id mask flt[c]
         is true, or, as explore.CLIQUE, only where c is in every member's
-        list of the session's CSR; alive keeps a top-level parent only
-        where alive[parent].
+        list of the session's CSR and above its largest member (a CLIQUE
+        level predicts only its newest members' lists, so explore it with
+        CLIQUE again); alive keeps a top-level parent only where
+        alive[parent].
         """
         t0 = time.perf_counter()
         cse = self.cse
@@ -503,8 +509,7 @@ def motif_count(g, k, workers=1, memory_budget=0, spill_dir=None,
         for _ in range(2, k):
             s.explore()
         s.plan((0, 0, 0))
-        counts = s.aggregate(count_patterns_range, merge_counts, {},
-                             {"edge_keys": g.edge_keys})
+        counts = s.aggregate(count_patterns_range, merge_counts, {})
     # every child of the top falls in exactly one pattern's count
     s.metrics["level_%d_embeddings" % k] = sum(counts.values())
     s.metrics["level_%d_bytes" % k] = 0
@@ -516,17 +521,20 @@ def clique_discovery(g, k, workers=1, memory_budget=0, spill_dir=None,
     """Count k-cliques, 3 <= k <= 8, over the graph's rank DAG.
 
     Level 1 holds the ranks of Graph.rank_dag and every level expands
-    over its out-lists with the CLIQUE filter. A candidate in all of a
-    clique's out-lists is adjacent to and ranked above every member, so
-    level j holds each j-clique once, as its ascending rank sequence,
-    and a clique touches only the out-lists, which skip the lower ranks
-    of its hub members. Level k is folded into count_cliques_range,
-    never stored; its metrics keep its count and report 0 bytes.
+    over its out-lists with the CLIQUE filter. A clique's children are
+    the entries of its newest (highest) member's out-list that every
+    other member's out-list holds, found by binary search over the
+    DAG's sorted keys: each is adjacent to and ranked above every
+    member, so level j holds each j-clique once, as its ascending rank
+    sequence. A clique's prediction is its newest member's out-degree,
+    the one list its expansion gathers. Level k is folded into
+    count_cliques_range, never stored; its metrics keep its count and
+    report 0 bytes.
     """
     if not 3 <= k <= 8:
         raise ValueError("clique size must be 3..8")
     with Session(g, workers, memory_budget, spill_dir, parts_per_level) as s:
-        s.seed_vertices(g.rank_dag)
+        s.seed_vertices(dag=True)
         for _ in range(2, k):
             s.explore(flt=CLIQUE)
         s.plan((0, 0, 0))

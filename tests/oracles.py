@@ -599,16 +599,22 @@ def touch_lists(g, mode):
 
 
 def reference_expand(g, mode, slices, lo, hi, flt=None, alive=None,
-                     want_pred=True, id_dtype=np.int32):
+                     want_pred=True, id_dtype=np.int32, clique=False):
     """Expand top-level offsets [lo, hi) by one id, one dict per parent.
 
     Returns (vert, counts, preds) arrays for the range, as the engine's
     expand_vertex_range does. flt(emb, v) is a per-candidate callback.
     Candidates are gathered into one dict per parent keyed first-touch,
     which records the earliest attachment index; embedding members
-    carry a sentinel. A child's prediction is its gather volume.
+    carry a sentinel. A child's prediction is its gather volume, or
+    with clique (vertex mode) the length of its new vertex's list, the
+    one list a clique explore gathers.
     """
-    volume = gather_volume if mode == "vertex" else gather_volume_edges
+    if clique:
+        def volume(g, emb):
+            return len(g.adj[emb[-1]])
+    else:
+        volume = gather_volume if mode == "vertex" else gather_volume_edges
     touch = touch_lists(g, mode)
     out_vert = []
     counts = np.zeros(hi - lo, dtype=np.int32)

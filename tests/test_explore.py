@@ -365,7 +365,8 @@ def explore_checked(g, mode, depth, flt=None, alive_p=None, seed=0, **kw):
             if resident:
                 slices = level_slices(s.cse)
                 want = reference_expand(g, mode, slices, 0, top.count,
-                                        reference_filter(g, flt), alive, want_pred)
+                                        reference_filter(g, flt), alive, want_pred,
+                                        clique=flt is CLIQUE)
                 top_pred = top.pred.tolist()
             s.explore(flt, alive, want_pred)
             got = level_arrays(s.cse.top)
@@ -376,7 +377,11 @@ def explore_checked(g, mode, depth, flt=None, alive_p=None, seed=0, **kw):
                 # an empty parent level maps no ranges and keeps no pred
                 assert (got[2] or []) == (pred.tolist() if want_pred else [])
                 for o, emb in iter_embeddings(slices, 0, top.count):
-                    assert counts[o] <= candidates(g, emb) <= top_pred[o]
+                    if flt is CLIQUE:  # a prediction is the newest member's list
+                        assert counts[o] <= candidates(g, emb)
+                        assert counts[o] <= top_pred[o]
+                    else:
+                        assert counts[o] <= candidates(g, emb) <= top_pred[o]
             tops.append(got)
     return tops, s.metrics
 
@@ -479,13 +484,43 @@ def test_kernel_worker_and_budget_invariance(tmp_path):
         two, _ = explore_checked(g, mode, depth, flt, alive_p, seed=i, workers=2)
         assert two == base
         # two part files per spilled level, headers and offsets included,
-        # put the smallest feasible plan of the clique cases at 52-57%
+        # put the smallest feasible plan of the clique cases at 57-58%
         budget = m["peak_resident_estimate"] * 5 // 8
         spilled, sm = explore_checked(g, mode, depth, flt, alive_p, seed=i, workers=2,
                                       memory_budget=budget, parts_per_level=3,
                                       spill_dir=str(tmp_path / str(i)))
         assert sm["bytes_spilled"] > 0
         assert spilled == base
+
+
+def test_clique_level_over_unfiltered_levels():
+    # levels explored without a filter hold embeddings whose newest
+    # member is not their largest (a path v1-v2-v3 with v1 < v3 < v2
+    # attaches v3 at v2 only), so the clique rule must compare each
+    # candidate with the largest member, stored and folded alike
+    for trial in range(3):
+        g = make_random_graph(3390 + trial, 12, 30)
+        rule = reference_filter(g, CLIQUE)
+        for depth in (3, 4):
+            with Session(g) as s:
+                s.seed_vertices()
+                for _ in range(2, depth + 1):
+                    s.explore()
+                top = s.cse.top
+                slices = level_slices(s.cse)
+                assert any(e[-1] < max(e) for _, e in iter_embeddings(slices, 0, top.count))
+                vert, counts, pred = reference_expand(g, "vertex", slices, 0, top.count,
+                                                      rule, clique=True)
+                folded = []
+                ctx = dict(s.ctx, slices=slices, filter=CLIQUE,
+                           fold=lambda emb, cp, cv, masks: folded.extend(
+                               zip(cv.tolist(), masks().tolist())))
+                assert explore.expand_vertex_range((0, top.count), ctx) == len(vert)
+                assert folded == [(v, (1 << depth) - 1) for v in vert.tolist()]
+                s.explore(CLIQUE)
+                assert level_arrays(s.cse.top) == (
+                    vert.tolist(), [0] + np.cumsum(counts).tolist(), pred.tolist())
+            assert len(vert), (trial, depth)
 
 
 def test_kernel_checks_key_packing(monkeypatch):

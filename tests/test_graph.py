@@ -215,6 +215,20 @@ def test_rank_dag_matches_plain_construction():
         assert all(a < b for r, row in enumerate(rows) for a, b in zip([r] + row, row))
 
 
+def test_rank_dag_keys_are_its_sorted_entries():
+    for trial in range(6):
+        g = make_random_graph(3720 + trial, 18, 4 * trial)
+        n = g.num_vertices
+        off, ids = g.rank_dag
+        keys = g.rank_dag_keys
+        assert keys.dtype == np.int64 and not keys.flags.writeable
+        rows = np.repeat(np.arange(n), np.diff(off))
+        assert keys.tolist() == (rows * n + ids).tolist()  # row * n + id, in CSR order
+        assert (np.diff(keys) > 0).all()
+    for g in (Graph.from_edges([(0, 0), (1, 1)]), Graph.from_edges([])):
+        assert len(g.rank_dag_keys) == 0
+
+
 def test_rank_dag_ties_and_empty():
     # a 6-cycle ties every degree, so ranks follow ids
     cyc = Graph.from_edges([(i, (i + 1) % 6) for i in range(6)])
