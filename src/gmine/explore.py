@@ -12,17 +12,19 @@ table and applies the same head/attachment rules to edge ids. One
 array kernel expands both, over whatever CSR the session's context holds.
 Each member id touches ascending candidate lists in it: a vertex its
 own row (its neighbors, or for cliques its out-neighbors in the rank
-DAG, whose ids are ranks), an edge the incident-edge rows of both
-endpoints. The kernel reads blocks of parents as id columns, gathers
-every member's lists, and sorts one int64 key per gathered entry, the
+DAG, whose ids are ranks), an edge the incident-edge rows of its
+endpoints, each endpoint gathered once per parent, from the lowest
+member that has it. The kernel reads blocks of parents as id columns,
+gathers those lists, and sorts one int64 key per gathered entry, the
 bit field parent << sh | id << 3 | attach with sh = bit_length(n - 1)
 + 3 for n ids: the parent's column in its gather chunk, the candidate
 id and the member's position. A run of equal key >> 3 is one candidate
 of one parent and its first key the earliest attachment, so shifts and
 masks unpack it, and the rules, the filters and the predictions become
-array compares. A fold's attach masks, built only when the fold asks
-for them, are one prefix sum of 1 << attach, differenced at the run
-bounds.
+array compares. A shared endpoint's copies at higher members would
+only add later keys to runs its lowest member's entries already head.
+A fold's attach masks, built only when the fold asks for them, are one
+prefix sum of 1 << attach, differenced at the run bounds.
 
 A clique child is adjacent to every member, so it lies in the newest
 member's list: under the CLIQUE filter the kernel gathers that list
@@ -164,8 +166,10 @@ def expand_vertex_range(task, ctx):
     for the range, children ascending per parent. The filter is None, a
     boolean mask over ids, or CLIQUE. A prediction is the gather volume
     the next explore reads, which bounds the children: the list lengths
-    of an embedding's distinct sources. A child's is its parent's plus
-    those of its sources no member has, with no gather. Under CLIQUE it
+    of an embedding's distinct sources, each of which it gathers once
+    (an endpoint that edge members share, from the lowest of them). A
+    child's is its parent's plus those of its sources no member has,
+    with no gather. Under CLIQUE it
     is the length of the child's own list, the one list a CLIQUE explore
     gathers, so a CLIQUE level's predictions bound only a CLIQUE
     explore.
@@ -221,6 +225,12 @@ def expand_vertex_range(task, ctx):
         # row = source * k + attach; CLIQUE gathers the newest member's only
         src = cols[-1:] if clique else _sources(cols, ends)
         lens = deg[src]
+        attach = (np.arange(len(src)) % k)[:, None]
+        if ends is not None:  # each endpoint once, from the lowest member that has it
+            # a row pair per compare: one (2k, 2k, p) broadcast compares
+            # every pair and took 15% longer per fsm3-labeled explore
+            for r, q in zip(*np.nonzero(attach > attach.T)):
+                lens[r][src[r] == src[q]] = 0
         for s0, s1 in chunks(lens.sum(axis=0), GATHER):
             emb = cols[:, s0:s1]
             p = s1 - s0
@@ -228,7 +238,6 @@ def expand_vertex_range(task, ctx):
                 cp, cv = _clique_children(emb, off[src[0, s0:s1]], lens[0, s0:s1],
                                           ids, ctx["keys"], n)
             else:
-                attach = (np.arange(len(src)) % k)[:, None]
                 base = (np.arange(p, dtype=np.int64) << sh) | attach
                 idx, keys = ragged(off[src[:, s0:s1]].ravel(), lens[:, s0:s1].ravel(),
                                    base.ravel())

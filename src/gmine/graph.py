@@ -31,15 +31,20 @@ def _keyed_csr(keys, n, off_dtype):
 
 
 def _int64_array(values, what, top):
-    """values as an int64 array, each checked to lie in 0..top."""
-    try:
-        a = np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise GraphFormatError("%s out of range 0..%d" % (what, top)) from None
+    """values as an int64 array, each checked to lie in 0..top. An
+    integer ndarray is checked as it is, before the cast, so no value
+    wraps."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        a = values
+    else:
+        try:
+            a = np.array(values, dtype=np.int64)
+        except OverflowError:
+            raise GraphFormatError("%s out of range 0..%d" % (what, top)) from None
     if a.size and not 0 <= a.min() <= a.max() <= top:
         bad = a.min() if a.min() < 0 else a.max()
         raise GraphFormatError(_out_of_range(what, int(bad), top))
-    return a
+    return a.astype(np.int64, copy=False)
 
 
 class Graph:
@@ -72,13 +77,15 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges, labels=None):
-        """Build from an iterable of (u, v) pairs with ids in 0..2^63-1.
+        """Build from an iterable of (u, v) pairs, or an (m, 2) integer
+        ndarray, with ids in 0..2^63-1.
 
         ``labels`` is an optional {orig_id: label} mapping with labels in
         0..2^31-1; vertices it does not cover get label 0, and ids that
         are not in the graph are ignored.
         """
-        e = _int64_array(list(edges), "vertex id", ID_MAX)
+        e = _int64_array(edges if isinstance(edges, np.ndarray) else list(edges),
+                         "vertex id", ID_MAX)
         if e.size and e.shape[1:] != (2,):
             raise GraphFormatError("edges must be (u, v) pairs")
         orig, inv = np.unique(e, return_inverse=True)

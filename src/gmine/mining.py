@@ -81,10 +81,16 @@ triangle_range = count_cliques_range  # perfbench/tracer.py wraps it (ROADMAP it
 
 # Edge embeddings per chunk of mni_edge_range. Its temporaries (columns,
 # key rows, domain codes) grow the peak RSS with the chunk: fsm(g, 3, 180)
-# on the seed-1 fsm3-labeled input 0 grows ru_maxrss by 7.3 MiB in 0.31 s
-# at 2^12, 6.5 MiB in 0.36 s at 2^11 and 13.1 MiB in 0.27 s at 2^14
-# (medians of 5 fresh processes, 2-vCPU x86 VM).
+# on the seed-1 fsm3-labeled input 0 grows ru_maxrss by 6.4 MiB in 0.125 s
+# at 2^12, 4.6 MiB in 0.127 s at 2^11, 6.5 MiB in 0.112 s at 2^13 and
+# 10.9 MiB in 0.112 s at 2^14 (medians of 10 fresh processes, 2-vCPU x86
+# VM). At 2^13 the fsm3-labeled benchmark read 4.5% less wall_s but 1.3 MiB
+# more peak_rss_mb.
 MNI_CHUNK = 1 << 12
+
+# A range's domain codes are int32 while its groups * n stays at most
+# this, so the largest code, groups * n - 1, fits.
+CODE32_MAX = np.iinfo(np.int32).max
 
 _NO_VERTEX = np.iinfo(np.int64).max
 
@@ -241,13 +247,18 @@ def mni_edge_range(task, ctx):
     canonically ordered vertex list, label-rank row and adjacency bitmap
     as arrays, and a per-range table classifies each distinct (ranks,
     bitmap) key once. The domains are one sorted, deduplicated array of
-    (domain group, vertex) codes per range, one int64 per distinct pair,
-    that the codes each chunk adds merge into in batches. When the range
-    returns, each group becomes the sorted int64 array of its lowest cap
-    vertex ids: the reported support min(|domain|, cap) is then
-    independent of visit order and worker count. Optionally records
-    each embedding's pattern id so the caller can keep only embeddings
-    of frequent patterns alive.
+    (domain group) * n + vertex codes per range, one per distinct pair.
+    Codes are int32 while table.groups * n is at most CODE32_MAX; from
+    the first chunk past it on, a chunk's codes are int64, and so is
+    every merge, which promotes the int32 codes it takes. Each chunk's
+    codes, sorted and deduplicated, wait until they add up to the
+    merged array, which then takes them in one sort and dedupe, and the
+    last chunk merges what is left.
+    When the range returns, each group becomes the sorted int64 array of
+    its lowest cap vertex ids: the reported support min(|domain|, cap)
+    is then independent of visit order and worker count. Optionally
+    records each embedding's pattern id so the caller can keep only
+    embeddings of frequent patterns alive.
     """
     lo, hi = task
     slices = ctx["slices"]
@@ -256,7 +267,7 @@ def mni_edge_range(task, ctx):
     n = g.num_vertices
     table = _RawKeyTable(ctx["hasher"], len(slices) + 1, ctx["label_values"])
     ids = np.zeros(hi - lo, dtype=np.int64) if ctx.get("want_ids") else None
-    codes = np.zeros(0, dtype=np.int64)
+    codes = np.zeros(0, dtype=np.int32)
     fresh = []  # sorted chunk codes waiting to merge into codes
     queued = 0
     for a in range(lo, hi, MNI_CHUNK):
@@ -266,21 +277,29 @@ def mni_edge_range(task, ctx):
         pid, groups = table.lookup(rows)
         if ids is not None:
             ids[a - lo:b - lo] = pid
-        new = np.sort((groups * n + verts)[verts >= 0])
-        new = new[run_heads(new)]
-        # merged once they reach 1/8 of codes: fsm(g, 3, 2500) on test_09's
-        # graph took 45 s with a merge per chunk, 10 s batched (2-vCPU x86 VM)
-        if 8 * (queued + len(new)) >= len(codes) or b == hi:
-            fresh += [new, codes]
+        new = (groups * n + verts)[verts >= 0]
+        if table.groups * n <= CODE32_MAX:  # past it, the next merge promotes
+            new = new.astype(np.int32)
+        new.sort()
+        fresh.append(new[run_heads(new)])
+        queued += len(fresh[-1])
+        # merged once they add up to codes, so each code takes part in
+        # O(log) merges and no chunk is searched against codes: on test_09's
+        # graph, unbudgeted fsm(g, 3, 2500) took 3.0-3.5 s, 3.6-4.0 s with
+        # int64 codes, 5.3-6.1 s with int64 codes searched per chunk and
+        # merged at 1/8 of codes, and 31 s with a merge per chunk, 68 s with
+        # int64 codes (2-vCPU x86 VM)
+        if queued >= len(codes) or b == hi:
+            fresh.append(codes)
             codes = np.concatenate(fresh)
             fresh = []  # frees the old codes before the merged ones are built
-            codes = _sorted_unique(codes)
+            codes.sort()
+            codes = codes[run_heads(codes)]
             queued = 0
-        else:  # only the codes that codes lacks wait
-            fresh.append(new[~in_sorted(codes, new)])
-            queued += len(fresh[-1])
-    starts = np.searchsorted(codes, np.arange(table.groups + 1) * n).tolist()
-    doms = [codes[s:min(e, s + cap)] - gi * n
+    # bounds in the codes' dtype, so the search casts no copy of codes
+    bounds = (np.arange(table.groups + 1) * n).astype(codes.dtype)
+    starts = np.searchsorted(codes, bounds).tolist()
+    doms = [np.subtract(codes[s:min(e, s + cap)], gi * n, dtype=np.int64)
             for gi, (s, e) in enumerate(zip(starts, starts[1:]))]
     return table.results(doms), ids
 

@@ -493,6 +493,50 @@ def test_kernel_worker_and_budget_invariance(tmp_path):
         assert spilled == base
 
 
+@pytest.mark.parametrize("shape", ["star", "triangles", "path", "random"])
+def test_edge_explore_gathers_each_endpoint_once(monkeypatch, shape):
+    # members of an edge embedding share endpoints: a star's center, a
+    # triangle's corners, a path's inner vertices. Each distinct endpoint's
+    # incident list is gathered once per parent, so the kernel's gathered
+    # entries are the live parents' gather volumes, and its children
+    # still those of the reference
+    g = {"star": Graph.from_edges([(0, v) for v in range(1, 7)] + [(1, 2)]),
+         "triangles": Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (3, 4)]),
+         "path": Graph.from_edges([(v, v + 1) for v in range(7)]),
+         "random": make_random_graph(3395, 9, 8)}[shape]
+    gathered = []
+    ragged = explore.ragged
+
+    def counting_ragged(starts, lens, tags):
+        gathered.append(int(lens.sum()))
+        return ragged(starts, lens, tags)
+
+    monkeypatch.setattr(explore, "ragged", counting_ragged)
+    rng = np.random.default_rng(5)
+    emask = rng.random(g.num_edges) < 0.8
+    with Session(g) as s:
+        s.seed_edges()
+        s.explore()
+        for size in (2, 3, 4):
+            top = s.cse.top
+            slices = level_slices(s.cse)
+            embs = [list(emb) for _, emb in iter_embeddings(slices, 0, top.count)]
+            for flt in (None, emask):
+                for alive in (None, rng.random(top.count) < 0.7):
+                    gathered.clear()
+                    ctx = dict(s.ctx, slices=slices, filter=flt, alive=alive,
+                               pred=top.pred)
+                    got = explore.expand_vertex_range((0, top.count), ctx)
+                    want = reference_expand(g, "edge", slices, 0, top.count,
+                                            reference_filter(g, flt), alive)
+                    for have, ref in zip(got, want):
+                        assert have.tolist() == ref.tolist(), (shape, size)
+                    assert sum(gathered) == sum(
+                        gather_volume_edges(g, emb) for o, emb in enumerate(embs)
+                        if alive is None or alive[o]), (shape, size)
+            s.explore()
+
+
 def test_clique_level_over_unfiltered_levels():
     # levels explored without a filter hold embeddings whose newest
     # member is not their largest (a path v1-v2-v3 with v1 < v3 < v2

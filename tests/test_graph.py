@@ -167,6 +167,37 @@ def test_from_edges_matches_reference_build():
             assert np.array_equal(have, want)
 
 
+def test_from_edges_takes_an_integer_array_as_it_is():
+    # an (m, 2) array builds what its list of pairs builds, in every
+    # integer dtype, and is range-checked before any cast can wrap it
+    rng = random.Random(12)
+    for trial in range(20):
+        pool = [rng.randrange(120) for _ in range(rng.randrange(1, 12))]
+        edges = [(rng.choice(pool), rng.choice(pool)) for _ in range(trial * 3)]
+        want = Graph.from_edges(edges)
+        for dtype in (np.int64, np.int32, np.uint64, np.uint8):
+            g = Graph.from_edges(np.array(edges, dtype=dtype).reshape(-1, 2))
+            for have, ref in zip((g.offsets, g.neighbor_ids, g.labels, g.orig_ids),
+                                 (want.offsets, want.neighbor_ids, want.labels,
+                                  want.orig_ids)):
+                assert have.dtype == ref.dtype
+                assert np.array_equal(have, ref)
+    empty = Graph.from_edges(np.zeros((0, 2), dtype=np.int64))
+    assert (empty.num_vertices, empty.num_edges, empty.offsets.tolist()) == (0, 0, [0])
+    top = np.array([[2 ** 63 - 1, 3]], dtype=np.uint64)
+    assert Graph.from_edges(top).orig_ids.tolist() == [3, 2 ** 63 - 1]
+    for arr, msg in ((np.array([[0, -1]]), "negative vertex id -1"),
+                     (np.array([[-2 ** 31, 0]], dtype=np.int32),
+                      "negative vertex id -2147483648"),
+                     (np.array([[2 ** 63, 1]], dtype=np.uint64),
+                      "vertex id 9223372036854775808 out of range"),
+                     (np.array([[1, 2 ** 64 - 1]], dtype=np.uint64),
+                      "vertex id 18446744073709551615 out of range"),
+                     (np.array([1, 2, 3, 4]), "edges must be")):
+        with pytest.raises(GraphFormatError, match=msg):
+            Graph.from_edges(arr)
+
+
 def test_edge_table_order(demo_graph):
     g = demo_graph
     pairs = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))

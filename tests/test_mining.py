@@ -412,6 +412,81 @@ def test_merge_mni_of_split_ranges_equals_the_whole_range(monkeypatch, cap):
                     assert d.tolist() == w.tolist(), (cut, pat)
 
 
+def record_code_widths(monkeypatch):
+    """Wrap mni_edge_range so that each call records the itemsize of
+    every code array it dedupes, a chunk's or a merge's; returns the
+    list of the calls' records."""
+    calls = []
+    local = threading.local()
+    run_heads, mni = mining.run_heads, mining.mni_edge_range
+
+    def recording_run_heads(a):
+        if getattr(local, "widths", None) is not None:
+            local.widths.append(a.dtype.itemsize)
+        return run_heads(a)
+
+    def recording_mni(task, ctx):
+        local.widths = []
+        try:
+            return mni(task, ctx)
+        finally:
+            calls.append(local.widths)
+            local.widths = None
+
+    monkeypatch.setattr(mining, "run_heads", recording_run_heads)
+    monkeypatch.setattr(mining, "mni_edge_range", recording_mni)
+    return calls
+
+
+@pytest.mark.parametrize("trial", range(2))
+def test_fsm_codes_widen_in_the_middle_of_a_range(tmp_path, monkeypatch, trial):
+    # a limit of 4 groups widens the codes once a range has classified
+    # more orbits than that; 3-row chunks put that chunk mid-range
+    monkeypatch.setattr(mining, "MNI_CHUNK", 3)
+    g = make_random_graph(2800 + trial, 12, 9, n_labels=3)
+    runs = {k: fsm(g, k, 2) for k in range(1, 5)}
+    base = {k: res for k, (res, _) in runs.items()}
+    monkeypatch.setattr(mining, "CODE32_MAX", 4 * g.num_vertices)
+    calls = record_code_widths(monkeypatch)
+    for k_edges in range(1, 5):
+        assert fsm_forms(base[k_edges]) == expected_frequent(g, k_edges, 2)
+        for workers in (1, 2):
+            got, _ = fsm(g, k_edges, 2, workers=workers)
+            assert result_lines(got) == result_lines(base[k_edges]), (k_edges, workers)
+    budget = int(runs[4][1]["peak_resident_estimate"] * 0.4)
+    spilled, m = fsm(g, 4, 2, workers=2, memory_budget=budget,
+                     spill_dir=str(tmp_path), parts_per_level=3)
+    assert m["bytes_spilled"] > 0
+    assert result_lines(spilled) == result_lines(base[4])
+    # the widths only grow, and some range starts narrow and ends wide
+    assert all(w == sorted(w) for w in calls)
+    assert any(w[0] == 4 and w[-1] == 8 for w in calls)
+
+
+def test_mni_codes_stay_int32_up_to_the_limit(monkeypatch):
+    monkeypatch.setattr(mining, "MNI_CHUNK", 4)
+    g = make_random_graph(2810, 14, 12, n_labels=3)
+    n = g.num_vertices
+    with Session(g) as s:
+        s.seed_edges()
+        s.explore()
+        s.explore()
+        ctx = dict(s.ctx, slices=level_slices(s.cse), cap=10 ** 9, want_ids=False)
+        count = s.cse.top.count
+        whole, _ = mining.mni_edge_range((0, count), ctx)
+        groups = sum(len(doms) for doms in whole.values())
+        calls = record_code_widths(monkeypatch)
+        for limit, last in ((groups * n, 4), (groups * n - 1, 8)):
+            monkeypatch.setattr(mining, "CODE32_MAX", limit)
+            got, _ = mining.mni_edge_range((0, count), ctx)
+            assert calls[-1][-1] == last and len(calls[-1]) > 1, limit
+            assert got.keys() == whole.keys()
+            for pat, doms in got.items():
+                for d, w in zip(doms, whole[pat], strict=True):
+                    assert d.dtype == np.int64 and d.tolist() == w.tolist()
+    assert calls[0] == [4] * len(calls[0])
+
+
 def test_fsm_exact_with_labels_past_a_packed_key(tmp_path):
     # keys pack label ranks: at 8 vertices, 3 labels take 8 fields of 2
     # bits and the 28-bit bitmap, one int64 word; 16 labels take 5-bit
