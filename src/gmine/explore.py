@@ -81,21 +81,19 @@ def partition_by_weight(weights, t):
     Returns t+1 ascending cut points; cut j is the first index whose
     weight prefix reaches j/t of the total, so no part exceeds total/t
     plus one maximal single weight. Integer arithmetic throughout keeps
-    the cuts exactly reproducible.
+    the cuts exactly reproducible. The prefix is the one n-long array
+    built: prefix * t reaches j * total where prefix reaches j * total / t
+    rounded up, so that is what is searched.
     """
-    w = np.asarray(weights, dtype=np.int64)
+    w = np.asarray(weights)
     n = len(w)
     prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(w, out=prefix[1:])
+    np.cumsum(w, dtype=np.int64, out=prefix[1:])
     total = int(prefix[-1])
-    cuts = np.searchsorted(prefix * t, np.arange(t + 1, dtype=np.int64) * total,
+    cuts = np.searchsorted(prefix, -(-np.arange(t + 1, dtype=np.int64) * total // t),
                            side="left").astype(np.int64)
     cuts[-1] = n  # zero-weight tails still belong to the last part
     return cuts
-
-
-def uniform_ranges(n, t):
-    return np.linspace(0, n, t + 1).astype(np.int64)
 
 
 def chunks(weights, cap):

@@ -184,10 +184,6 @@ class PatternHasher:
             self._by_raw[key] = e
         return e
 
-    def id_of(self, pattern):
-        """The id issued to a pattern that classify returned."""
-        return self._poly[pattern.labels, pattern.bits][0]
-
     def _classify(self, labels, bits):
         """One search over the block permutations finds the least bitmap
         and its orbits. Each tie with the first minimizer differs from it

@@ -164,6 +164,9 @@ class _RawKeyTable:
     id and one MNI domain group per position, classifying each key
     once.
 
+    Groups are global: orbit o of pattern id p is group p * width + o,
+    the same in every range; groups is one past the highest issued.
+
     A key row packs into as few int64 words as hold it: width fields of
     rank + 1 (0 for padding), bit_length(#labels) bits each, then the
     bitmap's width*(width-1)/2 bits, no field straddling two words. A
@@ -190,8 +193,8 @@ class _RawKeyTable:
         self.index = {}                        # packed key bytes -> entry
         self.id = np.zeros(0, dtype=np.int64)
         self.group = np.zeros((0, width), dtype=np.int64)
-        self.patterns = {}                     # id -> (Pattern, first group, orbit count)
-        self.groups = 0                        # domain groups numbered so far
+        self.patterns = {}                     # id -> Pattern
+        self.groups = 0
 
     def lookup(self, rows):
         """Pattern id per column of rows, and its groups as a (width, m) array."""
@@ -224,20 +227,30 @@ class _RawKeyTable:
         for key, lab, nv, bits in zip(keys, labels, sizes, reps[-1].tolist()):
             self.index[key] = len(self.index)
             e = self.hasher.classify(tuple(lab[:nv]), bits)
-            rec = self.patterns.get(e.id)
-            if rec is None:
-                n = max(e.orbits) + 1
-                rec = self.patterns[e.id] = (e.pattern, self.groups, n)
-                self.groups += n
+            self.patterns[e.id] = e.pattern
+            first = e.id * self.width
+            self.groups = max(self.groups, first + max(e.orbits) + 1)
             ids.append(e.id)
-            gs.append([rec[1] + o for o in e.orbits] + [-1] * (self.width - nv))
+            gs.append([first + o for o in e.orbits] + [-1] * (self.width - nv))
         self.id = np.concatenate((self.id, np.array(ids, dtype=np.int64)))
         self.group = np.concatenate((self.group, np.array(gs, dtype=np.int64)))
 
-    def results(self, domains):
-        """{Pattern: its orbits' domains}, given the domain of every
-        group in group order."""
-        return {pat: domains[g:g + c] for pat, g, c in self.patterns.values()}
+
+def merge_codes(parts, n, cap=None):
+    """The distinct codes of the arrays in parts, ascending, or with cap
+    each group's lowest cap of them. Empties parts, so their arrays can go
+    before the merged one is built; sorts a lone array in place."""
+    codes = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    parts.clear()
+    codes.sort()
+    codes = codes[run_heads(codes)]
+    if cap is not None and len(codes) > cap:
+        group = codes // n
+        keep = np.ones(len(codes), dtype=bool)  # fewer than cap codes before it in its group
+        np.not_equal(group[cap:], group[:-cap], out=keep[cap:])
+        del group  # gone before the kept codes are copied
+        codes = codes[keep]
+    return codes
 
 
 def mni_edge_range(task, ctx):
@@ -246,19 +259,18 @@ def mni_edge_range(task, ctx):
     Works on chunks of id columns: the endpoints give each embedding's
     canonically ordered vertex list, label-rank row and adjacency bitmap
     as arrays, and a per-range table classifies each distinct (ranks,
-    bitmap) key once. The domains are one sorted, deduplicated array of
-    (domain group) * n + vertex codes per range, one per distinct pair.
+    bitmap) key once. The domains are one sorted array of distinct
+    (domain group) * n + vertex codes, with the table's global groups.
     Codes are int32 while table.groups * n is at most CODE32_MAX; from
     the first chunk past it on, a chunk's codes are int64, and so is
-    every merge, which promotes the int32 codes it takes. Each chunk's
-    codes, sorted and deduplicated, wait until they add up to the
-    merged array, which then takes them in one sort and dedupe, and the
-    last chunk merges what is left.
-    When the range returns, each group becomes the sorted int64 array of
-    its lowest cap vertex ids: the reported support min(|domain|, cap)
-    is then independent of visit order and worker count. Optionally
-    records each embedding's pattern id so the caller can keep only
-    embeddings of frequent patterns alive.
+    every merge, which promotes the int32 codes it takes. Every merge is
+    merge_codes: each chunk's codes, deduplicated, wait until they add
+    up to the merged array, which then takes them, and the last chunk
+    merges what is left with each group capped to its lowest cap ids,
+    so the support min(|domain|, cap) is independent of visit order and
+    worker count. Returns ((codes, {pattern id: Pattern}), ids), ids
+    being each embedding's pattern id when ctx asks for them, which lets
+    the caller keep only embeddings of frequent patterns alive.
     """
     lo, hi = task
     slices = ctx["slices"]
@@ -267,8 +279,7 @@ def mni_edge_range(task, ctx):
     n = g.num_vertices
     table = _RawKeyTable(ctx["hasher"], len(slices) + 1, ctx["label_values"])
     ids = np.zeros(hi - lo, dtype=np.int64) if ctx.get("want_ids") else None
-    codes = np.zeros(0, dtype=np.int32)
-    fresh = []  # sorted chunk codes waiting to merge into codes
+    pending = [np.zeros(0, dtype=np.int32)]  # the merged codes, then chunks waiting
     queued = 0
     for a in range(lo, hi, MNI_CHUNK):
         b = min(a + MNI_CHUNK, hi)
@@ -280,28 +291,20 @@ def mni_edge_range(task, ctx):
         new = (groups * n + verts)[verts >= 0]
         if table.groups * n <= CODE32_MAX:  # past it, the next merge promotes
             new = new.astype(np.int32)
-        new.sort()
-        fresh.append(new[run_heads(new)])
-        queued += len(fresh[-1])
-        # merged once they add up to codes, so each code takes part in
-        # O(log) merges and no chunk is searched against codes: on test_09's
-        # graph, unbudgeted fsm(g, 3, 2500) took 3.0-3.5 s, 3.6-4.0 s with
-        # int64 codes, 5.3-6.1 s with int64 codes searched per chunk and
-        # merged at 1/8 of codes, and 31 s with a merge per chunk, 68 s with
-        # int64 codes (2-vCPU x86 VM)
-        if queued >= len(codes) or b == hi:
-            fresh.append(codes)
-            codes = np.concatenate(fresh)
-            fresh = []  # frees the old codes before the merged ones are built
-            codes.sort()
-            codes = codes[run_heads(codes)]
+        pending.append(merge_codes([new], n))
+        queued += len(pending[-1])
+        # merged once they add up to the merged codes, so each code takes
+        # part in O(log) merges and no chunk is searched against them: on
+        # test_09's graph, unbudgeted fsm(g, 3, 2500) took 3.0-3.5 s,
+        # 3.6-4.0 s with int64 codes, 5.3-6.1 s with int64 codes searched
+        # per chunk and merged at 1/8 of them, and 31 s with a merge per
+        # chunk, 68 s with int64 codes (2-vCPU x86 VM). The support needs
+        # only the last merge capped; capping every merge measured no faster
+        # on fsm(g, 3, 180) over the fsm3-labeled inputs.
+        if queued >= len(pending[0]) or b == hi:
+            pending = [merge_codes(pending, n, cap if b == hi else None)]
             queued = 0
-    # bounds in the codes' dtype, so the search casts no copy of codes
-    bounds = (np.arange(table.groups + 1) * n).astype(codes.dtype)
-    starts = np.searchsorted(codes, bounds).tolist()
-    doms = [np.subtract(codes[s:min(e, s + cap)], gi * n, dtype=np.int64)
-            for gi, (s, e) in enumerate(zip(starts, starts[1:]))]
-    return table.results(doms), ids
+    return (pending[0], table.patterns), ids
 
 
 # -- merges --------------------------------------------------------------
@@ -312,25 +315,17 @@ def merge_counts(acc, part):
     return acc
 
 
-def merge_mni(acc, part, cap):
-    """Fold part's per-orbit domains into acc's. Each orbit keeps the
-    lowest cap ids of the union, so of its whole domain for any split."""
-    for pat, doms in part.items():
-        have = acc.get(pat)
-        acc[pat] = doms if have is None else [
-            _sorted_unique(np.concatenate(pair))[:cap] for pair in zip(have, doms)]
-    return acc
-
-
-def _sorted_unique(a):
-    """The distinct values of a, ascending; sorts a in place. On two
-    concatenated sorted runs the sort is one timsort merge pass."""
-    a.sort(kind="stable")
-    return a[run_heads(a)]
-
-
-def mni_support(doms, cap):
-    return min(cap, min(len(d) for d in doms))
+def _merge_mni(acc, res, n, cap):
+    """Fold one range's mni_edge_range result into acc, (codes,
+    {pattern id: Pattern}, id chunks): the codes merge capped, so each
+    group keeps the lowest cap ids of its whole domain for any split.
+    The first range's codes, already capped, are taken without a copy."""
+    codes, pats, id_chunks = acc
+    (part, part_pats), ids = res
+    pats.update(part_pats)
+    if ids is not None:
+        id_chunks.append(ids)
+    return (merge_codes([codes, part], n, cap) if len(codes) else part), pats, id_chunks
 
 
 # -- session --------------------------------------------------------------
@@ -510,6 +505,17 @@ class Session:
                                              + time.perf_counter() - t0)
         return acc
 
+    def fold(self, fn, merge, init, count):
+        """Aggregate fn over the top level's children without storing
+        them: plan the windows alone, fold, and note the children's
+        level with count(result) embeddings and 0 bytes."""
+        self.plan((0, 0, 0))
+        acc = self.aggregate(fn, merge, init)
+        k = self.cse.top.index + 1
+        self.metrics["level_%d_embeddings" % k] = count(acc)
+        self.metrics["level_%d_bytes" % k] = 0
+        return acc
+
 
 # -- applications ----------------------------------------------------------
 
@@ -527,11 +533,9 @@ def motif_count(g, k, workers=1, memory_budget=0, spill_dir=None,
         s.seed_vertices()
         for _ in range(2, k):
             s.explore()
-        s.plan((0, 0, 0))
-        counts = s.aggregate(count_patterns_range, merge_counts, {})
-    # every child of the top falls in exactly one pattern's count
-    s.metrics["level_%d_embeddings" % k] = sum(counts.values())
-    s.metrics["level_%d_bytes" % k] = 0
+        # every child of the top falls in exactly one pattern's count
+        counts = s.fold(count_patterns_range, merge_counts, {},
+                        lambda c: sum(c.values()))
     return counts, s.metrics
 
 
@@ -556,10 +560,7 @@ def clique_discovery(g, k, workers=1, memory_budget=0, spill_dir=None,
         s.seed_vertices(dag=True)
         for _ in range(2, k):
             s.explore(flt=CLIQUE)
-        s.plan((0, 0, 0))
-        count = s.aggregate(count_cliques_range, lambda a, b: a + b, 0)
-    s.metrics["level_%d_embeddings" % k] = count
-    s.metrics["level_%d_bytes" % k] = 0
+        count = s.fold(count_cliques_range, lambda a, b: a + b, 0, int)
     return count, s.metrics
 
 
@@ -575,21 +576,25 @@ def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
 
     Returns ({Pattern: support}, metrics) over all frequent
     patterns of 1..k_edges edges; reported supports are capped at the
-    threshold. Infrequent edges are dropped after the size-1 round and
-    embeddings of infrequent patterns are not expanded, which is exact
-    because minimum-image support never grows when a pattern does.
+    threshold. A level's ranges return code arrays over global (pattern
+    id, orbit) groups, merged capped by merge_codes. Infrequent edges
+    are dropped after the size-1 round and embeddings of infrequent
+    patterns are not expanded, which is exact because minimum-image
+    support never grows when a pattern does.
     """
     if not 1 <= k_edges <= 7:
         raise ValueError("edge count must be 1..7")
     if support < 1:
         raise ValueError("support threshold must be positive")
     result = {}
+    n = g.num_vertices
     with Session(g, workers, memory_budget, spill_dir, parts_per_level) as s:
         s.seed_edges()
         for size in range(1, k_edges + 1):
-            agg = s.aggregate(mni_edge_range, partial(_merge_mni_ids, cap=support),
-                              ({}, []), {"cap": support, "want_ids": size < k_edges})
-            frequent, alive = _frequent(agg, s.cse.top.count, support, s.hasher)
+            agg = s.aggregate(mni_edge_range, partial(_merge_mni, n=n, cap=support),
+                              (np.zeros(0, dtype=np.int32), {}, []),
+                              {"cap": support, "want_ids": size < k_edges})
+            frequent, alive = _frequent(agg, s.cse.top.count, support, n, size + 1)
             result.update(frequent)
             if size == k_edges or not frequent:
                 break
@@ -599,22 +604,22 @@ def fsm(g, k_edges, support, workers=1, memory_budget=0, spill_dir=None,
     return result, s.metrics
 
 
-def _merge_mni_ids(acc, res, cap):
-    pats, id_chunks = acc
-    part, ids = res
-    merge_mni(pats, part, cap)
-    if ids is not None:
-        id_chunks.append(ids)
-    return pats, id_chunks
-
-
-def _frequent(agg, count, support, hasher):
+def _frequent(agg, count, support, n, width):
     """The frequent patterns of an aggregated level with their supports,
     and the mask of its embeddings whose pattern is frequent (None when
-    no ids were recorded or nothing is frequent)."""
-    pats, id_chunks = agg
-    frequent = {p: sup for p, d in pats.items()
-                if (sup := mni_support(d, support)) >= support}
+    no ids were recorded or nothing is frequent). A group's run in the
+    merged codes is its capped domain, and a pattern's groups are
+    adjacent, so its support is the least of their run lengths."""
+    codes, pats, id_chunks = agg
+    group = codes // n
+    heads = np.flatnonzero(run_heads(group))
+    sizes = np.diff(heads, append=len(group))
+    pid = group[heads] // width
+    first = np.flatnonzero(run_heads(pid))
+    sup = np.minimum.reduceat(sizes, first)
+    keep = sup >= support
+    hit = pid[first][keep]
+    frequent = {pats[p]: x for p, x in zip(hit.tolist(), sup[keep].tolist())}
     if not id_chunks:
         return frequent, None
     ids = np.concatenate(id_chunks)
@@ -622,9 +627,7 @@ def _frequent(agg, count, support, hasher):
         raise AssertionError("pattern id coverage mismatch")
     if not frequent:
         return frequent, None
-    ok = np.zeros(int(ids.max()) + 1, dtype=bool)  # a frequent pattern's id is in ids
-    ok[[hasher.id_of(p) for p in frequent]] = True
-    return frequent, ok[ids]
+    return frequent, np.isin(ids, hit)
 
 
 # -- result serialization ---------------------------------------------------

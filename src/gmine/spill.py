@@ -6,8 +6,9 @@ its parents' predicted weights before any worker runs, so the parts
 and the processing order are identical for every worker count and
 stride size. A spilled level's parts live only in their files: the
 level keeps its part list, and a part's ids and offsets are read back
-when a window reaches it. Spilling a level after it was built writes
-the same parts, so it gives the same files. The budget plan is one
+when a window reaches it, from a file whose header must name that
+part's place. Spilling a level after it was built writes the same
+parts, so it gives the same files. The budget plan is one
 number, the lowest level on disk; levels 1 (the identity) and 2 always
 stay resident. Replay walks the top level part by part; every lower
 level keeps a sliding window of one part, which is enough because
@@ -27,11 +28,12 @@ from functools import partial
 import numpy as np
 
 from . import runtime
-from .explore import partition_by_weight, uniform_ranges
+from .explore import partition_by_weight
 from .store import PartInfo
 
-MAGIC = b"CSE1"
-_HEADER = struct.Struct("<4sIBQQ")  # magic, level, id_width, vert count, off count
+MAGIC = b"CSE2"
+# magic, level, part index, id width, parents [ps, pe), children [vs, ve)
+_HEADER = struct.Struct("<4sIIBQQQQ")
 
 
 class BudgetTooSmallError(RuntimeError):
@@ -39,18 +41,23 @@ class BudgetTooSmallError(RuntimeError):
 
 
 class CorruptPartError(RuntimeError):
-    """Part file failed its magic or checksum validation."""
+    """A part file failed its magic or checksum validation, or is not
+    the file of the part it was read for."""
 
 
-def write_part(path, level_index, id_width, vert, off_seg):
-    """Write one part file; returns bytes written.
+def write_part(path, part, index):
+    """Write part, which holds its arrays, as its level's part index;
+    returns bytes written.
 
     Layout: header, raw vert ids, raw absolute off values, then the
-    CRC-32 of all preceding bytes as a u64.
+    CRC-32 of all preceding bytes as a u64. The header names the part's
+    place: its level, index and parent and child ranges, which also
+    give the two arrays' lengths.
     """
-    head = _HEADER.pack(MAGIC, level_index, id_width, len(vert), len(off_seg))
-    vb = vert.tobytes()
-    ob = off_seg.astype(np.int64).tobytes()
+    head = _HEADER.pack(MAGIC, part.level, index, part.vert.itemsize,
+                        part.ps, part.pe, part.vs, part.ve)
+    vb = part.vert.tobytes()
+    ob = part.off.astype(np.int64).tobytes()
     total = zlib.crc32(ob, zlib.crc32(vb, zlib.crc32(head)))
     with open(path, "wb") as fh:
         fh.write(head)
@@ -60,25 +67,44 @@ def write_part(path, level_index, id_width, vert, off_seg):
     return len(head) + len(vb) + len(ob) + 8
 
 
-def read_part(path, id_dtype):
-    """Load one part file back as (vert, off_seg); validates checksum."""
+def read_part(path, id_dtype, part, index):
+    """Load the file of part, its level's part index, back as (vert,
+    off_seg). Validates the checksum, and that the file is that part's:
+    its level, index, ranges and id width must be the expected ones, and
+    its size part.nbytes. A valid file from another place, which would
+    be read as it is, raises CorruptPartError like a damaged one."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size + 8:
         raise CorruptPartError("%s: truncated" % path)
-    magic, level, id_width, nv, no = _HEADER.unpack_from(data)
+    magic, level, got_index, id_width, ps, pe, vs, ve = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise CorruptPartError("%s: bad magic %r" % (path, magic))
+    nv, no = ve - vs, pe - ps + 1
     body_end = _HEADER.size + nv * id_width + no * 8
-    if len(data) != body_end + 8:
+    if nv < 0 or no < 1 or len(data) != body_end + 8:
         raise CorruptPartError("%s: size mismatch" % path)
     (want,) = struct.unpack_from("<Q", data, body_end)
     if zlib.crc32(memoryview(data)[:body_end]) != want:
         raise CorruptPartError("%s: checksum mismatch" % path)
+    if level != part.level:
+        raise CorruptPartError("%s: level %d, expected %d" % (path, level, part.level))
+    if got_index != index:
+        raise CorruptPartError("%s: part %d, expected %d" % (path, got_index, index))
+    if (ps, pe, vs, ve) != (part.ps, part.pe, part.vs, part.ve):
+        raise CorruptPartError(
+            "%s: parents [%d, %d) and children [%d, %d), expected [%d, %d) and "
+            "[%d, %d)" % (path, ps, pe, vs, ve, part.ps, part.pe, part.vs, part.ve))
+    if id_width != np.dtype(id_dtype).itemsize:
+        raise CorruptPartError("%s: %d-byte ids, expected %d"
+                               % (path, id_width, np.dtype(id_dtype).itemsize))
+    if len(data) != part.nbytes:
+        raise CorruptPartError("%s: %d bytes, expected %d"
+                               % (path, len(data), part.nbytes))
     vert = np.frombuffer(data, dtype=id_dtype, count=nv, offset=_HEADER.size)
     off = np.frombuffer(data, dtype=np.int64, count=no,
                         offset=_HEADER.size + nv * id_width)
-    return vert, off, level
+    return vert, off
 
 
 def window_bytes(level):
@@ -134,7 +160,7 @@ def part_name(level, part):
 def _write_out(part, spill_dir, index, metrics):
     """Write an in-memory part to its file and drop its arrays."""
     part.path = os.path.join(spill_dir, part_name(part.level, index))
-    n = write_part(part.path, part.level, part.vert.itemsize, part.vert, part.off)
+    n = write_part(part.path, part, index)
     part.vert = part.off = None
     metrics["bytes_spilled"] = metrics.get("bytes_spilled", 0) + n
     metrics["parts_written"] = metrics.get("parts_written", 0) + 1
@@ -244,10 +270,7 @@ class _Window:
                                  % self.level.index)
         p = self.parts[self.idx + 1]
         if p.off is None:
-            vert, off, lv = read_part(p.path, self.id_dtype)
-            if lv != self.level.index:
-                raise CorruptPartError("%s: level %d, expected %d"
-                                       % (p.path, lv, self.level.index))
+            vert, off = read_part(p.path, self.id_dtype, p, self.idx + 1)
             self.metrics["bytes_read"] = self.metrics.get("bytes_read", 0) + p.nbytes
             self.metrics["parts_loaded"] = self.metrics.get("parts_loaded", 0) + 1
             p = replace(p, vert=vert, off=off)
@@ -285,14 +308,15 @@ def _run_pieces(fn, ctx, task):
 
 def _map_steps(steps, pred, workers, fn, ctx, consume):
     """Map gathered steps in one call. Their offsets are cut into
-    workers ranges, by the top's predictions when it has them, else
-    uniformly, and each range runs fn over its piece of every step it
-    crosses, with that step's parts as the slices."""
+    workers ranges of near-equal weight, an offset weighing its top
+    prediction, or 1 when the top has none, and each range runs fn over
+    its piece of every step it crosses, with that step's parts as the
+    slices."""
     if not steps:
         return
     lo, hi = steps[0][0], steps[-1][1]
-    cuts = ((uniform_ranges(hi - lo, workers) if pred is None
-             else partition_by_weight(pred[lo:hi], workers)) + lo).tolist()
+    weights = np.broadcast_to(1, hi - lo) if pred is None else pred[lo:hi]
+    cuts = (partition_by_weight(weights, workers) + lo).tolist()
     tasks = [[(max(a, s), min(b, e), sl) for s, e, sl in steps if s < b and a < e]
              for a, b in zip(cuts, cuts[1:]) if a < b]
     results = runtime.map_ranges(partial(_run_pieces, fn, ctx), tasks, workers)

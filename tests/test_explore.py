@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from gmine import explore
-from gmine.explore import (CLIQUE, edge_seed_preds, partition_by_weight,
-                           uniform_ranges)
+from gmine.explore import CLIQUE, edge_seed_preds, partition_by_weight
 from gmine.graph import Graph
 from gmine.mining import Session
 from gmine.spill import read_part
@@ -280,13 +279,20 @@ def test_partition_bound_holds():
         for j in range(t):
             part = sum(w[cuts[j]:cuts[j + 1]])
             assert part <= total / t + wmax
+        # cut j is the first index whose prefix * t reaches j * total, in
+        # every dtype the weights come in
+        prefix = [0] + list(itertools.accumulate(w))
+        want = [next(i for i, p in enumerate(prefix) if p * t >= j * total)
+                for j in range(t)] + [n]
+        for ws in (w, np.array(w, np.int32), np.array(w, np.int64)):
+            assert partition_by_weight(ws, t).tolist() == want
 
 
 def test_partition_zero_and_empty():
     assert partition_by_weight([], 4).tolist() == [0] * 5
     cuts = partition_by_weight([0, 0, 0], 2)
     assert cuts[-1] == 3  # zero-weight tail still assigned
-    assert uniform_ranges(10, 3).tolist() == [0, 3, 6, 10]
+    assert partition_by_weight(np.ones(10, np.int64), 3).tolist() == [0, 4, 7, 10]
 
 
 def level_arrays(lvl):
@@ -296,8 +302,8 @@ def level_arrays(lvl):
     if lvl.residency == "mem":
         return tuple(a.tolist() for a in whole_arrays(lvl)) + (pred,)
     vert, off = [], [0]
-    for p in lvl.parts:
-        v, o, _ = read_part(p.path, np.int32)
+    for i, p in enumerate(lvl.parts):
+        v, o = read_part(p.path, np.int32, p, i)
         vert += v.tolist()
         off += o[1:].tolist()
     return vert, off, pred

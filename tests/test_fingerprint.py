@@ -355,6 +355,7 @@ def test_threads_racing_on_new_patterns_agree_on_their_ids():
             assert got[1:] == got[:1] * 3, trial  # one id per pattern
             ids = [e.id for e in got[0]]
             assert len(set(ids)) == len(keys) == len(shared._poly)  # one pattern per id
-            assert [shared.id_of(e.pattern) for e in got[0]] == ids
+            assert [shared._poly[e.pattern.labels, e.pattern.bits][0]
+                    for e in got[0]] == ids
     finally:
         sys.setswitchinterval(interval)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import os
 import random
@@ -6,17 +7,17 @@ import re
 import sys
 import threading
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
 from gmine import fingerprint, mining, runtime
-from gmine.explore import CLIQUE, partition_by_weight, uniform_ranges
+from gmine.explore import CLIQUE, partition_by_weight
 from gmine.fingerprint import PAIR_BIT
 from gmine.graph import Graph
 from gmine.mining import (Session, clique_discovery, fsm, merge_counts,
-                          merge_mni, motif_count, result_lines,
-                          triangle_count)
+                          motif_count, result_lines, triangle_count)
 from gmine.spill import BudgetTooSmallError
 from gmine.store import level_columns
 
@@ -244,6 +245,27 @@ def test_fsm_rejects_bad_args(demo_graph):
 
 # -- the chunked MNI kernel ---------------------------------------------------------
 
+def mni_domains(result, n, width):
+    """{Pattern: [domain per orbit]} from mni_edge_range's (codes,
+    {pattern id: Pattern}), a code being (pattern id * width + orbit) * n
+    + vertex; each domain is an ascending int64 array. Every pattern in
+    the dict has codes, and only its orbits 0..m-1 do."""
+    codes, pats = result
+    group, vertex = np.divmod(codes.astype(np.int64), n)
+    assert set(np.unique(group // width).tolist()) == set(pats)
+    out = {}
+    for pid, pat in pats.items():
+        orbits = np.unique(group[group // width == pid]) - pid * width
+        assert orbits.tolist() == list(range(len(orbits)))
+        out[pat] = [vertex[group == pid * width + o] for o in orbits.tolist()]
+    return out
+
+
+def mni_fold(n, cap):
+    """fsm's aggregate fold and its initial value."""
+    return partial(mining._merge_mni, n=n, cap=cap), (np.zeros(0, np.int32), {}, [])
+
+
 @pytest.mark.parametrize("trial", range(3))
 def test_fsm_chunked_kernel_matches_brute(tmp_path, monkeypatch, trial):
     # 3-row chunks cross parent slices, childless parents and spill windows
@@ -274,7 +296,8 @@ def test_mni_edge_range_matches_per_embedding_reference(monkeypatch):
         ctx = dict(s.ctx, slices=slices, cap=10 ** 9, want_ids=True)
         count = s.cse.top.count
         for lo, hi in ((0, count), (5, count - 3)):
-            got, ids = mining.mni_edge_range((lo, hi), ctx)
+            res, ids = mining.mni_edge_range((lo, hi), ctx)
+            got = mni_domains(res, g.num_vertices, len(slices) + 1)
             want_ids = []
             want = {}
             for _, emb in iter_embeddings(slices, lo, hi):
@@ -367,11 +390,14 @@ def test_mni_edge_range_caps_each_domain_when_the_range_returns(tmp_path, cap):
         ctx = dict(s.ctx, slices=level_slices(s.cse),
                    cap=10 ** 9, want_ids=False)
         full, _ = mining.mni_edge_range((0, s.cse.top.count), ctx)
-        got, _ = mining.mni_edge_range((0, s.cse.top.count), dict(ctx, cap=cap))
+        res, _ = mining.mni_edge_range((0, s.cse.top.count), dict(ctx, cap=cap))
+    assert isinstance(res[0], np.ndarray) and res[0].dtype.kind == "i"
+    n, width = g.num_vertices, len(ctx["slices"]) + 1
+    full = mni_domains(full, n, width)
+    got = mni_domains(res, n, width)
     assert got.keys() == full.keys()
     for pat, doms in got.items():
         for d, whole in zip(doms, full[pat], strict=True):
-            assert isinstance(d, np.ndarray) and d.dtype.kind == "i"
             assert np.all(d[1:] > d[:-1])
             ids, whole_ids = set(d.tolist()), set(whole.tolist())
             assert ids <= whole_ids and len(ids) == min(cap, len(whole_ids))
@@ -393,6 +419,7 @@ def test_merge_mni_of_split_ranges_equals_the_whole_range(monkeypatch, cap):
     # folds them, so the merge must recover the whole range's lowest ids
     monkeypatch.setattr(mining, "MNI_CHUNK", 5)
     g = make_random_graph(2811, 14, 14, n_labels=2)
+    n = g.num_vertices
     with Session(g) as s:
         s.seed_edges()
         s.explore()
@@ -400,11 +427,13 @@ def test_merge_mni_of_split_ranges_equals_the_whole_range(monkeypatch, cap):
         ctx = dict(s.ctx, slices=level_slices(s.cse),
                    cap=cap, want_ids=False)
         count = s.cse.top.count
-        whole, _ = mining.mni_edge_range((0, count), ctx)
+        width = len(ctx["slices"]) + 1
+        whole = mni_domains(mining.mni_edge_range((0, count), ctx)[0], n, width)
         for cut in (0, 1, 7, count // 3, count // 2, count - 1, count):
-            got = {}
+            merge, acc = mni_fold(n, cap)
             for part in ((0, cut), (cut, count)):
-                merge_mni(got, mining.mni_edge_range(part, ctx)[0], cap)
+                acc = merge(acc, mining.mni_edge_range(part, ctx))
+            got = mni_domains(acc[:2], n, width)
             assert got.keys() == whole.keys(), cut
             for pat, doms in got.items():
                 for d, w in zip(doms, whole[pat], strict=True):
@@ -463,6 +492,51 @@ def test_fsm_codes_widen_in_the_middle_of_a_range(tmp_path, monkeypatch, trial):
     assert any(w[0] == 4 and w[-1] == 8 for w in calls)
 
 
+@pytest.mark.parametrize("issue", ["high", "shuffled"])
+def test_fsm_results_do_not_depend_on_the_issued_ids(tmp_path, monkeypatch, issue):
+    # domain groups are pattern id * width + orbit, so the codes follow
+    # the ids, which thread races already reorder. Ids starting 3 below
+    # the first whose level-1 groups pass CODE32_MAX / n widen level 1's
+    # codes mid-range (3-row chunks); shuffled ids scatter the groups
+    monkeypatch.setattr(mining, "MNI_CHUNK", 3)
+    g = make_random_graph(2840, 12, 9, n_labels=3)
+    base = {k: fsm(g, k, 2) for k in range(1, 5)}
+    real = mining.PatternHasher
+    hashers = []
+    rng = random.Random(2841)
+
+    def issuing_hasher():
+        h = real()
+        if issue == "high":
+            h._ids = itertools.count(mining.CODE32_MAX // (2 * g.num_vertices) - 3)
+        else:
+            h._ids = iter(rng.sample(range(10 ** 4), 10 ** 4))
+        hashers.append(h)
+        return h
+
+    monkeypatch.setattr(mining, "PatternHasher", issuing_hasher)
+    calls = record_code_widths(monkeypatch)
+    for k_edges in range(1, 5):
+        want = expected_frequent(g, k_edges, 2)
+        assert fsm_forms(base[k_edges][0]) == want
+        for workers in (1, 2):
+            got, _ = fsm(g, k_edges, 2, workers=workers)
+            assert result_lines(got) == result_lines(base[k_edges][0]), (k_edges, workers)
+            assert fsm_forms(got) == want
+    budget = int(base[4][1]["peak_resident_estimate"] * 0.4)
+    spilled, m = fsm(g, 4, 2, workers=2, memory_budget=budget,
+                     spill_dir=str(tmp_path), parts_per_level=3)
+    assert m["bytes_spilled"] > 0
+    assert result_lines(spilled) == result_lines(base[4][0])
+    issued = [[i for i, _ in h._poly.values()] for h in hashers]
+    if issue == "high":
+        assert all(min(ids) >= mining.CODE32_MAX // (2 * g.num_vertices) - 3
+                   for ids in issued)
+        assert any(w[0] == 4 and w[-1] == 8 for w in calls)
+    else:
+        assert all(ids != sorted(ids) for ids in issued)
+
+
 def test_mni_codes_stay_int32_up_to_the_limit(monkeypatch):
     monkeypatch.setattr(mining, "MNI_CHUNK", 4)
     g = make_random_graph(2810, 14, 12, n_labels=3)
@@ -473,17 +547,21 @@ def test_mni_codes_stay_int32_up_to_the_limit(monkeypatch):
         s.explore()
         ctx = dict(s.ctx, slices=level_slices(s.cse), cap=10 ** 9, want_ids=False)
         count = s.cse.top.count
-        whole, _ = mining.mni_edge_range((0, count), ctx)
-        groups = sum(len(doms) for doms in whole.values())
+        width = len(ctx["slices"]) + 1
+        res, _ = mining.mni_edge_range((0, count), ctx)
+        whole = mni_domains(res, n, width)
+        groups = int(res[0].max()) // n + 1  # one past the highest group
         calls = record_code_widths(monkeypatch)
         for limit, last in ((groups * n, 4), (groups * n - 1, 8)):
             monkeypatch.setattr(mining, "CODE32_MAX", limit)
-            got, _ = mining.mni_edge_range((0, count), ctx)
+            res, _ = mining.mni_edge_range((0, count), ctx)
             assert calls[-1][-1] == last and len(calls[-1]) > 1, limit
+            assert res[0].dtype.itemsize == last
+            got = mni_domains(res, n, width)
             assert got.keys() == whole.keys()
             for pat, doms in got.items():
                 for d, w in zip(doms, whole[pat], strict=True):
-                    assert d.dtype == np.int64 and d.tolist() == w.tolist()
+                    assert d.tolist() == w.tolist()
     assert calls[0] == [4] * len(calls[0])
 
 
@@ -704,7 +782,7 @@ def test_resident_phases_map_once_each(monkeypatch):
         calls.clear()
         s.aggregate(mining.count_patterns_range, merge_counts, {})
         assert calls == [("count_patterns_range",
-                          tasks(uniform_ranges(s.cse.top.count, 2)), 2)]
+                          tasks(partition_by_weight(np.ones(s.cse.top.count), 2)), 2)]
     assert all(l.residency == "mem" for l in s.cse.levels)
 
 
@@ -844,11 +922,11 @@ def mni_phases(g, k_edges):
         out = []
         for size in range(1, k_edges + 1):
             yield
-            pats = s.aggregate(mining.mni_edge_range,
-                               lambda acc, res: merge_mni(acc, res[0], 2), {},
-                               {"cap": 2, "want_ids": False})
-            out.append(sorted((pat.serialize(), [d.tolist() for d in doms])
-                              for pat, doms in pats.items()))
+            codes, pats, _ = s.aggregate(mining.mni_edge_range, *mni_fold(g.num_vertices, 2),
+                                         {"cap": 2, "want_ids": False})
+            doms = mni_domains((codes, pats), g.num_vertices, size + 1)
+            out.append(sorted((pat.serialize(), [d.tolist() for d in ds])
+                              for pat, ds in doms.items()))
             if size < k_edges:
                 yield
                 s.explore()

@@ -1,13 +1,16 @@
 import os
+import re
+import shutil
 import subprocess
 import sys
 import textwrap
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gmine import mining, spill
+from gmine import mining, runtime, spill
 from gmine.explore import partition_by_weight
 from gmine.spill import (BudgetTooSmallError, CorruptPartError, PartWriter,
                          _Window, part_name, plan_spill, read_part, replay_top,
@@ -39,53 +42,146 @@ NEXT_EST = (4000, 800, 4000)
 
 # -- part files ---------------------------------------------------------------
 
+def make_part(level, ps, vert, off):
+    """A part holding vert and off, whose first parent is ps, sized as
+    PartWriter sizes its parts."""
+    return PartInfo(None, level, ps, ps + len(off) - 1, int(off[0]), int(off[-1]),
+                    spill._HEADER.size + vert.nbytes + off.nbytes + 8, vert, off)
+
+
 def test_part_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     vert = rng.integers(0, 1000, 257).astype(np.int32)
-    off = np.sort(rng.integers(0, 257, 40)).astype(np.int64)
+    off = np.concatenate(([0], np.sort(rng.integers(0, 257, 38)), [257])) + 100
+    part = make_part(5, 7, vert, off)
     p = str(tmp_path / "x.cse")
-    n = write_part(p, 5, 4, vert, off)
-    assert n == os.path.getsize(p)
-    rv, ro, lv = read_part(p, np.int32)
-    assert lv == 5
+    n = write_part(p, part, 2)
+    assert n == os.path.getsize(p) == part.nbytes
+    rv, ro = read_part(p, np.int32, part, 2)
     assert rv.tolist() == vert.tolist() and rv.dtype == np.int32
     assert ro.tolist() == off.tolist() and ro.dtype == np.int64
+
+
+def test_part_names_its_place(tmp_path):
+    # a valid file read for another part: each field of its place is checked
+    vert = np.arange(50, dtype=np.int32)
+    off = np.array([10, 30, 60], dtype=np.int64)
+    part = make_part(3, 4, vert, off)
+    p = str(tmp_path / "x.cse")
+    write_part(p, part, 1)
+    for other, index, dtype, msg in (
+            (replace(part, level=4), 1, np.int32, "level 3, expected 4"),
+            (part, 2, np.int32, "part 1, expected 2"),
+            (replace(part, ps=5, pe=7), 1, np.int32, r"parents \[4, 6\) and children "
+             r"\[10, 60\), expected \[5, 7\) and \[10, 60\)"),
+            (replace(part, vs=11), 1, np.int32, r"parents \[4, 6\) and children "
+             r"\[10, 60\), expected \[4, 6\) and \[11, 60\)"),
+            (part, 1, np.int64, "4-byte ids, expected 8"),
+            (replace(part, nbytes=part.nbytes + 8), 1, np.int32,
+             "%d bytes, expected %d" % (part.nbytes, part.nbytes + 8))):
+        with pytest.raises(CorruptPartError, match=re.escape(p) + ": " + msg):
+            read_part(p, dtype, other, index)
+    assert read_part(p, np.int32, part, 1)[0].tolist() == vert.tolist()
 
 
 def test_part_corruption_detected(tmp_path):
     vert = np.arange(50, dtype=np.int32)
     off = np.array([0, 20, 50], dtype=np.int64)
+    part = make_part(2, 0, vert, off)
     p = str(tmp_path / "x.cse")
-    write_part(p, 2, 4, vert, off)
+    write_part(p, part, 0)
     data = bytearray(open(p, "rb").read())
-    flipped = bytes(data[:30]) + bytes([data[30] ^ 0xFF]) + bytes(data[31:])
+    at = spill._HEADER.size + 30  # a byte of the ids
+    flipped = bytes(data[:at]) + bytes([data[at] ^ 0xFF]) + bytes(data[at + 1:])
     open(p, "wb").write(flipped)
     with pytest.raises(CorruptPartError, match="checksum"):
-        read_part(p, np.int32)
+        read_part(p, np.int32, part, 0)
+    at = spill._HEADER.size - 1  # the last header field, the child range's end
+    open(p, "wb").write(bytes(data[:at]) + bytes([data[at] ^ 0x01]) + bytes(data[at + 1:]))
+    with pytest.raises(CorruptPartError, match="size"):
+        read_part(p, np.int32, part, 0)
     open(p, "wb").write(bytes(data[:-12]))
     with pytest.raises(CorruptPartError, match="size|truncated"):
-        read_part(p, np.int32)
+        read_part(p, np.int32, part, 0)
     open(p, "wb").write(b"NOPE" + bytes(data[4:]))
     with pytest.raises(CorruptPartError, match="magic"):
-        read_part(p, np.int32)
+        read_part(p, np.int32, part, 0)
     open(p, "wb").write(b"")
     with pytest.raises(CorruptPartError, match="truncated"):
-        read_part(p, np.int32)
+        read_part(p, np.int32, part, 0)
 
 
 def test_part_swapped_ids_detected(tmp_path):
     # a byte sum cannot see two ids trading places; the checksum must
     vert = np.array([5, 9, 2, 7], dtype=np.int32)
     off = np.array([0, 2, 4], dtype=np.int64)
+    part = make_part(3, 0, vert, off)
     p = str(tmp_path / "x.cse")
-    write_part(p, 3, 4, vert, off)
-    write_part(str(tmp_path / "y.cse"), 3, 4, vert[[1, 0, 2, 3]], off)
+    write_part(p, part, 0)
+    write_part(str(tmp_path / "y.cse"), replace(part, vert=vert[[1, 0, 2, 3]]), 0)
     swapped = bytearray(open(str(tmp_path / "y.cse"), "rb").read())
     good = open(p, "rb").read()
     swapped[-8:] = good[-8:]  # keep the original part's checksum
     open(p, "wb").write(bytes(swapped))
     with pytest.raises(CorruptPartError, match="checksum"):
-        read_part(p, np.int32)
+        read_part(p, np.int32, part, 0)
+
+
+def misplace(fault, path, index):
+    """Put a valid part file in the wrong place once level 4's part
+    index 2 was written to path: its neighbour's file copied over it,
+    the files of parts 0 and 1 swapped, or the file of level 3's part
+    2 copied over it."""
+    d = os.path.dirname(path)
+    if fault == "copied":
+        shutil.copyfile(os.path.join(d, part_name(4, 1)), path)
+    elif fault == "swapped":
+        p0, p1 = (os.path.join(d, part_name(4, i)) for i in (0, 1))
+        os.replace(p0, path + ".tmp")
+        os.replace(p1, p0)
+        os.replace(path + ".tmp", p1)
+    else:
+        shutil.copyfile(os.path.join(d, part_name(3, index)), path)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fault, name, message", [
+    ("copied", part_name(4, 2), "part 1, expected 2"),
+    ("swapped", part_name(4, 0), "part 1, expected 0"),
+    ("other level", part_name(4, 2), "level 3, expected 4")])
+def test_misplaced_part_file_raises(tmp_path, monkeypatch, workers, fault, name,
+                                    message):
+    # without the place in the header, a copied part gave a wrong census
+    # and swapped parts an IndexError naming no file
+    monkeypatch.setenv("GMINE_SPILL_DIR", str(tmp_path))
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: 2)
+    g = make_random_graph(2960, 60, 130)
+    want, m = mining.motif_count(g, 5, parts_per_level=4)
+    budget = int(m["peak_resident_estimate"] * 0.5)
+    got, m = mining.motif_count(g, 5, workers=workers, memory_budget=budget,
+                                parts_per_level=4)
+    assert got == want
+    assert m["parts_written"] >= 8  # levels 3 and 4 go to disk
+    real = spill.write_part
+    written = []
+
+    def misplacing_write(path, part, index):
+        n = real(path, part, index)
+        if (part.level, index) == (4, 2):
+            misplace(fault, path, index)
+            written.append(path)
+        return n
+
+    monkeypatch.setattr(spill, "write_part", misplacing_write)
+    before = threading.active_count()
+    with pytest.raises(CorruptPartError) as err:
+        mining.motif_count(g, 5, workers=workers, memory_budget=budget,
+                           parts_per_level=4)
+    assert written
+    assert str(err.value).endswith("%s: %s" % (name, message))
+    assert os.path.isabs(str(err.value).split(": ")[0])
+    assert threading.active_count() == before
+    assert os.listdir(str(tmp_path)) == []
 
 
 # -- planning -------------------------------------------------------------------
@@ -179,7 +275,7 @@ def test_spill_refuses_identity(demo_graph, tmp_path):
 def rebuild_from_parts(parts, id_dtype):
     verts, offs = [], []
     for i, p in enumerate(parts):
-        v, o, _ = read_part(p.path, id_dtype)
+        v, o = read_part(p.path, id_dtype, p, i)
         assert (p.vs, p.ve) == (int(o[0]), int(o[-1]))
         assert len(o) == p.pe - p.ps + 1
         assert len(v) == p.ve - p.vs
@@ -229,9 +325,9 @@ def test_partwriter_rechunking_is_invisible(tmp_path):
         parts = w.close()
         assert m == {}
         assert [p.nbytes for p in parts] == [len(b) for b in blobs["whole"]]
-        for p, blob in zip(parts, blobs["whole"]):
+        for i, (p, blob) in enumerate(zip(parts, blobs["whole"])):
             path = str(tmp_path / "mem.cse")
-            write_part(path, 4, 4, p.vert, p.off)
+            write_part(path, p, i)
             assert p.path is None and open(path, "rb").read() == blob
         assert [np.shares_memory(p.vert, vert) for p in parts] == [name == "aligned"] * 3
 
@@ -371,9 +467,9 @@ def test_window_loads_one_part_at_a_time(tmp_path, monkeypatch):
     loaded = []
     real = spill.read_part
 
-    def spy(path, id_dtype):
+    def spy(path, id_dtype, part, index):
         loaded.append(path)
-        return real(path, id_dtype)
+        return real(path, id_dtype, part, index)
 
     monkeypatch.setattr(spill, "read_part", spy)
     m = {}
@@ -397,14 +493,14 @@ def test_window_rejects_level_mismatch(tmp_path):
     spill_existing_level(s.level(3), str(tmp_path), {})
     p0, p1 = s.level(3).parts[:2]
     good = open(p1.path, "rb").read()
-    v, o, _ = read_part(p1.path, np.int32)
-    write_part(p1.path, 9, 4, v, o)
+    v, o = read_part(p1.path, np.int32, p1, 1)
+    write_part(p1.path, replace(p1, level=9, vert=v, off=o), 1)
     w = _Window(s.level(3), np.int32, {})
     with pytest.raises(CorruptPartError, match="level 9, expected 3"):
         w.slide()
     open(p1.path, "wb").write(good)
-    v, o, _ = read_part(p0.path, np.int32)
-    write_part(p0.path, 9, 4, v, o)
+    v, o = read_part(p0.path, np.int32, p0, 0)
+    write_part(p0.path, replace(p0, level=9, vert=v, off=o), 0)
     with pytest.raises(CorruptPartError, match="level 9, expected 3"):
         _Window(s.level(3), np.int32, {})
 
