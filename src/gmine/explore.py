@@ -47,7 +47,9 @@ from .store import level_columns
 # on 2 with 2^13 entries, 0.36-0.53 and 0.27-0.35 s with 2^14. At 2^15
 # one thread took 45% longer on the motif4 benchmark input. Against
 # 2^13, 2^14 raises peak_rss_mb by 0.7 MiB on motif4-spill and by
-# 0.9 MiB on clique4-powerlaw (41.2 and 41.3 MiB).
+# 0.9 MiB on clique4-powerlaw (41.2 and 41.3 MiB). A block's gather chunks
+# are cut by partition_by_weight into ceil(volume / GATHER) parts, so a
+# chunk can exceed GATHER by one parent's volume.
 BLOCK = 1 << 13
 GATHER = 1 << 14
 
@@ -68,11 +70,6 @@ def pred32(volumes):
     return volumes.astype(np.int32)
 
 
-def edge_seed_preds(g):
-    """Each edge's gather volume, the sum of its endpoints' degrees."""
-    return pred32(g.degrees[g.edge_u] + g.degrees[g.edge_v])
-
-
 # -- weight-balanced range partition ------------------------------------
 
 def partition_by_weight(weights, t):
@@ -87,6 +84,10 @@ def partition_by_weight(weights, t):
     """
     w = np.asarray(weights)
     n = len(w)
+    if n and w.strides == (0,) and w[0] > 0:
+        # equal weights, as np.broadcast_to gives them: the prefix is the
+        # index times the weight, so cut j is j * n / t rounded up
+        return -(-np.arange(t + 1, dtype=np.int64) * n // t)
     prefix = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(w, dtype=np.int64, out=prefix[1:])
     total = int(prefix[-1])
@@ -94,18 +95,6 @@ def partition_by_weight(weights, t):
                            side="left").astype(np.int64)
     cuts[-1] = n  # zero-weight tails still belong to the last part
     return cuts
-
-
-def chunks(weights, cap):
-    """Yield consecutive ranges [a, b) of 0..n whose weights total at
-    most cap; an item heavier than cap forms a range alone."""
-    cum = np.cumsum(weights)
-    a = 0
-    while a < len(cum):
-        b = max(a + 1, int(np.searchsorted(cum, (cum[a - 1] if a else 0) + cap,
-                                           side="right")))
-        yield a, b
-        a = b
 
 
 # -- array helpers --------------------------------------------------------
@@ -136,6 +125,12 @@ def _sources(ids, ends):
     """The CSR rows whose slices ids touch: a vertex its own row, an edge
     its first endpoints' rows stacked over its second endpoints'."""
     return np.atleast_2d(ids) if ends is None else np.vstack((ends[0][ids], ends[1][ids]))
+
+
+def seed_preds(csr, ends, n):
+    """Level 1's predictions over ids 0..n-1: each id's gather volume,
+    the summed list lengths of its (distinct) sources."""
+    return pred32(np.diff(csr[0])[_sources(np.arange(n), ends)].sum(axis=0))
 
 
 # -- range expansion ---------------------------------------------------
@@ -229,7 +224,12 @@ def expand_vertex_range(task, ctx):
             # every pair and took 15% longer per fsm3-labeled explore
             for r, q in zip(*np.nonzero(attach > attach.T)):
                 lens[r][src[r] == src[q]] = 0
-        for s0, s1 in chunks(lens.sum(axis=0), GATHER):
+        vol = lens.sum(axis=0)
+        t = max(1, -(-int(vol.sum()) // GATHER))
+        cuts = partition_by_weight(vol, t).tolist()
+        for s0, s1 in zip(cuts, cuts[1:]):
+            if s0 == s1:
+                continue
             emb = cols[:, s0:s1]
             p = s1 - s0
             if clique:

@@ -23,8 +23,8 @@ from functools import partial
 
 import numpy as np
 
-from .explore import (CLIQUE, edge_seed_preds, expand_vertex_range, in_sorted,
-                      partition_by_weight, pred32, run_heads)
+from .explore import (CLIQUE, expand_vertex_range, in_sorted, partition_by_weight,
+                      run_heads, seed_preds)
 from .explore import expand_edge_range  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 3)
 from .fingerprint import MAX_K, PAIR_BIT, PatternHasher
 from .spill import PartWriter, plan_spill, replay_top, spill_existing_level
@@ -274,17 +274,16 @@ def mni_edge_range(task, ctx):
     """
     lo, hi = task
     slices = ctx["slices"]
-    g = ctx["graph"]
+    eu, ev = ctx["ends"]
     cap = ctx["cap"]
-    n = g.num_vertices
+    n = len(ctx["label_ranks"])
     table = _RawKeyTable(ctx["hasher"], len(slices) + 1, ctx["label_values"])
     ids = np.zeros(hi - lo, dtype=np.int64) if ctx.get("want_ids") else None
     pending = [np.zeros(0, dtype=np.int32)]  # the merged codes, then chunks waiting
     queued = 0
     for a in range(lo, hi, MNI_CHUNK):
         b = min(a + MNI_CHUNK, hi)
-        verts, rows = _edge_rows(level_columns(slices, a, b), g.edge_u, g.edge_v,
-                                 ctx["label_ranks"])
+        verts, rows = _edge_rows(level_columns(slices, a, b), eu, ev, ctx["label_ranks"])
         pid, groups = table.lookup(rows)
         if ids is not None:
             ids[a - lo:b - lo] = pid
@@ -371,27 +370,26 @@ class Session:
 
     def seed_vertices(self, dag=False):
         """Seed level 1 as the identity over the vertices, or with dag
-        over the ranks of Graph.rank_dag, each predicting its gather
-        volume, its row length, and expand every level over that CSR;
-        keys are its sorted row * n + id keys."""
+        over the ranks of Graph.rank_dag, and expand every level over
+        that CSR; keys are its sorted row * n + id keys."""
         g = self.g
         csr, keys = ((g.rank_dag, g.rank_dag_keys) if dag
                      else ((g.offsets, g.neighbor_ids), g.edge_keys))
-        self._seed(pred32(np.diff(csr[0])), csr=csr, keys=keys, ends=None,
-                   num_ids=g.num_vertices)
+        self._seed(csr=csr, keys=keys, ends=None, num_ids=g.num_vertices)
 
     def seed_edges(self):
         g = self.g
         values, ranks = np.unique(g.labels, return_inverse=True)
-        self._seed(edge_seed_preds(g), graph=g, csr=g.incident_csr,
-                   ends=(g.edge_u, g.edge_v), num_ids=g.num_edges,
+        self._seed(csr=g.incident_csr, ends=(g.edge_u, g.edge_v), num_ids=g.num_edges,
                    label_values=values, label_ranks=ranks)
 
-    def _seed(self, pred, **base):
-        """Seed level 1 as the identity with predictions pred, and set
-        the base context to base plus the hasher and the id dtype."""
+    def _seed(self, **base):
+        """Seed level 1 as the identity over base's ids, each predicting
+        its gather volume, and set the base context to base plus the
+        hasher and the id dtype."""
         self.ctx = dict(base, hasher=self.hasher, id_dtype=self.cse.id_dtype)
-        self.cse.seed_identity(len(pred), pred=pred)
+        n = base["num_ids"]
+        self.cse.seed_identity(n, pred=seed_preds(base["csr"], base["ends"], n))
         self._note_level()
 
     def _note_level(self):
@@ -451,6 +449,10 @@ class Session:
     def explore(self, flt=None, alive=None, want_pred=True):
         """Grow the store by one level, spilling per the plan.
 
+        The parents' predictions cut the level into parts, and the
+        replay ends its steps at those cuts too, so each part is the
+        join of the kernel's pieces inside it.
+
         flt keeps a candidate id c only where the boolean id mask flt[c]
         is true, or, as explore.CLIQUE, only where c is in every member's
         list of the session's CSR and above its largest member (a CLIQUE
@@ -464,21 +466,21 @@ class Session:
         est = self._next_estimate(alive, want_pred)
         spill_next = self.plan(est)
         pred_chunks = [np.zeros(0, np.int32)]
-        cuts = partition_by_weight(top.pred, self.parts_per_level)
+        cuts = partition_by_weight(top.pred, self.parts_per_level).tolist()
         writer = PartWriter(self.spill_dir if spill_next else None, top.index + 1,
-                            cse.id_dtype, cuts, self.metrics)
+                            cuts, self.metrics)
 
         def consume(lo, hi, res):
             vert, counts, pred = res
             pred_chunks.append(pred)
-            writer.feed(vert, counts)
+            writer.feed(lo, hi, vert, counts)
 
         # the phase context is never named, so it goes when the replay ends
         replay_top(cse, self.workers, expand_vertex_range,
                    dict(self.ctx, filter=flt, alive=alive, want_pred=want_pred,
                         pred=top.pred),
-                   consume, self.metrics)
-        cse.append_level(writer.close(),
+                   consume, self.metrics, cuts[1:-1])
+        cse.append_level(writer.parts,
                          np.concatenate(pred_chunks) if want_pred else None)
         top.pred = None  # only the newest level needs its predictions
         bound = est[0] // cse.id_dtype.itemsize

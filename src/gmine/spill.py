@@ -13,12 +13,15 @@ number, the lowest level on disk; levels 1 (the identity) and 2 always
 stay resident. Replay walks the top level part by part; every lower
 level keeps a sliding window of one part, which is enough because
 ancestor offsets grow monotonically with the top offset, and only a
-window over a spilled level reads a file. Steps over parts in memory
-are mapped together; a map ends only where a window is about to read
-a file. Parts are written and loaded in the calling thread: an I/O
-error surfaces where it happened, and no thread outlives a call.
+window over a spilled level reads a file. A step ends at every level's
+part boundary, the level being built included, so a part of the new
+level is the join of the pieces its steps produce. Steps over parts in
+memory are mapped together; a map ends only where a window is about to
+read a file. Parts are written and loaded in the calling thread: an
+I/O error surfaces where it happened, and no thread outlives a call.
 """
 
+import bisect
 import os
 import struct
 import zlib
@@ -169,73 +172,49 @@ def _write_out(part, spill_dir, index, metrics):
 class PartWriter:
     """Builds one level as parts cut at precomputed parent cuts.
 
-    feed() is called with (vert, counts) chunks in parent order; chunks
-    are re-sliced at the part cuts, so the parts depend only on the
-    cuts, not on how the chunks were produced. A part that one whole
-    chunk covers holds that chunk, not a copy; any other part is copied
-    together, so it never holds a neighbour's bytes. With a spill_dir,
-    each part is written in the caller as soon as its last parent
-    arrives, and only its file keeps it; without one, parts stay in
-    memory.
+    The replay ends every step at these cuts, so each piece fed lies
+    inside one part. A part is the join of its pieces: one piece's
+    kernel array is kept as it is, and more are concatenated into a
+    fresh one. With a spill_dir, each part is written in the caller as
+    soon as its last piece arrives, and only its file keeps it; without
+    one, parts stay in memory.
     """
 
-    def __init__(self, spill_dir, level_index, id_dtype, parent_cuts, metrics):
+    def __init__(self, spill_dir, level_index, parent_cuts, metrics):
         self.dir = spill_dir
         self.level = level_index
-        self.id_dtype = np.dtype(id_dtype)
         self.cuts = [int(c) for c in parent_cuts]
         self.metrics = metrics
         self.parts = []
-        self._cur = 0          # current cut interval
-        self._parent = 0       # next global parent index expected
-        self._child = 0        # next global child offset
-        self._vert = []        # the current part's id and count chunks
-        self._counts = []
-        self._whole = False    # its last id piece is its chunk's whole array
+        self._pieces = []  # (vert, counts) of the part being built
 
-    def _flush(self):
-        vert = (self._vert[0] if len(self._vert) == 1 and self._whole
-                else np.concatenate(self._vert or [np.zeros(0, self.id_dtype)]))
-        counts = np.concatenate(self._counts or [np.zeros(0, np.int64)])
+    def feed(self, lo, hi, vert, counts):
+        """Take the piece of parents [lo, hi), given in parent order;
+        join its part when hi is the part's end."""
+        j = bisect.bisect_right(self.cuts, lo)
+        ps, pe = self.cuts[j - 1], self.cuts[j]
+        if hi > pe:
+            raise AssertionError("piece of parents [%d, %d) crosses the part cut at %d"
+                                 % (lo, hi, pe))
+        self._pieces.append((vert, counts))
+        if hi < pe:
+            return
+        verts, counts = zip(*self._pieces)
+        self._pieces = []
+        vert = verts[0] if len(verts) == 1 else np.concatenate(verts)
+        counts = np.concatenate(counts)
+        if len(counts) != pe - ps:
+            raise AssertionError("pieces of part parents [%d, %d) cover %d parents"
+                                 % (ps, pe, len(counts)))
+        vs = self.parts[-1].ve if self.parts else 0
         off = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=off[1:])
-        off += self._child - off[-1]  # the part's children end at _child
-        ps = self.cuts[self._cur]
-        pe = self._parent
-        if len(vert) or pe > ps:
-            vert = vert.astype(self.id_dtype, copy=False)
-            p = PartInfo(None, self.level, ps, pe, int(off[0]), self._child,
-                         _HEADER.size + vert.nbytes + off.nbytes + 8, vert, off)
-            if self.dir is not None:
-                _write_out(p, self.dir, len(self.parts), self.metrics)
-            self.parts.append(p)
-        self._vert = []
-        self._counts = []
-
-    def feed(self, vert, counts):
-        """Append one ordered chunk covering the next len(counts) parents."""
-        pos = 0  # consumed parents of this chunk
-        vpos = 0
-        while pos < len(counts):
-            end_cut = self.cuts[self._cur + 1]
-            take = min(len(counts) - pos, end_cut - self._parent)
-            if take > 0:
-                self._counts.append(counts[pos:pos + take])
-                vtake = int(self._counts[-1].sum())
-                self._vert.append(vert[vpos:vpos + vtake])
-                self._whole = vtake == len(vert)
-                self._parent += take
-                self._child += vtake
-                pos += take
-                vpos += vtake
-            if self._parent == end_cut and self._cur + 1 < len(self.cuts) - 1:
-                self._flush()
-                self._cur += 1
-
-    def close(self):
-        """Flush the tail part; returns all parts in order."""
-        self._flush()
-        return self.parts
+        off += vs
+        p = PartInfo(None, self.level, ps, pe, vs, vs + len(vert),
+                     _HEADER.size + vert.nbytes + off.nbytes + 8, vert, off)
+        if self.dir is not None:
+            _write_out(p, self.dir, len(self.parts), self.metrics)
+        self.parts.append(p)
 
 
 def spill_existing_level(level, spill_dir, metrics):
@@ -326,13 +305,16 @@ def _map_steps(steps, pred, workers, fn, ctx, consume):
     steps.clear()
 
 
-def replay_top(cse, workers, fn, ctx, consume, metrics):
+def replay_top(cse, workers, fn, ctx, consume, metrics, cuts=()):
     """Run fn over every top-level offset of the store, in order.
 
     The one range driver for resident and spilled levels alike: every
     level has a window, and a step covers the top offsets that every
     window's current part covers. The identity level 1 is one part that
-    never slides. Steps are gathered and mapped together until a slide
+    never slides. The level being built is one more window: cuts are
+    its interior part cuts, top offsets at which every step ends too, so
+    every piece lies inside one part of every level, the new one
+    included. Steps are gathered and mapped together until a slide
     would read a file, so parts held in memory add no map of their own
     and a window still holds at most two part files. fn is a range
     function fn(task, ctx); the map passes it the phase context ctx
@@ -345,6 +327,7 @@ def replay_top(cse, workers, fn, ctx, consume, metrics):
         raise AssertionError("spilled levels must form a suffix")
     chain = [_Window(l, cse.id_dtype, metrics) for l in cse.levels]
     tw = chain[-1]
+    ends = list(cuts) + [top.count]  # a step ends at the first above its start
     steps = []  # (lo, hi, slices) not yet mapped
 
     def slide(w):
@@ -361,6 +344,7 @@ def replay_top(cse, workers, fn, ctx, consume, metrics):
             if hi <= cur:
                 slide(binder)
                 continue
+            hi = min(hi, ends[bisect.bisect_right(ends, cur)])
             steps.append((cur, hi, [w.main for w in chain]))
             cur = hi
         if tw.idx + 1 >= len(tw.parts):

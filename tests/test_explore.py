@@ -1,11 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gmine import explore
-from gmine.explore import CLIQUE, edge_seed_preds, partition_by_weight
+from gmine.explore import CLIQUE, partition_by_weight
 from gmine.graph import Graph
 from gmine.mining import Session
 from gmine.spill import read_part
@@ -228,8 +229,10 @@ def test_seed_preds(demo_graph):
         s.seed_vertices()
         assert s.cse.top.pred.tolist() == [gather_volume(demo_graph, [v])
                                            for v in range(demo_graph.num_vertices)]
-    assert edge_seed_preds(demo_graph).tolist() == [
-        gather_volume_edges(demo_graph, [e]) for e in range(demo_graph.num_edges)]
+    with Session(demo_graph) as s:
+        s.seed_edges()
+        assert s.cse.top.pred.tolist() == [
+            gather_volume_edges(demo_graph, [e]) for e in range(demo_graph.num_edges)]
 
 
 def test_explore_checks_its_level_against_the_charged_bound(demo_graph):
@@ -259,8 +262,8 @@ def test_predictions_raise_before_they_overflow_int32(demo_graph, monkeypatch):
         s.seed_vertices()
         with pytest.raises(OverflowError, match="does not fit an int32"):
             s.explore()
-    with pytest.raises(OverflowError):
-        edge_seed_preds(demo_graph)
+    with Session(demo_graph) as s, pytest.raises(OverflowError):
+        s.seed_edges()
 
 
 # -- partitioning ----------------------------------------------------------------
@@ -293,6 +296,24 @@ def test_partition_zero_and_empty():
     cuts = partition_by_weight([0, 0, 0], 2)
     assert cuts[-1] == 3  # zero-weight tail still assigned
     assert partition_by_weight(np.ones(10, np.int64), 3).tolist() == [0, 4, 7, 10]
+
+
+def test_partition_of_equal_weights_builds_no_prefix():
+    # a zero-stride input is cut by index, as its prefix would cut it,
+    # without an n-long array
+    for n in range(12):
+        for t in (1, 2, 3, 8):
+            for w in (0, 1, 5):
+                assert (partition_by_weight(np.broadcast_to(w, n), t).tolist()
+                        == partition_by_weight(np.full(n, w), t).tolist())
+    assert partition_by_weight(np.broadcast_to(1, 10), 3).tolist() == [0, 4, 7, 10]
+    tracemalloc.start()
+    try:
+        partition_by_weight(np.broadcast_to(1, 1 << 20), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def level_arrays(lvl):

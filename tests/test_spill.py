@@ -12,6 +12,7 @@ import pytest
 
 from gmine import mining, runtime, spill
 from gmine.explore import partition_by_weight
+from gmine.graph import Graph
 from gmine.spill import (BudgetTooSmallError, CorruptPartError, PartWriter,
                          _Window, part_name, plan_spill, read_part, replay_top,
                          spill_existing_level, window_bytes, write_part)
@@ -284,58 +285,84 @@ def rebuild_from_parts(parts, id_dtype):
     return np.concatenate(verts), np.concatenate(offs)
 
 
-def test_partwriter_rechunking_is_invisible(tmp_path):
-    rng = np.random.default_rng(11)
-    counts = rng.integers(0, 6, 40).astype(np.int64)
-    vert = rng.integers(0, 99, int(counts.sum())).astype(np.int32)
-    cuts = [0, 7, 7, 19, 40]
-    feeds = {
-        "whole": [(0, 40)],
-        "single": [(i, i + 1) for i in range(40)],
-        "ragged": [(0, 3), (3, 7), (7, 26), (26, 40)],
-        "aligned": [(0, 7), (7, 19), (19, 40)],
-    }
-    blobs = {}
-    for name, ranges in feeds.items():
-        d = str(tmp_path / name)
-        os.mkdir(d)
-        m = {}
-        w = PartWriter(d, 4, np.int32, cuts, m)
-        csum = np.zeros(41, dtype=np.int64)
-        np.cumsum(counts, out=csum[1:])
-        for a, b in ranges:
-            w.feed(vert[csum[a]:csum[b]], counts[a:b])
-        parts = w.close()
-        rv, ro = rebuild_from_parts(parts, np.int32)
-        assert rv.tolist() == vert.tolist()
-        assert np.array_equal(np.diff(ro), counts)
-        assert m["parts_written"] == len(parts)
-        blobs[name] = [open(p.path, "rb").read() for p in parts]
-    assert blobs["whole"] == blobs["single"] == blobs["ragged"] == blobs["aligned"]
-    # without a directory the same parts stay in memory, sized as their
-    # files. A part that one whole chunk covers holds that chunk, not a
-    # copy; a part cut from a chunk it shares with its neighbours (the
-    # middle part of "whole") is a copy, so it keeps no neighbour's bytes
-    for name, ranges in feeds.items():
-        m = {}
-        w = PartWriter(None, 4, np.int32, cuts, m)
-        csum = np.concatenate(([0], np.cumsum(counts)))
-        for a, b in ranges:
-            w.feed(vert[csum[a]:csum[b]], counts[a:b])
-        parts = w.close()
-        assert m == {}
-        assert [p.nbytes for p in parts] == [len(b) for b in blobs["whole"]]
-        for i, (p, blob) in enumerate(zip(parts, blobs["whole"])):
-            path = str(tmp_path / "mem.cse")
-            write_part(path, p, i)
-            assert p.path is None and open(path, "rb").read() == blob
-        assert [np.shares_memory(p.vert, vert) for p in parts] == [name == "aligned"] * 3
+def test_explored_parts_join_their_pieces(tmp_path, monkeypatch):
+    """The replay ends every step at the new level's part cuts, so a part
+    is the join of the kernel's pieces inside it. Level 4, cut in 4
+    parts, is byte-identical at 1, 2 and 3 workers over lower levels of
+    1, 3 and 8 parts, spilled or resident. A one-piece part holds the
+    kernel's own array, a part of more pieces a fresh one."""
+    g = make_random_graph(2952, 40, 70)
+    with mining.Session(g, parts_per_level=4) as s:
+        s.seed_vertices()
+        for _ in range(3):
+            s.explore()
+    # one byte below the peak, the last explore's, spills the new level 4
+    budget = s.metrics["peak_resident_estimate"] - 1
+    real = mining.expand_vertex_range
+    pieces = []
+
+    def recording_range(task, ctx):
+        res = real(task, ctx)
+        pieces.append((task[0], res[0]))
+        return res
+
+    monkeypatch.setattr(mining, "expand_vertex_range", recording_range)
+    blobs = []
+    joined = set()  # whether a part was one piece, over every run
+    for low in (1, 3, 8):
+        for workers in (1, 2, 3):
+            for spilled in (False, True):
+                d = tmp_path / ("%d_%d_%d" % (low, workers, spilled))
+                d.mkdir()
+                with mining.Session(g, workers=workers, memory_budget=budget * spilled,
+                                    spill_dir=str(d), parts_per_level=low) as s:
+                    s.seed_vertices()
+                    s.explore()
+                    s.explore()
+                    s.parts_per_level = 4
+                    pieces.clear()
+                    s.explore()
+                l4 = s.cse.level(4)
+                assert len(l4.parts) == 4
+                assert l4.residency == ("disk" if spilled else "mem")
+                for i, p in enumerate(l4.parts):
+                    if not spilled:
+                        own = [v for lo, v in pieces if p.ps <= lo < p.pe]
+                        joined.add(len(own) == 1)
+                        if len(own) == 1:
+                            assert p.vert is own[0]
+                        else:
+                            assert not any(np.shares_memory(p.vert, v) for v in own)
+                        write_part(str(d / part_name(4, i)), p, i)
+                blobs.append([(d / part_name(4, i)).read_bytes() for i in range(4)])
+                assert [len(b) for b in blobs[-1]] == [p.nbytes for p in l4.parts]
+    assert joined == {True, False}
+    assert all(b == blobs[0] for b in blobs)
 
 
-def test_partwriter_empty_level(tmp_path):
-    w = PartWriter(str(tmp_path), 3, np.int32, [0, 0, 0], {})
-    w.feed(np.zeros(0, np.int32), np.zeros(0, np.int64))
-    assert w.close() == []
+def test_partwriter_rejects_a_piece_across_a_cut():
+    w = PartWriter(None, 3, [0, 4, 9], {})
+    w.feed(0, 2, np.arange(3, dtype=np.int32), np.array([1, 2], np.int32))
+    with pytest.raises(AssertionError, match=r"parents \[2, 6\) crosses the part cut at 4"):
+        w.feed(2, 6, np.zeros(0, np.int32), np.zeros(4, np.int32))
+
+
+def test_partwriter_empty_level(monkeypatch):
+    # level 3 of a lone edge is empty, so level 4 is cut [0, 0, 0]: the
+    # replay feeds its writer no piece, and the level has no part
+    writers = []
+
+    def recording_writer(*args):
+        writers.append(PartWriter(*args))
+        return writers[-1]
+
+    monkeypatch.setattr(mining, "PartWriter", recording_writer)
+    with mining.Session(Graph.from_edges([(0, 1)]), parts_per_level=2) as s:
+        s.seed_vertices()
+        for _ in range(3):
+            s.explore()
+    assert s.cse.level(3).count == 0
+    assert writers[-1].cuts == [0, 0, 0] and s.cse.level(4).parts == []
 
 
 def test_spill_existing_roundtrip(tmp_path):
