@@ -11,10 +11,9 @@ The edge-induced variant orders edges by their id in the sorted edge
 table and applies the same head/attachment rules to edge ids. One
 array kernel expands both, over whatever CSR the session's context holds.
 Each member id touches ascending candidate lists in it: a vertex its
-own row (its neighbors, or for cliques its out-neighbors in the rank
-DAG, whose ids are ranks), an edge the incident-edge rows of its
-endpoints, each endpoint gathered once per parent, from the lowest
-member that has it. The kernel reads blocks of parents as id columns,
+own row (its neighbors, or its out-neighbors in the rank DAG, whose
+ids are ranks), an edge the incident-edge rows of its endpoints, each
+endpoint gathered once per parent, from the lowest member that has it. The kernel reads blocks of parents as id columns,
 gathers those lists, and sorts one int64 key per gathered entry, the
 bit field parent << sh | id << 3 | attach with sh = bit_length(n - 1)
 + 3 for n ids: the parent's column in its gather chunk, the candidate
@@ -26,18 +25,28 @@ only add later keys to runs its lowest member's entries already head.
 A fold's attach masks, built only when the fold asks for them, are one
 prefix sum of 1 << attach, differenced at the run bounds.
 
-A clique child is adjacent to every member, so it lies in the newest
-member's list: under the CLIQUE filter the kernel gathers that list
-only, keeps the entries above the largest member, and tests them
-against each other member's row by binary search over the CSR's sorted
-row * n + id keys (Chiba and Nishizeki, 1985; Danisch et al., WWW
-2018). No key is built or sorted, and a clique child's prediction is
-the length of its own list.
+Under the CLIQUE filter the store itself holds the candidates (the
+kClist recursion: Chiba and Nishizeki, 1985; Danisch et al., WWW
+2018). A clique P's children are the ids adjacent to and above every
+member of P, ascending, so the children of its child P + c are c's
+later siblings that are adjacent to c. The kernel gathers each top
+embedding's later siblings from its own slice of the top part and
+tests each once, against the newest member's row, by binary search
+over the CSR's sorted row * n + id keys. No key is built or sorted,
+and a clique child's prediction is its number of later kept siblings,
+what the next CLIQUE explore gathers. This holds only over a top that
+a CLIQUE explore built, so the session names that level in its
+context and the kernel refuses any other top. Siblings never leave a
+part: parts are cut at parent boundaries.
+
+A vertex session's level 2 needs no kernel: vertex v's children are
+the entries of its CSR row above v (over the rank DAG, its whole
+out-row), and expand_identity copies them.
 """
 
 import numpy as np
 
-from .store import level_columns
+from .store import level_columns, parent_rows
 
 # Parents read as one block of id columns, and list entries per gather.
 # A key is parent << sh | id << 3 | attach with parent < BLOCK, and the
@@ -55,7 +64,8 @@ GATHER = 1 << 14
 
 # Filter that keeps a vertex candidate only when it is in every member's
 # list and above the largest member: adjacent to every member over the
-# adjacency, and also ranked above every member over the rank DAG.
+# adjacency, and also ranked above every member over the rank DAG. The
+# kernel applies it to the later siblings of a level it built.
 CLIQUE = "clique"
 
 
@@ -135,20 +145,40 @@ def seed_preds(csr, ends, n):
 
 # -- range expansion ---------------------------------------------------
 
-def _clique_children(emb, starts, lens, ids, keys, n):
-    """The kept (parent column, id) pairs of a gather chunk under CLIQUE,
-    in child order: the entries of the newest members' slices [starts,
-    starts + lens) that exceed the largest member and are found in each
-    other member's row, member by member on the survivors. Slices ascend
-    and parents come in column order, so no sort is due."""
-    idx, cp = ragged(starts, lens, np.arange(emb.shape[1]))
-    cv = ids[idx].astype(np.int64)
-    sel = np.flatnonzero(cv > emb.max(axis=0)[cp])
-    cp, cv = cp[sel], cv[sel]
-    for row in emb[:-1]:
-        sel = np.flatnonzero(in_sorted(keys, row[cp].astype(np.int64) * n + cv))
-        cp, cv = cp[sel], cv[sel]
-    return cp, cv
+def expand_identity(task, ctx):
+    """Expand vertices [lo, hi) of a vertex session's identity level 1
+    without the kernel.
+
+    Vertex v's children are the entries of its CSR row above v, kept
+    where the filter (None, a boolean id mask, or CLIQUE, which all of
+    them pass) and alive[v] allow: ascending, canonical, and adjacent
+    to and above v. Returns (vert, counts, preds) as expand_vertex_range
+    does: a prediction is the kernel's rule, the two rows' lengths, or
+    under CLIQUE the number of the child's later kept siblings.
+    """
+    lo, hi = task
+    off, ids = ctx["csr"]
+    flt = ctx.get("filter")
+    alive = ctx.get("alive")
+    deg = np.diff(off)
+    rows = np.repeat(np.arange(lo, hi, dtype=ids.dtype), deg[lo:hi])
+    vert = ids[off[lo]:off[hi]]
+    keep = vert > rows
+    if alive is not None:
+        keep &= alive[rows]
+    if flt is not None and flt is not CLIQUE:
+        keep &= flt[vert]
+    vert = vert[keep].astype(ctx["id_dtype"], copy=False)
+    rows = rows[keep] - lo
+    del keep
+    counts = np.bincount(rows, minlength=hi - lo)
+    if not ctx.get("want_pred", True):
+        return vert, counts, None
+    if flt is CLIQUE:
+        pred = np.cumsum(counts)[rows]  # one past each child's last sibling
+        pred -= np.arange(1, len(vert) + 1)
+        return vert, counts, pred32(pred)
+    return vert, counts, pred32(np.add(deg[rows + lo], deg[vert], dtype=np.int64))
 
 
 def expand_vertex_range(task, ctx):
@@ -162,9 +192,11 @@ def expand_vertex_range(task, ctx):
     of an embedding's distinct sources, each of which it gathers once
     (an endpoint that edge members share, from the lowest of them). A
     child's is its parent's plus those of its sources no member has,
-    with no gather. Under CLIQUE it
-    is the length of the child's own list, the one list a CLIQUE explore
-    gathers, so a CLIQUE level's predictions bound only a CLIQUE
+    with no gather. Under CLIQUE the candidates are each top
+    embedding's later siblings, which only a top that a CLIQUE explore
+    built holds (ctx["clique_level"] names it; any other top raises
+    ValueError), and a child's prediction is its number of later kept
+    siblings, so a CLIQUE level's predictions bound only a CLIQUE
     explore.
 
     With ctx["fold"], no child is stored: each gather chunk calls
@@ -189,6 +221,9 @@ def expand_vertex_range(task, ctx):
     if k > 8:
         raise ValueError("cannot expand %d-member embeddings: attach indices "
                          "pack into 3 bits" % k)
+    if clique and ctx.get("clique_level") != k:
+        raise ValueError("level %d was not built by a CLIQUE explore, so its "
+                         "slices are not clique candidates" % k)
     sh = (n - 1).bit_length() + 3  # key = parent << sh | id << 3 | attach
     if (BLOCK - 1) << sh >= 1 << 63:
         raise OverflowError("%d parents of %d ids overflow an int64 key"
@@ -196,6 +231,7 @@ def expand_vertex_range(task, ctx):
     id_mask = (1 << sh - 3) - 1
     deg = np.diff(off)
     id_dtype = ctx["id_dtype"]
+    tp = slices[-1]
     counts = np.zeros(hi - lo, dtype=np.int32)
     folded = 0
     out_vert = [np.zeros(0, id_dtype)]
@@ -215,16 +251,26 @@ def expand_vertex_range(task, ctx):
         b1 = min(b0 + BLOCK, hi)
         live = np.arange(b1 - b0) if alive is None else np.flatnonzero(alive[b0:b1])
         cols = level_columns(slices, b0, b1)[:, live]
-        # row = source * k + attach; CLIQUE gathers the newest member's only
-        src = cols[-1:] if clique else _sources(cols, ends)
-        lens = deg[src]
-        attach = (np.arange(len(src)) % k)[:, None]
-        if ends is not None:  # each endpoint once, from the lowest member that has it
-            # a row pair per compare: one (2k, 2k, p) broadcast compares
-            # every pair and took 15% longer per fsm3-labeled explore
-            for r, q in zip(*np.nonzero(attach > attach.T)):
-                lens[r][src[r] == src[q]] = 0
-        vol = lens.sum(axis=0)
+        if clique:
+            # offset o's later siblings: tp.vert[o + 1 - vs : end(o) - vs]
+            sib = b0 + 1 - tp.vs + live
+            stop = tp.off[parent_rows(tp, b0, b1)[live] + 1] - tp.vs
+            if len(stop) and stop[-1] > tp.ve - tp.vs:
+                raise AssertionError("a sibling slice at level %d ends at %d, past "
+                                     "its part's end %d"
+                                     % (k, stop[-1] + tp.vs, tp.ve))
+            vol = lens = stop - sib
+        else:
+            # row = source * k + attach
+            src = _sources(cols, ends)
+            lens = deg[src]
+            attach = (np.arange(len(src)) % k)[:, None]
+            if ends is not None:  # each endpoint once, from the lowest member that has it
+                # a row pair per compare: one (2k, 2k, p) broadcast compares
+                # every pair and took 15% longer per fsm3-labeled explore
+                for r, q in zip(*np.nonzero(attach > attach.T)):
+                    lens[r][src[r] == src[q]] = 0
+            vol = lens.sum(axis=0)
         t = max(1, -(-int(vol.sum()) // GATHER))
         cuts = partition_by_weight(vol, t).tolist()
         for s0, s1 in zip(cuts, cuts[1:]):
@@ -233,8 +279,10 @@ def expand_vertex_range(task, ctx):
             emb = cols[:, s0:s1]
             p = s1 - s0
             if clique:
-                cp, cv = _clique_children(emb, off[src[0, s0:s1]], lens[0, s0:s1],
-                                          ids, ctx["keys"], n)
+                idx, cp = ragged(sib[s0:s1], lens[s0:s1], np.arange(p))
+                cv = tp.vert[idx].astype(np.int64)
+                sel = np.flatnonzero(in_sorted(ctx["keys"], emb[-1][cp] * n + cv))
+                cp, cv = cp[sel], cv[sel]
             else:
                 base = (np.arange(p, dtype=np.int64) << sh) | attach
                 idx, keys = ragged(off[src[:, s0:s1]].ravel(), lens[:, s0:s1].ravel(),
@@ -262,10 +310,12 @@ def expand_vertex_range(task, ctx):
                 fold(emb, cp, cv, masks)
                 folded += len(cv)
                 continue
-            counts[b0 - lo + live[s0:s1]] = np.bincount(cp, minlength=p)
+            born = np.bincount(cp, minlength=p)
+            counts[b0 - lo + live[s0:s1]] = born
             out_vert.append(cv.astype(id_dtype))
             if want_pred and clique:
-                out_pred.append(pred32(deg[cv]))
+                # a parent's children are one run of cp, in order
+                out_pred.append(pred32(np.cumsum(born)[cp] - np.arange(1, len(cp) + 1)))
             elif want_pred:
                 csrc = _sources(cv, ends)
                 new = ~(src[:, s0:s1][:, cp] == csrc[:, None]).any(axis=1)

@@ -23,8 +23,8 @@ from functools import partial
 
 import numpy as np
 
-from .explore import (CLIQUE, expand_vertex_range, in_sorted, partition_by_weight,
-                      run_heads, seed_preds)
+from .explore import (CLIQUE, expand_identity, expand_vertex_range, in_sorted,
+                      partition_by_weight, run_heads, seed_preds)
 from .explore import expand_edge_range  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 3)
 from .fingerprint import MAX_K, PAIR_BIT, PatternHasher
 from .spill import PartWriter, plan_spill, replay_top, spill_existing_level
@@ -335,7 +335,9 @@ class Session:
     Seeding sets ctx, the base context that every phase passes its
     range functions: the CSR the kernel expands over, in vertex mode
     with its sorted row * n + id keys, the id count, the edge ends and
-    label ranks in edge mode, the hasher and the id dtype. A phase
+    label ranks in edge mode, the hasher and the id dtype. Each explore
+    sets clique_level to the new top's index when it was a CLIQUE
+    explore, and to None otherwise. A phase
     passes a copy extended with its own inputs, which goes when the
     phase ends, so sessions that overlap in one process share nothing.
     """
@@ -451,14 +453,17 @@ class Session:
 
         The parents' predictions cut the level into parts, and the
         replay ends its steps at those cuts too, so each part is the
-        join of the kernel's pieces inside it.
+        join of the kernel's pieces inside it. A vertex session's level
+        2 is copied from its CSR by expand_identity, a part at a time,
+        and no kernel runs.
 
         flt keeps a candidate id c only where the boolean id mask flt[c]
         is true, or, as explore.CLIQUE, only where c is in every member's
-        list of the session's CSR and above its largest member (a CLIQUE
-        level predicts only its newest members' lists, so explore it with
-        CLIQUE again); alive keeps a top-level parent only where
-        alive[parent].
+        list of the session's CSR and above its largest member. A CLIQUE
+        explore reads a clique's candidates from its later siblings, so
+        it needs a top that a CLIQUE explore built (or a vertex
+        session's level 1) and raises ValueError on any other; alive
+        keeps a top-level parent only where alive[parent].
         """
         t0 = time.perf_counter()
         cse = self.cse
@@ -475,14 +480,20 @@ class Session:
             pred_chunks.append(pred)
             writer.feed(lo, hi, vert, counts)
 
-        # the phase context is never named, so it goes when the replay ends
-        replay_top(cse, self.workers, expand_vertex_range,
-                   dict(self.ctx, filter=flt, alive=alive, want_pred=want_pred,
-                        pred=top.pred),
-                   consume, self.metrics, cuts[1:-1])
+        # the phase context, deleted when the phase ends
+        ctx = dict(self.ctx, filter=flt, alive=alive, want_pred=want_pred, pred=top.pred)
+        if top.index == 1 and self.ctx["ends"] is None:
+            for ps, pe in zip(cuts, cuts[1:]):  # no map: a copy per part
+                if ps < pe:
+                    consume(ps, pe, expand_identity((ps, pe), ctx))
+        else:
+            replay_top(cse, self.workers, expand_vertex_range, ctx, consume,
+                       self.metrics, cuts[1:-1])
+        del ctx
         cse.append_level(writer.parts,
                          np.concatenate(pred_chunks) if want_pred else None)
         top.pred = None  # only the newest level needs its predictions
+        self.ctx["clique_level"] = cse.top.index if flt is CLIQUE else None
         bound = est[0] // cse.id_dtype.itemsize
         if cse.top.count > bound:
             raise AssertionError("level %d holds %d embeddings, more than the %d its "
@@ -546,13 +557,13 @@ def clique_discovery(g, k, workers=1, memory_budget=0, spill_dir=None,
     """Count k-cliques, 3 <= k <= 8, over the graph's rank DAG.
 
     Level 1 holds the ranks of Graph.rank_dag and every level expands
-    over its out-lists with the CLIQUE filter. A clique's children are
-    the entries of its newest (highest) member's out-list that every
-    other member's out-list holds, found by binary search over the
+    over its out-lists with the CLIQUE filter. Level 2 is the DAG's
+    out-lists, copied. A clique's children are its later siblings that
+    the newest member's out-list holds, found by binary search over the
     DAG's sorted keys: each is adjacent to and ranked above every
     member, so level j holds each j-clique once, as its ascending rank
-    sequence. A clique's prediction is its newest member's out-degree,
-    the one list its expansion gathers. Level k is folded into
+    sequence. A clique's prediction is its number of later siblings,
+    the one slice its expansion gathers. Level k is folded into
     count_cliques_range, never stored; its metrics keep its count and
     report 0 bytes.
     """

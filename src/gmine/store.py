@@ -152,14 +152,26 @@ class EmbeddingStore:
     append_spilled = append_level  # perfbench/tracer.py wraps it (ROADMAP item 3)
 
 
+def parent_rows(part, a, b):
+    """The parent of each offset in [a, b), which part covers, as its
+    row in part.off. Each parent's children are one run of offsets, so
+    the rows are one np.repeat of the parents from the parent of a to
+    that of b - 1 over their clipped child counts; a childless parent
+    repeats zero times."""
+    off = part.off
+    p0 = int(np.searchsorted(off, a, side="right")) - 1
+    p1 = int(np.searchsorted(off, b - 1, side="right"))
+    return np.repeat(np.arange(p0, p1), np.diff(np.clip(off[p0:p1 + 1], a, b)))
+
+
 def level_columns(slices, lo, hi):
     """The ids of top-level offsets [lo, hi) as a (depth, hi - lo) int64
     array: row i holds position i of every embedding. slices holds one
     part per level, with its arrays, that covers those offsets.
 
-    Each level's parents come from one binary search of its off array,
-    so a part's place in its level (vs, ps) and childless parents need
-    no special case.
+    A level's offsets ascend, so their parents come from parent_rows
+    over the span from the first to the last, and a part's place in its
+    level (vs, ps) and childless parents need no special case.
     """
     depth = len(slices)
     cols = np.empty((depth, hi - lo), dtype=np.int64)
@@ -167,6 +179,7 @@ def level_columns(slices, lo, hi):
     for li in range(depth - 1, -1, -1):
         s = slices[li]
         cols[li] = o if s.vert is None else s.vert[o - s.vs]
-        if li:
-            o = np.searchsorted(s.off, o, side="right") - 1 + s.ps
+        if li and len(o):
+            a = int(o[0])
+            o = parent_rows(s, a, int(o[-1]) + 1)[o - a] + s.ps
     return cols

@@ -607,14 +607,10 @@ def reference_expand(g, mode, slices, lo, hi, flt=None, alive=None,
     Candidates are gathered into one dict per parent keyed first-touch,
     which records the earliest attachment index; embedding members
     carry a sentinel. A child's prediction is its gather volume, or
-    with clique (vertex mode) the length of its new vertex's list, the
-    one list a clique explore gathers.
+    with clique (vertex mode) the number of its parent's children after
+    it, its later siblings, which a clique explore gathers.
     """
-    if clique:
-        def volume(g, emb):
-            return len(g.adj[emb[-1]])
-    else:
-        volume = gather_volume if mode == "vertex" else gather_volume_edges
+    volume = gather_volume if mode == "vertex" else gather_volume_edges
     touch = touch_lists(g, mode)
     out_vert = []
     counts = np.zeros(hi - lo, dtype=np.int32)
@@ -647,8 +643,10 @@ def reference_expand(g, mode, slices, lo, hi, flt=None, alive=None,
                 continue
             out_vert.append(v)
             produced += 1
-            if want_pred:
+            if want_pred and not clique:
                 out_pred.append(volume(g, emb + [v]))
+        if want_pred and clique:
+            out_pred.extend(range(produced - 1, -1, -1))
         counts[off - lo] = produced
     vert = np.array(out_vert, dtype=id_dtype)
     pred = np.array(out_pred, dtype=np.int32) if want_pred else None

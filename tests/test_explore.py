@@ -1,24 +1,27 @@
 import itertools
 import random
 import tracemalloc
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from gmine import explore
+from gmine import explore, mining
 from gmine.explore import CLIQUE, partition_by_weight
 from gmine.graph import Graph
-from gmine.mining import Session
+from gmine.mining import Session, count_cliques_range
 from gmine.spill import read_part
 
 from conftest import make_random_graph
-from oracles import (check_link, connected_edge_subsets,
+from oracles import (brute_cliques, check_link, connected_edge_subsets,
                      enumerate_connected_subsets, extract, gather_volume,
                      gather_volume_edges, is_canonical_edge_extension,
                      is_canonical_extension, is_connected_subset, iter_embeddings,
                      level_slices, ordering_is_canonical, ordering_is_canonical_edges,
                      predict_candidate_size, predict_candidate_size_edges,
-                     random_connected_edges, reference_expand, whole_arrays)
+                     random_connected_edges, rank_dag_lists, reference_expand,
+                     whole_arrays)
 from test_store import L2_OFF, L2_VERT, L3_OFF, L3_VERT
 
 
@@ -373,6 +376,45 @@ def reference_filter(g, flt):
     return lambda emb, v: bool(flt[v])
 
 
+@pytest.mark.parametrize("parts", [1, 3])
+def test_level_two_is_copied_from_the_csr(monkeypatch, parts):
+    # a vertex session's level 1 -> 2 runs no kernel: over the adjacency
+    # its arrays and predictions are the reference expander's, with no
+    # filter, a vertex mask or the clique rule, and an alive mask; over
+    # the rank DAG each rank's children are its out-list
+    monkeypatch.setattr(mining, "expand_vertex_range", None)
+    rng = np.random.default_rng(parts)
+    for trial in range(4):
+        g = gapped_graph(trial) if trial % 2 else make_random_graph(3400 + trial, 14, 20)
+        n = g.num_vertices
+        vmask = rng.random(n) < 0.7
+        for flt in (None, vmask, CLIQUE):
+            for alive in (None, rng.random(n) < 0.7):
+                for want_pred in (True, False):
+                    with Session(g, parts_per_level=parts) as s:
+                        s.seed_vertices()
+                        slices = level_slices(s.cse)
+                        cuts = partition_by_weight(s.cse.top.pred, parts).tolist()
+                        vert, counts, pred = reference_expand(
+                            g, "vertex", slices, 0, n, reference_filter(g, flt), alive,
+                            want_pred, clique=flt is CLIQUE)
+                        s.explore(flt, alive, want_pred)
+                        assert level_arrays(s.cse.top) == (
+                            vert.tolist(), [0] + np.cumsum(counts).tolist(),
+                            pred.tolist() if want_pred else None)
+                        assert [(p.ps, p.pe) for p in s.cse.top.parts] == [
+                            (a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+        dag = rank_dag_lists(g)
+        for alive in (None, rng.random(n) < 0.7):
+            rows = [row if alive is None or alive[r] else [] for r, row in enumerate(dag)]
+            with Session(g, parts_per_level=parts) as s:
+                s.seed_vertices(dag=True)
+                s.explore(CLIQUE, alive)
+                assert level_arrays(s.cse.top) == (
+                    sum(rows, []), [0] + np.cumsum([len(r) for r in rows]).tolist(),
+                    [len(row) - 1 - j for row in rows for j in range(len(row))])
+
+
 def explore_checked(g, mode, depth, flt=None, alive_p=None, seed=0, **kw):
     """Grow a store to depth, each explore with flt and (if alive_p is
     set) a random alive mask; while the store is resident, check each new
@@ -404,7 +446,7 @@ def explore_checked(g, mode, depth, flt=None, alive_p=None, seed=0, **kw):
                 # an empty parent level maps no ranges and keeps no pred
                 assert (got[2] or []) == (pred.tolist() if want_pred else [])
                 for o, emb in iter_embeddings(slices, 0, top.count):
-                    if flt is CLIQUE:  # a prediction is the newest member's list
+                    if flt is CLIQUE:  # a prediction counts the later siblings
                         assert counts[o] <= candidates(g, emb)
                         assert counts[o] <= top_pred[o]
                     else:
@@ -457,7 +499,8 @@ def fold_checked(g, depth, flt=None, alive_p=None, seed=0):
     each top instead of storing its children: the fold's (parent, child,
     mask) records must list the reference's children in order, each mask
     the OR of 1 << i over the members i adjacent to the child, and the
-    range must return their count."""
+    range must return their count. A CLIQUE fold needs a top that a
+    CLIQUE explore built, so level 1 is not folded under it."""
     rng = np.random.default_rng(seed)
     sets = g.adj_sets
     with Session(g) as s:
@@ -465,6 +508,9 @@ def fold_checked(g, depth, flt=None, alive_p=None, seed=0):
         for _ in range(2, depth + 1):
             top = s.cse.top
             alive = None if alive_p is None else rng.random(top.count) < alive_p
+            if flt is CLIQUE and top.index == 1:
+                s.explore(flt, alive)
+                continue
             slices = level_slices(s.cse)
             got = []
 
@@ -511,10 +557,13 @@ def test_kernel_worker_and_budget_invariance(tmp_path):
         two, _ = explore_checked(g, mode, depth, flt, alive_p, seed=i, workers=2)
         assert two == base
         # two part files per spilled level, headers and offsets included,
-        # put the smallest feasible plan of the clique cases at 57-58%
-        budget = m["peak_resident_estimate"] * 5 // 8
+        # cost more than a clique level of this size holds: with 3 parts
+        # no budget below the peak is feasible for the first clique case,
+        # and with 8 the smallest feasible plan of the clique cases sits
+        # at 74-83% of the peak
+        budget = m["peak_resident_estimate"] * 7 // 8
         spilled, sm = explore_checked(g, mode, depth, flt, alive_p, seed=i, workers=2,
-                                      memory_budget=budget, parts_per_level=3,
+                                      memory_budget=budget, parts_per_level=8,
                                       spill_dir=str(tmp_path / str(i)))
         assert sm["bytes_spilled"] > 0
         assert spilled == base
@@ -564,34 +613,75 @@ def test_edge_explore_gathers_each_endpoint_once(monkeypatch, shape):
             s.explore()
 
 
-def test_clique_level_over_unfiltered_levels():
-    # levels explored without a filter hold embeddings whose newest
-    # member is not their largest (a path v1-v2-v3 with v1 < v3 < v2
-    # attaches v3 at v2 only), so the clique rule must compare each
-    # candidate with the largest member, stored and folded alike
-    for trial in range(3):
-        g = make_random_graph(3390 + trial, 12, 30)
-        rule = reference_filter(g, CLIQUE)
-        for depth in (3, 4):
-            with Session(g) as s:
-                s.seed_vertices()
-                for _ in range(2, depth + 1):
-                    s.explore()
-                top = s.cse.top
-                slices = level_slices(s.cse)
-                assert any(e[-1] < max(e) for _, e in iter_embeddings(slices, 0, top.count))
-                vert, counts, pred = reference_expand(g, "vertex", slices, 0, top.count,
-                                                      rule, clique=True)
-                folded = []
-                ctx = dict(s.ctx, slices=slices, filter=CLIQUE,
-                           fold=lambda emb, cp, cv, masks: folded.extend(
-                               zip(cv.tolist(), masks().tolist())))
-                assert explore.expand_vertex_range((0, top.count), ctx) == len(vert)
-                assert folded == [(v, (1 << depth) - 1) for v in vert.tolist()]
-                s.explore(CLIQUE)
-                assert level_arrays(s.cse.top) == (
-                    vert.tolist(), [0] + np.cumsum(counts).tolist(), pred.tolist())
-            assert len(vert), (trial, depth)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_clique_phases_need_a_clique_top(workers):
+    # a CLIQUE explore or fold reads each clique's candidates from its
+    # later siblings, which only a level that a CLIQUE explore built
+    # holds; over any other top it raises instead of miscounting
+    g = make_random_graph(3390, 12, 30)
+    fold = partial(Session.aggregate, fn=count_cliques_range, merge=lambda a, b: a + b,
+                   init=0)
+    with Session(g, workers=workers) as s:
+        s.seed_vertices()
+        s.explore(CLIQUE)  # a vertex session's level 1 is copied, not expanded
+        assert fold(s) == brute_cliques(g, 3) > 0
+    with Session(g, workers=workers) as s:
+        s.seed_vertices()
+        for level in (2, 3):
+            s.explore()
+            for phase in (partial(s.explore, CLIQUE), partial(fold, s)):
+                with pytest.raises(ValueError, match="level %d was not built by a "
+                                   "CLIQUE explore" % level):
+                    phase()
+    with Session(g, workers=workers) as s:
+        s.seed_edges()
+        with pytest.raises(ValueError, match="level 1 was not built by a CLIQUE"):
+            s.explore(CLIQUE)
+
+
+def clique_run(g, k, **kw):
+    """clique_discovery(g, k) kept open: the arrays of levels 2..k-1,
+    read back from their part files where spilled, each level's
+    residency, the count and the metrics."""
+    with Session(g, **kw) as s:
+        s.seed_vertices(dag=True)
+        for _ in range(2, k):
+            s.explore(flt=CLIQUE)
+        count = s.fold(count_cliques_range, lambda a, b: a + b, 0, int)
+        levels = [level_arrays(lvl) for lvl in s.cse.levels[1:]]
+        return levels, [lvl.residency for lvl in s.cse.levels], count, s.metrics
+
+
+def test_spilled_clique_levels_read_siblings_inside_their_parts(tmp_path):
+    # a clique's candidates are its later siblings in the top part, and
+    # parts are cut at parent boundaries, so spilled tops read back part
+    # by part give the same levels and count at any part and worker count
+    g = make_random_graph(4100, 24, 120)
+    want_levels, res, want, m = clique_run(g, 6)
+    assert want == brute_cliques(g, 6) > 0 and res == ["mem"] * 5
+    budget = m["peak_resident_estimate"] * 4 // 5
+    for parts in (3, 8):
+        for workers in (1, 2):
+            levels, res, got, sm = clique_run(
+                g, 6, workers=workers, memory_budget=budget, parts_per_level=parts,
+                spill_dir=str(tmp_path / ("%d_%d" % (parts, workers))))
+            # levels 4 and 5 are explored and folded from spilled tops
+            assert res[3:] == ["disk", "disk"] and sm["parts_loaded"] > 0
+            assert (levels, got) == (want_levels, want)
+    # a top part whose last slice ran past its end would read a sibling
+    # from outside it
+    with Session(g) as s:
+        s.seed_vertices(dag=True)
+        s.explore(flt=CLIQUE)
+        slices = level_slices(s.cse)
+        tp = slices[-1]
+        off = tp.off.copy()
+        off[np.searchsorted(off, tp.ve - 1, side="right"):] += 1
+        slices[-1] = replace(tp, off=off)
+        ctx = dict(s.ctx, slices=slices, filter=CLIQUE, pred=None)
+        with pytest.raises(AssertionError, match="ends at %d, past its part's end %d"
+                           % (tp.ve + 1, tp.ve)):
+            explore.expand_vertex_range((0, tp.ve), ctx)
 
 
 def test_kernel_checks_key_packing(monkeypatch):
@@ -611,5 +701,6 @@ def test_kernel_checks_key_packing(monkeypatch):
     monkeypatch.setattr(explore, "BLOCK", (1 << 56) + 1)
     with Session(g) as s:
         s.seed_vertices()
+        s.explore()  # level 2 is copied from the CSR, with no key
         with pytest.raises(OverflowError, match="int64"):
             s.explore()

@@ -98,6 +98,64 @@ def test_level_columns_explicit_seeds_and_windows():
     assert columns_as_rows(win, 3, 5) == want[3:5]
 
 
+def searchsorted_columns(slices, lo, hi):
+    """level_columns by its definition: each level's parent of every
+    offset by one binary search of its off array."""
+    cols = np.empty((len(slices), hi - lo), dtype=np.int64)
+    o = np.arange(lo, hi, dtype=np.int64)
+    for li in range(len(slices) - 1, -1, -1):
+        s = slices[li]
+        cols[li] = o if s.vert is None else s.vert[o - s.vs]
+        if li:
+            o = np.searchsorted(s.off, o, side="right") - 1 + s.ps
+    return cols
+
+
+def windows_over(slices, lo, hi):
+    """Parts of each level above 1 that cover top offsets [lo, hi) and
+    their ancestors, each widened by a parent on either side where one
+    exists, so their ps and vs are rarely 0."""
+    out = list(slices)
+    a, b = lo, hi
+    for li in range(len(slices) - 1, 0, -1):
+        s = slices[li]
+        ps = max(0, slice_parent_of(s, a) - 1)
+        pe = min(s.pe, slice_parent_of(s, b - 1) + 2)
+        vert, off = s.vert, s.off
+        out[li] = part_of(li + 1, vert[off[ps]:off[pe]], off[ps:pe + 1], ps=ps)
+        a, b = ps, pe
+    return out
+
+
+def test_level_columns_find_parents_by_run_length():
+    # childless parents (a third of them), windows whose ps and vs are
+    # not 0, and ranges of one offset, against the binary-search definition
+    rng = np.random.default_rng(29)
+    ranges = shifted = childless = 0
+    for trial in range(40):
+        s = EmbeddingStore()
+        s.seed_identity(int(rng.integers(1, 7)))
+        for _ in range(3):
+            counts = rng.integers(0, 3, s.top.count)
+            vert = np.concatenate([np.sort(rng.choice(12, c, replace=False))
+                                   for c in counts] + [np.zeros(0, np.int64)])
+            append_whole(s, vert, np.concatenate(([0], np.cumsum(counts))))
+        slices = level_slices(s)
+        t = s.top.count
+        for lo in range(t):
+            for hi in range(lo + 1, t + 1):
+                want = searchsorted_columns(slices, lo, hi)
+                assert (level_columns(slices, lo, hi) == want).all()
+                win = windows_over(slices, lo, hi)
+                assert (level_columns(win, lo, hi) == want).all()
+                ranges += 1
+                shifted += any(p.ps > 0 and p.vs > 0 for p in win[1:])
+        childless += sum(int((np.diff(p.off) == 0).sum()) for p in slices[1:])
+        assert (searchsorted_columns(slices, 0, 0).shape
+                == level_columns(slices, 0, 0).shape)
+    assert ranges > 500 and shifted > 200 and childless > 100
+
+
 def test_iteration_lexicographic_order():
     s = demo_store()
     slices = level_slices(s)
